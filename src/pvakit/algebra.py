@@ -79,6 +79,15 @@ def mono_degree(a: Monomial):
     return _exp(d)
 
 
+def mono_weight(a: Monomial):
+    """Derivative count sum n*e over the factors (u^(n))^e; the total
+    derivative raises it by exactly one."""
+    w = 0
+    for (n, _), e in a:
+        w += n * e
+    return w
+
+
 def mono_set_exp(a: Monomial, g: Gen, e) -> Monomial:
     """Return a with the exponent of g replaced by e (e may be 0)."""
     e = _exp(e)
@@ -533,8 +542,10 @@ def _render_term(ctx: Context, m: Monomial, c: Coefficient) -> tuple[str, bool]:
     ctext = coeff.render(ctx.params)
     if ctext == "1" and factors:
         return "*".join(factors), negative
-    if len(coeff.num) > 1:
-        ctext = "(%s)" % ctext if "/" not in ctext else ctext
+    if len(coeff.num) > 1 and fields._pis_const(coeff.den):
+        # a sum over a constant denominator; a non-constant one renders
+        # as "(sum)/den", which needs no further parentheses
+        ctext = "(%s)" % ctext
     return "*".join([ctext] + factors), negative
 
 

@@ -31,18 +31,14 @@ def lambda_bracket(H: MatrixDiffOp, f: Expression, g: Expression) -> LambdaPoly:
     ctx = f.ctx
     ell = ctx.nvars
     zero = LambdaPoly(ctx, {})
-    # A_i = sum_m (-lam-d)^m df/du_i^(m)
+    # A_i = sum_m (-lam-d)^m df/du_i^(m), in Horner form
+    # p_0 + (-lam-d)(p_1 + (-lam-d)(p_2 + ...))
+    top = f.max_order()
     A = []
     for i in range(ell):
-        acc = zero
-        for m in range(f.max_order() + 1):
-            p = f.partial(i, m)
-            if p.is_zero():
-                continue
-            term = LambdaPoly.of(p)
-            for _ in range(m):
-                term = -term.shift_apply()
-            acc = acc + term
+        acc = LambdaPoly.of(f.partial(i, top))
+        for m in range(top - 1, -1, -1):
+            acc = LambdaPoly.of(f.partial(i, m)) - acc.shift_apply()
         A.append(acc)
     out = zero
     for j in range(ell):

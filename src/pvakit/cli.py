@@ -21,7 +21,7 @@ from .brackets import (
     check_symplectic,
     lambda_bracket,
 )
-from .errors import IndividualFailure, ParseError, PvakitError
+from .errors import IndividualFailure, PvakitError
 from .hierarchies import NAMES, HierarchySpec, generate, golden_verify
 from .lenard import lenard_extend, make_plan, verify_sequence
 from .operators import MatrixDiffOp
@@ -31,13 +31,21 @@ from .varcalc import exactify, frechet, integrate_total, variational_derivative
 
 def _session(vars_, params, config) -> Context:
     if config:
-        with open(config) as fh:
-            data = json.load(fh)
-        vars_ = ",".join(data.get("variables", vars_.split(",")))
-        params = ",".join(data.get("parameters", params.split(",") if params else []))
+        try:
+            with open(config) as fh:
+                data = json.load(fh)
+            vars_ = ",".join(data.get("variables", vars_.split(",")))
+            params = ",".join(
+                data.get("parameters", params.split(",") if params else [])
+            )
+        except (OSError, ValueError, TypeError, AttributeError) as exc:
+            raise click.UsageError("unreadable --config file: %s" % exc)
     names = tuple(s.strip() for s in vars_.split(",") if s.strip())
     plist = tuple(s.strip() for s in params.split(",") if s.strip()) if params else ()
-    return Context(names, plist)
+    try:
+        return Context(names, plist)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _fail(message: str):
@@ -48,15 +56,20 @@ def _fail(message: str):
 def _parse(ctx: Context, text: str):
     try:
         return parse_expression(text, ctx)
-    except ParseError as exc:
+    except PvakitError as exc:
         raise click.UsageError(str(exc))
 
 
 def _parse_op(ctx: Context, text: str) -> MatrixDiffOp:
     try:
-        return parse_operator(text, ctx)
-    except ParseError as exc:
+        op = parse_operator(text, ctx)
+    except PvakitError as exc:
         raise click.UsageError(str(exc))
+    if (op.nrows, op.ncols) != (ctx.nvars, ctx.nvars):
+        raise click.UsageError(
+            "operator %r must be %d x %d" % (text, ctx.nvars, ctx.nvars)
+        )
+    return op
 
 
 def _emit_report(report, as_json: bool):
@@ -196,6 +209,8 @@ def lenard_cmd(ctx, h_text, k_text, plan_kind, chain_text, seed_texts, depth,
     H = _parse_op(ctx, h_text)
     K = _parse_op(ctx, k_text)
     monomials = None
+    if plan_kind == "chain" and not chain_text:
+        raise click.UsageError("--plan chain needs --chain")
     if chain_text:
         monomials = [_parse(ctx, t) for t in chain_text.split(";")]
     seeds = []
@@ -224,21 +239,27 @@ def _parse_binding(text: str):
     if "=" not in text:
         return text, None
     name, _, value = text.partition("=")
-    return name.strip(), Fraction(value.strip())
+    try:
+        return name.strip(), Fraction(value.strip())
+    except (ValueError, ZeroDivisionError):
+        raise click.UsageError("--param %s: %r is not a rational number" % (text, value))
 
 
 @main.command("hierarchy")
 @click.argument("name", type=click.Choice(NAMES))
 @click.option("--param", "param_texts", multiple=True,
               help="NAME for a symbolic parameter or NAME=VALUE to bind it")
-@click.option("--depth", default=None, type=int)
+@click.option("--depth", default=None, type=click.IntRange(min=1))
 @click.option("--verify", "do_verify", is_flag=True,
               help="also compare against the stored reference values")
 @click.option("--json", "as_json", is_flag=True)
 def hierarchy_cmd(name, param_texts, depth, do_verify, as_json):
     """Generate a shipped hierarchy (and optionally check its goldens)."""
     params = dict(_parse_binding(t) for t in param_texts)
-    spec = HierarchySpec(name, params, depth)
+    try:
+        spec = HierarchySpec(name, params, depth).normalized()
+    except PvakitError as exc:
+        raise click.UsageError(str(exc))
     try:
         rec = generate(spec)
     except PvakitError as exc:
@@ -255,7 +276,10 @@ def hierarchy_cmd(name, param_texts, depth, do_verify, as_json):
             click.echo("flow_%d = (%s)" % (s.n, ", ".join(x.render() for x in s.flow)))
         click.echo("verification: %s" % ("pass" if ok else "fail"))
     if do_verify:
-        report = golden_verify(spec)
+        try:
+            report = golden_verify(spec, rec)
+        except PvakitError as exc:
+            raise click.UsageError(str(exc))
         if not as_json:
             click.echo("golden: %s" % ("pass" if report.passed else "fail"))
         ok = ok and report.passed

@@ -39,23 +39,34 @@ def _entry_apply(entry: Entry, f: Expression) -> Expression:
     return out
 
 
+def _derivatives(a: Expression, top: int) -> list[Expression]:
+    """[a, d(a), ..., d^top(a)] along one chain of total derivatives."""
+    out = [a]
+    for _ in range(top):
+        out.append(out[-1].total_derivative())
+    return out
+
+
 def _entry_adjoint(ctx: Context, entry: Entry) -> list[tuple[int, Expression]]:
     """Formal adjoint of a scalar entry: sum_k (-d)^k o a_k, expanded."""
     out: list[tuple[int, Expression]] = []
     for p, a in entry:
         sign = -1 if p % 2 else 1
+        da = _derivatives(a, p)
         for k in range(p + 1):
-            out.append((k, a.total_derivative(p - k).scale(sign * comb(p, k))))
+            out.append((k, da[p - k].scale(sign * comb(p, k))))
     return out
 
 
 def _entry_compose(ctx: Context, ea: Entry, eb: Entry) -> list[tuple[int, Expression]]:
     """(a d^p) o (b d^q) expanded by the Leibniz rule."""
     out: list[tuple[int, Expression]] = []
-    for p, a in ea:
-        for q, b in eb:
+    top = max((p for p, _ in ea), default=0)
+    for q, b in eb:
+        db = _derivatives(b, top)
+        for p, a in ea:
             for k in range(p + 1):
-                out.append((k + q, a * b.total_derivative(p - k).scale(comb(p, k))))
+                out.append((k + q, a * db[p - k].scale(comb(p, k))))
     return out
 
 

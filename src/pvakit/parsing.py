@@ -128,7 +128,10 @@ class _Parser:
             den = 1
             if self.toks.peek()[0] == "/":
                 self.toks.next()
-                den = self.toks.expect("num")[1]
+                num_tok = self.toks.expect("num")
+                den = num_tok[1]
+                if not den:
+                    raise ParseError("zero denominator in exponent", num_tok[2])
             self.toks.expect(")")
             return Fraction(sign * num, den)
         raise ParseError("malformed exponent", tok[2])
@@ -334,4 +337,6 @@ def parse_operator(text: str, ctx: Context) -> MatrixDiffOp:
             else:
                 row.append(parse_operator_entry(entry_text, ctx))
         rows.append(row)
+    if len({len(row) for row in rows}) > 1:
+        raise ParseError("rows of the operator matrix differ in length", 0)
     return MatrixDiffOp(ctx, rows)

@@ -15,36 +15,41 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .algebra import Context, Expression, VectorExpr, mono_set_exp, vec_is_zero
+from .algebra import (
+    ONE_MONO,
+    Context,
+    Expression,
+    VectorExpr,
+    mono_set_exp,
+    mono_weight,
+    vec_is_zero,
+)
 from .errors import LogRequired, NotClosed, NotExact, OrderViolation
+from .fields import Coefficient
 from .operators import MatrixDiffOp
 
 
 def variational_derivative(f: Expression) -> VectorExpr:
-    """delta f / delta u: component i is sum_n (-d)^n (df/du_i^(n))."""
+    """delta f / delta u: component i is sum_n (-d)^n (df/du_i^(n)),
+    evaluated in Horner form p_0 - d(p_1 - d(p_2 - ...))."""
     ctx = f.ctx
     out = []
     top = f.max_order()
     for i in range(ctx.nvars):
-        acc = ctx.zero()
-        for n in range(top + 1):
-            p = f.partial(i, n)
-            if p.is_zero():
-                continue
-            acc = acc + p.total_derivative(n).scale((-1) ** n)
+        acc = f.partial(i, top)
+        for n in range(top - 1, -1, -1):
+            acc = f.partial(i, n) - acc.total_derivative()
         out.append(acc)
     return tuple(out)
 
 
 def euler_operator(f: Expression, i: int, m: int) -> Expression:
-    """The m-th Euler operator sum_n C(n,m) (-1)^n d^(n-m) (df/du_i^(n))."""
-    ctx = f.ctx
-    acc = ctx.zero()
-    for n in range(m, f.max_order() + 1):
-        p = f.partial(i, n)
-        if p.is_zero():
-            continue
-        acc = acc + p.total_derivative(n - m).scale((-1) ** n * comb(n, m))
+    """The m-th Euler operator sum_n C(n,m) (-1)^n d^(n-m) (df/du_i^(n)),
+    evaluated in Horner form along one chain of derivatives."""
+    top = f.max_order()
+    acc = f.ctx.zero()
+    for n in range(top, m - 1, -1):
+        acc = f.partial(i, n).scale((-1) ** n * comb(n, m)) + acc.total_derivative()
     return acc
 
 
@@ -110,37 +115,64 @@ def antiderivative(f: Expression, i: int, n: int) -> Expression:
 
 
 def _coeff_num(ctx: Context, q):
-    from .fields import Coefficient
-
     return Coefficient.from_fraction(Fraction(q), len(ctx.params))
 
 
-def integrate_total(f: Expression):
-    """Write f = d(g) + const, or raise NotExact / LogRequired.
+def _descend(f: Expression):
+    """Peel total derivatives off f down the order-then-index filtration.
 
-    Descends the order-then-index filtration: at top pair (n, i) the slice
-    d(f)/du_i^(n) is integrated in u_i^(n-1) and the resulting total
-    derivative subtracted.
+    At top pair (n, i) the slice d(f)/du_i^(n) is integrated in u_i^(n-1)
+    and the resulting total derivative subtracted.  Returns (g, rest,
+    stall) with f = d(g) + rest: rest is constant when stall is None, and
+    otherwise stall is the LogRequired or NotExact error that stopped the
+    descent and rest is what was left at that point.
     """
-    if not vec_is_zero(variational_derivative(f)):
-        raise NotExact("nonzero variational derivative, not a total derivative")
-    ctx = f.ctx
-    g = ctx.zero()
+    g = f.ctx.zero()
     cur = f
     prev = None
     while True:
         top = cur.diff_order()
         if top is None:
-            return g, cur.constant_coefficient()
+            return g, cur, None
         if prev is not None and top >= prev:
-            raise NotExact("no descent at %s" % (top,))
+            return g, cur, NotExact("no descent at %s" % (top,))
         prev = top
         n, i = top
         if n == 0:
-            raise NotExact("depends on undifferentiated variables only")
-        piece = antiderivative(cur.partial(i, n), i, n - 1)
+            return g, cur, NotExact("depends on undifferentiated variables only")
+        try:
+            piece = antiderivative(cur.partial(i, n), i, n - 1)
+        except LogRequired as exc:
+            return g, cur, exc
         g = g + piece
         cur = cur - piece.total_derivative()
+
+
+def integrate_total(f: Expression):
+    """Write f = d(g) + const, or raise NotExact / LogRequired."""
+    if not vec_is_zero(variational_derivative(f)):
+        raise NotExact("nonzero variational derivative, not a total derivative")
+    g, rest, stall = _descend(f)
+    if stall is not None:
+        raise stall
+    return g, rest.constant_coefficient()
+
+
+def _constant_mod_derivatives(f: Expression) -> Coefficient:
+    """The constant c with f = d(g) + c, for f with zero variational
+    derivative.
+
+    The total derivative raises the weight sum_k n_k e_k of a monomial by
+    exactly one, so only the weight-zero part of f can trade constants with
+    d(g), through terms of weight -1 in g: d(u/u') = 1 - u u''/u'^2.  When
+    that part is a bare constant it is c; otherwise c is what the descent
+    leaves of it (where it stalls on a logarithm, what is left there).
+    """
+    zero_weight = {m: c for m, c in f.terms.items() if mono_weight(m) == 0}
+    if all(m == ONE_MONO for m in zero_weight):
+        return f.constant_coefficient()
+    _, rest, _ = _descend(Expression(f.ctx, zero_weight))
+    return rest.constant_coefficient()
 
 
 def _exactify_scaling(F: VectorExpr) -> Optional[Expression]:
@@ -244,24 +276,35 @@ class LocalFunctional:
         return self.rep.ctx
 
     def compare(self, other: "LocalFunctional") -> FunctionalComparison:
+        """Equality in V / dV together with its certificate: for equal
+        functionals, an antiderivative g of the difference (strict), or
+        strict False when g would need a logarithm.  Raises NotExact when
+        the functionals are equal but the descent stalls short of g."""
         d = self.rep - other.rep
         if not vec_is_zero(variational_derivative(d)):
             return FunctionalComparison(False)
-        if not d.constant_coefficient().is_zero():
+        g, rest, stall = _descend(d)
+        if stall is None:
+            if rest.is_zero():
+                return FunctionalComparison(True, True, g)
             return FunctionalComparison(False)
-        try:
-            g, _ = integrate_total(d)
-            return FunctionalComparison(True, True, g)
-        except LogRequired:
+        if not _constant_mod_derivatives(d).is_zero():
+            return FunctionalComparison(False)
+        if isinstance(stall, LogRequired):
             return FunctionalComparison(True, False, None)
+        raise stall
 
     def is_zero(self) -> bool:
-        return self.compare(LocalFunctional(self.ctx.zero())).equal
+        """Zero in V / dV: zero variational derivative and no constant
+        left modulo total derivatives; no antiderivative is built."""
+        if not vec_is_zero(variational_derivative(self.rep)):
+            return False
+        return _constant_mod_derivatives(self.rep).is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, LocalFunctional):
             return NotImplemented
-        return self.compare(other).equal
+        return (self - other).is_zero()
 
     __hash__ = None
 
@@ -279,10 +322,11 @@ class LocalFunctional:
 
 
 def functional_equal(a, b) -> bool:
-    """Equality in V / dV: zero variational derivative and zero constant
-    part of the difference."""
+    """Equality in V / dV: the difference has zero variational derivative
+    and leaves no constant modulo total derivatives, so f and f + d(u/u')
+    are equal although d(u/u') has the constant term 1."""
     if isinstance(a, Expression):
         a = LocalFunctional(a)
     if isinstance(b, Expression):
         b = LocalFunctional(b)
-    return a.compare(b).equal
+    return a == b

@@ -123,3 +123,38 @@ def test_check_json_deterministic():
     a = run("check-pva", "--op", "d^2", "--json").output
     b = run("check-pva", "--op", "d^2", "--json").output
     assert a == b
+
+
+def _assert_usage_error(r):
+    assert r.exit_code == 2, (r.exit_code, r.output, r.exception)
+    assert "Error:" in r.output
+    assert "Traceback" not in r.output
+
+
+def test_bad_parameter_value_is_usage_error():
+    _assert_usage_error(run("hierarchy", "hd", "--param", "alpha=abc"))
+
+
+def test_repeated_variable_is_usage_error():
+    _assert_usage_error(run("--vars", "u,u", "vder", "u"))
+
+
+def test_zero_exponent_denominator_is_usage_error():
+    _assert_usage_error(run("vder", "u^(1/0)"))
+
+
+def test_chain_plan_without_chain_is_usage_error():
+    _assert_usage_error(
+        run("lenard", "--op-h", "u' + 2*u*d", "--op-k", "d", "--plan", "chain",
+            "--seed", "1")
+    )
+
+
+def test_malformed_config_is_usage_error(tmp_path):
+    cfg = tmp_path / "session.json"
+    cfg.write_text('{"variables": ["u"')
+    _assert_usage_error(run("--config", str(cfg), "vder", "u"))
+
+
+def test_zero_depth_is_usage_error():
+    _assert_usage_error(run("hierarchy", "kdv", "--depth", "0"))

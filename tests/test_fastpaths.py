@@ -1,0 +1,192 @@
+"""Differential properties: every chained fast path equals its slice-by-slice
+reference in reference.py, the lazy zero test agrees with the certified
+comparison, and rendered text parses back to what was rendered."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from pvakit import (
+    Context,
+    LocalFunctional,
+    MatrixDiffOp,
+    NotExact,
+    OrderViolation,
+    euler_operator,
+    lambda_bracket,
+    variational_derivative,
+)
+from pvakit.fields import Coefficient
+from pvakit.parsing import parse_operator
+
+import reference
+
+CTXS = (Context(("u",), ("c",)), Context(("u", "v"), ("c",)))
+EXPONENTS = (1, 2, 3, -1, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2))
+
+rationals = st.builds(
+    Fraction,
+    st.integers(-4, 4).filter(bool),
+    st.integers(1, 3),
+)
+
+
+@st.composite
+def coefficients(draw, ctx, fractions_of_c=False):
+    """q, or q + r*c, or (q + r*c)/(c + k) when fractions_of_c."""
+    n = len(ctx.params)
+    c = Coefficient.from_fraction(draw(rationals), n)
+    if draw(st.booleans()):
+        c = c + Coefficient.parameter(0, n).scale(draw(rationals))
+    if fractions_of_c and draw(st.booleans()):
+        c = c / (Coefficient.parameter(0, n) + Coefficient.from_fraction(draw(rationals), n))
+    return c
+
+
+@st.composite
+def expressions(draw, ctx, max_terms=3, max_order=3, fractions_of_c=False):
+    """A sum of up to max_terms monomials with rational, negative and
+    half-integer exponents and coefficients in QQ(c)."""
+    total = ctx.zero()
+    for _ in range(draw(st.integers(1, max_terms))):
+        term = ctx.coeff_expr(draw(coefficients(ctx, fractions_of_c)))
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, ctx.nvars - 1))
+            n = draw(st.integers(0, max_order))
+            term = term * ctx.gen(i, n) ** draw(st.sampled_from(EXPONENTS))
+        total = total + term
+    return total
+
+
+@st.composite
+def entries(draw, ctx, fractions_of_c=False):
+    return [
+        (draw(st.integers(0, 3)), draw(expressions(ctx, 2, 2, fractions_of_c)))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+
+
+@st.composite
+def operators(draw, ctx):
+    rows = [[draw(entries(ctx)) for _ in range(ctx.nvars)] for _ in range(ctx.nvars)]
+    return MatrixDiffOp(ctx, rows)
+
+
+contexts = st.sampled_from(CTXS)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_horner_variational_derivative(data):
+    f = data.draw(expressions(data.draw(contexts)))
+    assert variational_derivative(f) == reference.variational_derivative(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_chained_euler_operator(data):
+    ctx = data.draw(contexts)
+    f = data.draw(expressions(ctx))
+    i = data.draw(st.integers(0, ctx.nvars - 1))
+    m = data.draw(st.integers(0, 3))
+    assert euler_operator(f, i, m) == reference.euler_operator(f, i, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_chained_adjoint(data):
+    ctx = data.draw(contexts)
+    op = data.draw(operators(ctx))
+    n = ctx.nvars
+    want = MatrixDiffOp(
+        ctx,
+        [[reference.entry_adjoint(op.entry(j, i)) for j in range(n)] for i in range(n)],
+    )
+    assert op.adjoint() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_chained_compose(data):
+    ctx = data.draw(contexts)
+    a = data.draw(operators(ctx))
+    b = data.draw(operators(ctx))
+    n = ctx.nvars
+    want = MatrixDiffOp(
+        ctx,
+        [
+            [
+                [
+                    item
+                    for k in range(n)
+                    for item in reference.entry_compose(a.entry(i, k), b.entry(k, j))
+                ]
+                for j in range(n)
+            ]
+            for i in range(n)
+        ],
+    )
+    assert a.compose(b) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_horner_lambda_bracket(data):
+    ctx = data.draw(contexts)
+    H = data.draw(operators(ctx))
+    f = data.draw(expressions(ctx, 2))
+    g = data.draw(expressions(ctx, 2))
+    assert lambda_bracket(H, f, g) == reference.lambda_bracket(H, f, g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_lazy_zero_test_agrees_with_compare(data):
+    """d = d(g) + q (+ a logarithmic derivative) (+ noise): the lazy test
+    and compare agree, and without noise both read "q == 0"."""
+    ctx = data.draw(contexts)
+    g = data.draw(expressions(ctx, 2))
+    if data.draw(st.booleans()):
+        w = ctx.gen(data.draw(st.integers(0, ctx.nvars - 1)), data.draw(st.integers(0, 2)))
+        g = g + w / w.total_derivative()
+    q = data.draw(st.sampled_from([ctx.zero(), ctx.one(), ctx.param("c")]))
+    d = g.total_derivative() + q
+    if data.draw(st.booleans()):
+        w = ctx.gen(data.draw(st.integers(0, ctx.nvars - 1)), data.draw(st.integers(0, 2)))
+        d = d + w.total_derivative() / w
+    noisy = data.draw(st.booleans())
+    if noisy:
+        d = d + data.draw(expressions(ctx, 1))
+    lazy = LocalFunctional(d).is_zero()
+    if not noisy:
+        assert lazy == q.is_zero()
+    try:
+        certified = LocalFunctional(d).compare(LocalFunctional(ctx.zero()))
+    except (NotExact, OrderViolation):
+        return
+    assert lazy == certified.equal
+    if certified.strict:
+        assert certified.antiderivative.total_derivative() == d
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_render_parses_back(data):
+    ctx = data.draw(contexts)
+    e = data.draw(expressions(ctx, fractions_of_c=True))
+    assert ctx.parse(e.render()) == e
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_render_entry_parses_back(data):
+    ctx = data.draw(contexts)
+    op = MatrixDiffOp(ctx, [[data.draw(entries(ctx, fractions_of_c=True))]])
+    assert parse_operator(op.render_entry(0, 0), ctx).entry(0, 0) == op.entry(0, 0)
+
+
+def test_render_keeps_parentheses_of_sums(ctx1c):
+    e = ctx1c.parse("(8/3 - 8*c)*u^2")
+    assert e.render() == "(-8*c + 8/3)*u^2"
+    op = parse_operator("(c + 1/2)*d^3", ctx1c)
+    assert op.render_entry(0, 0) == "(c + 1/2)*d^3"

@@ -157,6 +157,16 @@ def test_bound_parameter_matches_symbolic_limit():
         ]
 
 
+def test_golden_verify_checks_the_given_record():
+    spec = HierarchySpec("kdv")
+    rec = generate(spec)
+    assert golden_verify(spec, rec).passed
+    step = rec.step(2)
+    step.h = step.h + step.h
+    report = golden_verify(spec, rec)
+    assert [f.triple for f in report.failures] == [(2, "h")]
+
+
 def test_golden_requires_reference_bindings():
     with pytest.raises(PvakitError):
         golden_verify(HierarchySpec("kdv", {"c": Fraction(1)}))

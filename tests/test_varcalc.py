@@ -191,6 +191,24 @@ def test_functional_equality(ctx1):
     assert cmp2.equal and cmp2.strict is False
 
 
+def test_functional_equality_when_derivative_has_constant_term(ctx1c):
+    # d(u/u') = 1 - u*u''/u'^2 has the literal constant 1, yet it is a
+    # total derivative; the constant to test is the one the descent leaves
+    u, up = ctx1c.gen(0), ctx1c.gen(0, 1)
+    f = ctx1c.parse("c*u^2*u'' + u'^(1/2)")
+    g = u / up
+    cmp = LocalFunctional(f).compare(LocalFunctional(f + g.total_derivative()))
+    assert cmp.equal and cmp.strict
+    assert cmp.antiderivative.total_derivative() == -g.total_derivative()
+    assert LocalFunctional(f) == LocalFunctional(f + g.total_derivative())
+    assert functional_equal(f, f + g.total_derivative())
+    # u*u''/u'^2 = 1 - d(u/u') is the constant 1 modulo total derivatives
+    rest = ctx1c.one() - g.total_derivative()
+    assert not LocalFunctional(rest).is_zero()
+    assert not LocalFunctional(rest).compare(LocalFunctional(ctx1c.zero())).equal
+    assert LocalFunctional(rest) == LocalFunctional(ctx1c.one())
+
+
 def test_closedness_of_exact_vectors(ctx2):
     rng = random.Random(37)
     for _ in range(40):
