@@ -49,7 +49,6 @@ from .lenard import (
     lenard_extend,
     make_plan,
     recursion_order1,
-    solve_K,
     verify_sequence,
 )
 from .operators import BiLambdaPoly, LambdaPoly, MatrixDiffOp

@@ -197,14 +197,6 @@ class Context:
             self, {ONE_MONO: Coefficient.parameter(j, len(self.params))}
         )
 
-    def vector(self, *components) -> tuple["Expression", ...]:
-        if len(components) != self.nvars:
-            raise ValueError("vector length must match the variable count")
-        return tuple(components)
-
-    def zero_vector(self) -> tuple["Expression", ...]:
-        return tuple(self.zero() for _ in range(self.nvars))
-
     def expression(self, raw_terms) -> "Expression":
         """Normalize a raw term list into an Expression.
 
@@ -224,9 +216,6 @@ class Context:
         from .parsing import parse_expression
 
         return parse_expression(text, self)
-
-    def parse_vector(self, *texts: str) -> tuple["Expression", ...]:
-        return self.vector(*(self.parse(t) for t in texts))
 
     # -- parameter extension ---------------------------------------------
 
@@ -287,12 +276,6 @@ class Expression:
     def max_order(self) -> int:
         g = self.diff_order()
         return g[0] if g else 0
-
-    def in_filtration(self, n: int, i: int) -> bool:
-        """True if the expression lies in V_{n,i}: no dependence on any
-        u_j^{(m)} with (m, j) > (n, i)."""
-        bound = (n, i)
-        return all((not m) or m[0][0] <= bound for m in self.terms)
 
     def degree_components(self) -> list[tuple[Fraction, "Expression"]]:
         """Split into eigencomponents of the exponent-sum grading."""
@@ -501,6 +484,16 @@ class Expression:
             ctx, {m: c.pad(n, positions) for m, c in self.terms.items()}
         )
 
+    def subst(self, ctx: Context, values) -> "Expression":
+        """Set parameter j to values[j] wherever that is not None; ctx holds
+        the parameters left symbolic, in their order (names may differ)."""
+        out = {}
+        for m, c in self.terms.items():
+            c = c.subst(values)
+            if not c.is_zero():
+                out[m] = c
+        return Expression(ctx, out)
+
     # -- rendering ----------------------------------------------------------------
 
     def render(self) -> str:
@@ -569,6 +562,3 @@ def vec_dot(a, b) -> Expression:
     for x, y in zip(a, b):
         out = out + x * y
     return out
-
-def vec_render(a: VectorExpr) -> str:
-    return "(" + ", ".join(x.render() for x in a) + ")"

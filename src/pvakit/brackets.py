@@ -49,17 +49,24 @@ def lambda_bracket(H: MatrixDiffOp, f: Expression, g: Expression) -> LambdaPoly:
             entry = H.entry(j, i)
             if entry:
                 cj = cj + A[i].op_apply(entry)
-        if cj.is_zero():
+        out = out + _spread(g, j, cj)
+    return out
+
+
+def _spread(g: Expression, j: int, c: LambdaPoly) -> LambdaPoly:
+    """sum_n dg/du_j^(n) (lam+d)^n c, shifting c once per nonzero slice."""
+    out = LambdaPoly(g.ctx, {})
+    if c.is_zero():
+        return out
+    shifted = c
+    last = 0
+    for n in range(g.max_order() + 1):
+        p = g.partial(j, n)
+        if p.is_zero():
             continue
-        shifted = cj
-        last = 0
-        for n in range(g.max_order() + 1):
-            p = g.partial(j, n)
-            if p.is_zero():
-                continue
-            shifted = shifted.shift_apply(n - last)
-            last = n
-            out = out + shifted.mul_expr(p)
+        shifted = shifted.shift_apply(n - last)
+        last = n
+        out = out + shifted.mul_expr(p)
     return out
 
 
@@ -167,21 +174,9 @@ class CheckReport:
 
 def _gen_bracket(H: MatrixDiffOp, i: int, x: Expression) -> LambdaPoly:
     """{u_i lam x} = sum_{h,n} dx/du_h^(n) (lam+d)^n H_hi(lam)."""
-    ctx = x.ctx
-    out = LambdaPoly(ctx, {})
-    for h in range(ctx.nvars):
-        sym = H.symbol(h, i)
-        if sym.is_zero():
-            continue
-        shifted = sym
-        last = 0
-        for n in range(x.max_order() + 1):
-            p = x.partial(h, n)
-            if p.is_zero():
-                continue
-            shifted = shifted.shift_apply(n - last)
-            last = n
-            out = out + shifted.mul_expr(p)
+    out = LambdaPoly(x.ctx, {})
+    for h in range(x.ctx.nvars):
+        out = out + _spread(x, h, H.symbol(h, i))
     return out
 
 

@@ -22,11 +22,27 @@ from .brackets import (
     lambda_bracket,
 )
 from .errors import IndividualFailure, PvakitError
-from .hierarchies import NAMES, HierarchySpec, generate, golden_verify
+from .hierarchies import (
+    FAMILIES,
+    HierarchySpec,
+    check_golden_bindings,
+    generate,
+    golden_verify,
+)
 from .lenard import lenard_extend, make_plan, verify_sequence
 from .operators import MatrixDiffOp
 from .parsing import parse_expression, parse_operator
 from .varcalc import exactify, frechet, integrate_total, variational_derivative
+
+
+def _config_names(data: dict, key: str, default: str) -> str:
+    """The names listed under key, comma-joined, or default when absent."""
+    if key not in data:
+        return default
+    names = data[key]
+    if not isinstance(names, list):
+        raise TypeError("%r must be a list of names, not %r" % (key, names))
+    return ",".join(names)
 
 
 def _session(vars_, params, config) -> Context:
@@ -34,10 +50,8 @@ def _session(vars_, params, config) -> Context:
         try:
             with open(config) as fh:
                 data = json.load(fh)
-            vars_ = ",".join(data.get("variables", vars_.split(",")))
-            params = ",".join(
-                data.get("parameters", params.split(",") if params else [])
-            )
+            vars_ = _config_names(data, "variables", vars_)
+            params = _config_names(data, "parameters", params)
         except (OSError, ValueError, TypeError, AttributeError) as exc:
             raise click.UsageError("unreadable --config file: %s" % exc)
     names = tuple(s.strip() for s in vars_.split(",") if s.strip())
@@ -246,7 +260,7 @@ def _parse_binding(text: str):
 
 
 @main.command("hierarchy")
-@click.argument("name", type=click.Choice(NAMES))
+@click.argument("name", type=click.Choice(list(FAMILIES)))
 @click.option("--param", "param_texts", multiple=True,
               help="NAME for a symbolic parameter or NAME=VALUE to bind it")
 @click.option("--depth", default=None, type=click.IntRange(min=1))
@@ -258,6 +272,8 @@ def hierarchy_cmd(name, param_texts, depth, do_verify, as_json):
     params = dict(_parse_binding(t) for t in param_texts)
     try:
         spec = HierarchySpec(name, params, depth).normalized()
+        if do_verify:
+            check_golden_bindings(spec)
     except PvakitError as exc:
         raise click.UsageError(str(exc))
     try:
@@ -276,10 +292,7 @@ def hierarchy_cmd(name, param_texts, depth, do_verify, as_json):
             click.echo("flow_%d = (%s)" % (s.n, ", ".join(x.render() for x in s.flow)))
         click.echo("verification: %s" % ("pass" if ok else "fail"))
     if do_verify:
-        try:
-            report = golden_verify(spec, rec)
-        except PvakitError as exc:
-            raise click.UsageError(str(exc))
+        report = golden_verify(spec, rec)
         if not as_json:
             click.echo("golden: %s" % ("pass" if report.passed else "fail"))
         ok = ok and report.passed

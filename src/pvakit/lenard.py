@@ -5,7 +5,7 @@ solver for K, fixes integration constants to zero, projects away
 kernel slack with the exponent-sum grading when both operators are
 homogeneous, attaches conserved densities through the exactness
 algorithms, and verifies the produced chain (orthogonality, involution,
-closedness).
+closedness) from one pairing matrix per operator.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import Context, Expression, VectorExpr, vec_dot, vec_is_zero
+from .brackets import functional_bracket
 from .errors import LogRequired, NonMonomialDivisor, NotExact, PlanMismatch
 from .operators import MatrixDiffOp
 from .varcalc import (
@@ -111,11 +112,6 @@ class CnwHdPlan:
         rest = Y[0] - u.total_derivative() * x1 - u.scale(2) * x1.total_derivative()
         x2 = _invert_total(rest / v)
         return (x1, x2)
-
-
-def solve_K(plan, Y: VectorExpr) -> VectorExpr:
-    """Solve K X = Y with the structured plan, zero integration constants."""
-    return plan.solve(tuple(Y))
 
 
 def make_plan(K: MatrixDiffOp, kind: str, monomials=None):
@@ -322,59 +318,53 @@ def verify_sequence(
 ) -> HierarchyRecord:
     """Fill the verification flags of a record in place and return it.
 
-    Checks the recursion K F^{n+1} = H F^n, pairwise orthogonality of the
-    chain under both operators, closedness of the gradient at every step,
-    the gradient/density relation, and involution of all attached
-    densities under both brackets.
+    Checks the recursion K F^{n+1} = H F^n, closedness of the gradient at
+    every step, the gradient/density relation, and the pairing matrices
+    int F^m . (op F^n) of every operator, each entry evaluated once:
+
+    * orthogonality: every entry of every matrix vanishes;
+    * involution of the densities under op: for a symplectic chain the
+      bracket {int h_m, int h_n} is the entry (m, n) itself; for the other
+      kinds it is int dh_n . op dh_m, the entry (n, m) wherever both
+      densities have the step's gradient as variational derivative, and
+      the bracket evaluated afresh otherwise.
+
+    A "dirac" chain (NLS) has the one operator J = K, with flow_n =
+    J F^{n+1} in place of the recursion; H is not read.
     """
     steps = record.steps
     ver = record.verification
-    if not steps:
-        ver.chain = ver.orthogonality = True
-        ver.involution_h = ver.involution_k = ver.gradients = True
-        ver.closed = []
-        return record
+    kind = record.kind
     Fs = [s.F for s in steps]
-    HF = [H.apply(F) for F in Fs]
-    KF = [K.apply(F) for F in Fs]
-    ver.chain = all(KF[m + 1] == HF[m] for m in range(len(Fs) - 1))
-    ortho = True
-    for m in range(len(Fs)):
-        for n in range(len(Fs)):
-            for image in (HF[n], KF[n]):
-                if not LocalFunctional(vec_dot(Fs[m], image)).is_zero():
-                    ortho = False
-    ver.orthogonality = ortho
-    gradients = [F if record.kind == "hamiltonian" else KFn for F, KFn in zip(Fs, KF)]
+    ops = (K,) if kind == "dirac" else (H, K)
+    images = [[op.apply(F) for F in Fs] for op in ops]
+    KF = images[-1]
+    targets = [s.flow for s in steps] if kind == "dirac" else images[0]
+    ver.chain = all(KF[m + 1] == targets[m] for m in range(len(Fs) - 1))
+    pairings = [
+        [[LocalFunctional(vec_dot(F, image)).is_zero() for image in opF] for F in Fs]
+        for opF in images
+    ]
+    ver.orthogonality = all(all(row) for P in pairings for row in P)
+    gradients = KF if kind == "symplectic" else Fs
     ver.closed = [is_closed(g).closed for g in gradients]
-    ok = True
-    for s, g in zip(steps, gradients):
-        if s.h is not None and variational_derivative(s.h.rep) != tuple(g):
-            ok = False
-    ver.gradients = ok
-    if record.kind == "hamiltonian":
-        from .brackets import functional_bracket
-
-        hs = [s.h for s in steps if s.h is not None]
-        ver.involution_h = all(
-            functional_bracket(H, a, b).is_zero() for a in hs for b in hs
-        )
-        ver.involution_k = all(
-            functional_bracket(K, a, b).is_zero() for a in hs for b in hs
-        )
+    exact = [
+        s.h is not None and variational_derivative(s.h.rep) == tuple(g)
+        for s, g in zip(steps, gradients)
+    ]
+    ver.gradients = all(ok or s.h is None for s, ok in zip(steps, exact))
+    if kind == "symplectic":
+        involution = [all(all(row) for row in P) for P in pairings]
     else:
-        # symplectic chains: {int h_m, int h_n} under either operator is
-        # int P^m . (op P^n), already the orthogonality pairing
-        inv_h = all(
-            LocalFunctional(vec_dot(Fs[m], HF[n])).is_zero()
-            for m in range(len(Fs))
-            for n in range(len(Fs))
-        )
-        inv_k = all(
-            LocalFunctional(vec_dot(Fs[m], KF[n])).is_zero()
-            for m in range(len(Fs))
-            for n in range(len(Fs))
-        )
-        ver.involution_h = inv_h
-        ver.involution_k = inv_k
+        hs = [(n, s.h) for n, s in enumerate(steps) if s.h is not None]
+        involution = [
+            all(
+                P[n][m] if exact[m] and exact[n]
+                else functional_bracket(op, a, b).is_zero()
+                for m, a in hs
+                for n, b in hs
+            )
+            for op, P in zip(ops, pairings)
+        ]
+    ver.involution_h, ver.involution_k = involution[0], involution[-1]
     return record

@@ -215,9 +215,6 @@ class MatrixDiffOp:
     def is_skew_adjoint(self) -> bool:
         return (self.adjoint() + self).is_zero()
 
-    def is_self_adjoint(self) -> bool:
-        return (self.adjoint() - self).is_zero()
-
     # -- symbols ---------------------------------------------------------
 
     def symbol(self, i: int, j: int) -> "LambdaPoly":
@@ -251,6 +248,14 @@ class MatrixDiffOp:
     def with_context(self, ctx: Context) -> "MatrixDiffOp":
         rows = [
             [[(p, a.with_context(ctx)) for p, a in e] for e in row]
+            for row in self.entries
+        ]
+        return MatrixDiffOp(ctx, rows)
+
+    def subst(self, ctx: Context, values) -> "MatrixDiffOp":
+        """Set parameters to values in every coefficient, as Expression.subst."""
+        rows = [
+            [[(p, a.subst(ctx, values)) for p, a in e] for e in row]
             for row in self.entries
         ]
         return MatrixDiffOp(ctx, rows)
@@ -415,14 +420,6 @@ class BiLambdaPoly:
         self.ctx = ctx
         self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
 
-    @staticmethod
-    def from_lambda(lp: LambdaPoly) -> "BiLambdaPoly":
-        return BiLambdaPoly(lp.ctx, {(k, 0): v for k, v in lp.coeffs.items()})
-
-    @staticmethod
-    def from_mu(lp: LambdaPoly) -> "BiLambdaPoly":
-        return BiLambdaPoly(lp.ctx, {(0, k): v for k, v in lp.coeffs.items()})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -438,19 +435,11 @@ class BiLambdaPoly:
     def __sub__(self, other: "BiLambdaPoly") -> "BiLambdaPoly":
         return self + (-other)
 
-    def mul(self, other: "BiLambdaPoly") -> "BiLambdaPoly":
-        out: dict = {}
-        for (a, b), v in self.coeffs.items():
-            for (c, d), w in other.coeffs.items():
-                k = (a + c, b + d)
-                prod = v * w
-                out[k] = out[k] + prod if k in out else prod
-        return BiLambdaPoly(self.ctx, out)
-
     def mul_expr(self, f: Expression) -> "BiLambdaPoly":
         return BiLambdaPoly(self.ctx, {k: f * v for k, v in self.coeffs.items()})
 
-    def _shift(self, dl: int, dm: int, sign: int, times: int) -> "BiLambdaPoly":
+    def _shift(self, sign: int, times: int) -> "BiLambdaPoly":
+        """(sign * (lambda + mu + d))^times, d acting on coefficients."""
         cur = self
         for _ in range(times):
             out: dict = {}
@@ -459,26 +448,17 @@ class BiLambdaPoly:
                 out[key] = out[key] + val if key in out else val
 
             for (a, b), v in cur.coeffs.items():
-                if dl:
-                    put((a + 1, b), v.scale(sign))
-                if dm:
-                    put((a, b + 1), v.scale(sign))
+                put((a + 1, b), v.scale(sign))
+                put((a, b + 1), v.scale(sign))
                 dv = v.total_derivative().scale(sign)
                 if not dv.is_zero():
                     put((a, b), dv)
             cur = BiLambdaPoly(self.ctx, out)
         return cur
 
-    def shift_lambda(self, times: int = 1) -> "BiLambdaPoly":
-        """(lambda + d)^times, d acting on coefficients."""
-        return self._shift(1, 0, 1, times)
-
-    def shift_mu(self, times: int = 1) -> "BiLambdaPoly":
-        return self._shift(0, 1, 1, times)
-
     def shift_both_neg(self, times: int = 1) -> "BiLambdaPoly":
         """(-lambda - mu - d)^times."""
-        return self._shift(1, 1, -1, times)
+        return self._shift(-1, times)
 
     def op_apply_both(self, entry: Entry) -> "BiLambdaPoly":
         """Apply an operator entry with d replaced by (lambda + mu + d)."""
@@ -486,7 +466,7 @@ class BiLambdaPoly:
         shifted = self
         last = 0
         for p, a in entry:
-            shifted = shifted._shift(1, 1, 1, p - last)
+            shifted = shifted._shift(1, p - last)
             last = p
             out = out + shifted.mul_expr(a)
         return out

@@ -228,13 +228,15 @@ def test_criterion_9_structure_checks():
         MatrixDiffOp.derivative(plain, 3),
     ]
     assert check_compatible(trio).passed
-    from pvakit.hierarchies import _cnw_hd_operators, _cnw_operators
+    from pvakit.hierarchies import FAMILIES
+    from pvakit.parsing import parse_operator
 
+    cnw, cnw_hd = FAMILIES["cnw"], FAMILIES["cnw_hd"]
     ctx2 = Context(("u", "v"), ("c",))
-    Hc, Kc = _cnw_operators(ctx2, ctx2.param("c"))
+    Hc, Kc = parse_operator(cnw.H, ctx2), parse_operator(cnw.K, ctx2)
     assert check_compatible([Hc, Kc]).passed
     ctx2b = Context(("u", "v"), ("alpha", "beta"))
-    Hh, Kh = _cnw_hd_operators(ctx2b, ctx2b.param("alpha"), ctx2b.param("beta"))
+    Hh, Kh = parse_operator(cnw_hd.H, ctx2b), parse_operator(cnw_hd.K, ctx2b)
     assert check_compatible([Hh, Kh]).passed
     # symplectic positives: odd constant-coefficient powers, both
     # first-order forms, and the two localized operators

@@ -123,14 +123,16 @@ def test_check_compatible(ctx1, ctx1c):
 
 
 def test_check_compatible_two_variable_pairs():
-    from pvakit.hierarchies import _cnw_hd_operators, _cnw_operators
+    from pvakit.hierarchies import FAMILIES
+    from pvakit.parsing import parse_operator
 
+    cnw, cnw_hd = FAMILIES["cnw"], FAMILIES["cnw_hd"]
     ctx = Context(("u", "v"), ("c",))
-    H, K = _cnw_operators(ctx, ctx.param("c"))
+    H, K = parse_operator(cnw.H, ctx), parse_operator(cnw.K, ctx)
     assert check_pva(H).passed and check_pva(K).passed
     assert check_compatible([H, K]).passed
     ctx2 = Context(("u", "v"), ("alpha", "beta"))
-    H2, K2 = _cnw_hd_operators(ctx2, ctx2.param("alpha"), ctx2.param("beta"))
+    H2, K2 = parse_operator(cnw_hd.H, ctx2), parse_operator(cnw_hd.K, ctx2)
     assert check_compatible([H2, K2]).passed
 
 

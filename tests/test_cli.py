@@ -1,6 +1,7 @@
 import json
 
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from pvakit.cli import main
 
@@ -158,3 +159,89 @@ def test_malformed_config_is_usage_error(tmp_path):
 
 def test_zero_depth_is_usage_error():
     _assert_usage_error(run("hierarchy", "kdv", "--depth", "0"))
+
+
+def test_config_names_must_be_lists(tmp_path):
+    cfg = tmp_path / "session.json"
+    for data in ({"variables": "uv"}, {"parameters": "c"}, {"variables": None}):
+        cfg.write_text(json.dumps(data))
+        _assert_usage_error(run("--config", str(cfg), "vder", "u"))
+
+
+def test_verify_without_reference_values_fails_before_generating():
+    r = run("hierarchy", "kdv", "--param", "c=1", "--verify")
+    _assert_usage_error(r)
+    assert r.stdout == ""
+
+
+# random CLI input, mostly well formed: sums of products of small powers,
+# so that no valid input expands into a huge power of a sum
+_ATOMS = (["u", "u'", "u''", "u^(4)", "c", "1", "2", "1/2"], ["v", "v'"])
+_POWERS = ["", "", "", "^2", "^3", "^(-1)", "^(1/2)", "^(-3/2)"]
+_JUNK = ["", "u +", "(u", "u)", "d*u", "u^x", "u^(1/0)", "u/(u + 1)", "zeta",
+         "1/0", "(u + 1)^(1/2)", "0^(-1)", "#", ",", ";"]
+
+
+@st.composite
+def _expression(draw, atoms):
+    def factor():
+        base = draw(st.sampled_from(atoms))
+        if draw(st.integers(0, 3)) == 0:
+            return "(%s + %s)^%d" % (base, draw(st.sampled_from(atoms)), draw(st.integers(0, 3)))
+        return base + draw(st.sampled_from(_POWERS))
+
+    terms = ["*".join(factor() for _ in range(draw(st.integers(1, 2))))
+             for _ in range(draw(st.integers(1, 2)))]
+    return draw(st.sampled_from([" + ", " - "])).join(terms)
+
+
+@st.composite
+def _operator(draw, atoms, size):
+    def entry():
+        terms = []
+        for _ in range(draw(st.integers(0, 2))):
+            k = draw(st.integers(0, 3))
+            e = draw(_expression(atoms))
+            terms.append(e if k == 0 else "(%s)*d^%d" % (e, k))
+        return " + ".join(terms) or "0"
+
+    return "; ".join(", ".join(entry() for _ in range(size)) for _ in range(size))
+
+
+@st.composite
+def _argvs(draw):
+    nvars = draw(st.integers(1, 2))
+    atoms = _ATOMS[0] + (_ATOMS[1] if nvars == 2 else [])
+    session = ["--vars", "u,v"][: 2 * (nvars - 1)] + ["--params", "c"]
+
+    def text(kind):
+        if draw(st.integers(0, 7)) == 0:
+            return draw(st.sampled_from(_JUNK))
+        if kind == "op":
+            return draw(_operator(atoms, nvars))
+        if kind == "vec":
+            return ",".join(draw(_expression(atoms)) for _ in range(nvars))
+        return draw(_expression(atoms))
+
+    command = draw(st.sampled_from([
+        ["vder", "e"], ["integrate", "e"], ["exactify", "--"] + ["e"] * nvars,
+        ["frechet", "--adjoint", "--"] + ["e"] * nvars, ["bracket", "--op", "op", "e", "e"],
+        ["check-pva", "--op", "op"], ["check-symplectic", "--json", "--op", "op"],
+        ["check-compat", "--op", "op", "--op", "op"],
+        ["lenard", "--op-h", "op", "--op-k", "op", "--seed", "vec", "--depth", "1"],
+        ["lenard", "--op-h", "op", "--op-k", "op", "--plan", "chain", "--chain", "e",
+         "--seed", "vec", "--depth", "1", "--kind", "symplectic"],
+        ["hierarchy", "kn", "--depth", "1", "--verify"],
+        ["hierarchy", "kdv", "--param", "c=1/2", "--depth", "1", "--verify"],
+        ["hierarchy", "nls", "--param", "c", "--depth", "1"],
+    ]))
+    return session + [text(a) if a in ("e", "op", "vec") else a for a in command]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argvs())
+def test_cli_fuzz_keeps_exit_code_contract(argv):
+    r = CliRunner().invoke(main, argv)
+    assert r.exception is None or isinstance(r.exception, SystemExit), (
+        argv, r.exc_info)
+    assert r.exit_code in (0, 1, 2), (argv, r.output)

@@ -13,6 +13,7 @@ from pvakit import (
     NotExact,
     OrderViolation,
     euler_operator,
+    jacobi_triple_residual,
     lambda_bracket,
     variational_derivative,
 )
@@ -137,6 +138,17 @@ def test_horner_lambda_bracket(data):
     f = data.draw(expressions(ctx, 2))
     g = data.draw(expressions(ctx, 2))
     assert lambda_bracket(H, f, g) == reference.lambda_bracket(H, f, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_shared_loop_jacobi_residual(data):
+    ctx = data.draw(contexts)
+    H = data.draw(operators(ctx))
+    i, j, k = (data.draw(st.integers(0, ctx.nvars - 1)) for _ in range(3))
+    assert jacobi_triple_residual(H, i, j, k) == reference.jacobi_triple_residual(
+        H, i, j, k
+    )
 
 
 @settings(max_examples=80, deadline=None)

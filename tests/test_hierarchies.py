@@ -5,11 +5,11 @@ import pytest
 
 from pvakit import PvakitError, functional_equal
 from pvakit.algebra import vec_is_zero
-from pvakit.hierarchies import NAMES, HierarchySpec, generate, golden_verify
+from pvakit.hierarchies import FAMILIES, HierarchySpec, generate, golden_verify
 from pvakit.varcalc import variational_derivative
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", list(FAMILIES))
 def test_golden_all(name):
     report = golden_verify(HierarchySpec(name))
     assert report.passed, report.json_text()
@@ -39,7 +39,7 @@ def _rank(rows):
     return rank
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", list(FAMILIES))
 def test_densities_linearly_independent(name):
     rec = generate(HierarchySpec(name))
     hs = [s.h.rep for s in rec.steps if s.h is not None and not s.h.rep.is_zero()]
@@ -157,6 +157,19 @@ def test_bound_parameter_matches_symbolic_limit():
         ]
 
 
+@pytest.mark.parametrize("name", ["kdv", "cnw", "pkdv"])
+@pytest.mark.parametrize("q", [Fraction(0), Fraction(1, 2), Fraction(-3), Fraction(7, 5)])
+def test_substituting_c_commutes_with_generation(name, q):
+    free = generate(HierarchySpec(name))
+    bound = generate(HierarchySpec(name, {"c": q}))
+    ctx = bound.steps[0].F[0].ctx
+    assert ctx.params == ()
+    for a, b in zip(free.steps, bound.steps):
+        assert tuple(f.subst(ctx, (q,)) for f in a.F) == b.F
+        assert tuple(f.subst(ctx, (q,)) for f in a.flow) == b.flow
+        assert functional_equal(a.h.rep.subst(ctx, (q,)), b.h.rep)
+
+
 def test_golden_verify_checks_the_given_record():
     spec = HierarchySpec("kdv")
     rec = generate(spec)
@@ -174,7 +187,7 @@ def test_golden_requires_reference_bindings():
         golden_verify(HierarchySpec("cnw_hd", {"alpha": 0, "beta": None}))
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", list(FAMILIES))
 def test_generated_content_render_round_trips(name):
     rec = generate(HierarchySpec(name))
     ctx = rec.steps[0].F[0].ctx

@@ -166,9 +166,7 @@ def test_record_json_shape(ctx1c):
 
 
 def test_solve_K_function(ctx1):
-    from pvakit import MatrixDiffOp, make_plan, solve_K
-
     K = MatrixDiffOp.derivative(ctx1)
     plan = make_plan(K, "derivative")
     u = ctx1.gen(0)
-    assert solve_K(plan, (u * ctx1.gen(0, 1),)) == ((u ** 2).scale(Fraction(1, 2)),)
+    assert plan.solve((u * ctx1.gen(0, 1),)) == ((u ** 2).scale(Fraction(1, 2)),)
