@@ -545,14 +545,8 @@ def _render_term(ctx: Context, m: Monomial, c: Coefficient) -> tuple[str, bool]:
 VectorExpr = tuple[Expression, ...]
 
 
-def vec_add(a: VectorExpr, b: VectorExpr) -> VectorExpr:
-    return tuple(x + y for x, y in zip(a, b))
-
 def vec_sub(a: VectorExpr, b: VectorExpr) -> VectorExpr:
     return tuple(x - y for x, y in zip(a, b))
-
-def vec_neg(a: VectorExpr) -> VectorExpr:
-    return tuple(-x for x in a)
 
 def vec_is_zero(a: VectorExpr) -> bool:
     return all(x.is_zero() for x in a)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 from .algebra import Context, Expression, VectorExpr, vec_dot, vec_sub
 from .errors import IndividualFailure
 from .operators import BiLambdaPoly, LambdaPoly, MatrixDiffOp
-from .varcalc import LocalFunctional, frechet, variational_derivative
+from .varcalc import LocalFunctional, frechet, frechet_defect, variational_derivative
 
 
 def lambda_bracket(H: MatrixDiffOp, f: Expression, g: Expression) -> LambdaPoly:
@@ -312,8 +312,7 @@ def check_symplectic(S: MatrixDiffOp) -> CheckReport:
 
 def two_form_from_potential(F: VectorExpr) -> MatrixDiffOp:
     """The symplectic operator D_F - D_F^* attached to a vector F."""
-    d = frechet(F)
-    return d - d.adjoint()
+    return frechet_defect(F)
 
 
 def jacobi_operator_residual(

@@ -18,10 +18,6 @@ _F1 = Fraction(1)
 _ZEROS: dict[int, tuple] = {}
 
 
-def _pzero() -> Poly:
-    return {}
-
-
 def _pconst(q: Fraction, nvars: int) -> Poly:
     return {(0,) * nvars: q} if q else {}
 
@@ -97,10 +93,6 @@ def _pmonic(a: Poly) -> Poly:
     if lc == 1:
         return a
     return _pscale(a, 1 / lc)
-
-
-def _pdegree(a: Poly, v: int) -> int:
-    return max((e[v] for e in a), default=0)
 
 
 def _pvars(a: Poly, b: Poly) -> list[int]:

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .algebra import Context, Expression, VectorExpr, vec_dot, vec_is_zero
 from .brackets import functional_bracket
-from .errors import LogRequired, NonMonomialDivisor, NotExact, PlanMismatch
+from .errors import LogRequired, NonMonomialDivisor, NotClosed, NotExact, PlanMismatch
 from .operators import MatrixDiffOp
 from .varcalc import (
     LocalFunctional,
@@ -217,11 +217,9 @@ def _vector_degree(F: VectorExpr) -> Optional[Fraction]:
 
 
 def _attach_density(gradient: VectorExpr) -> Optional[LocalFunctional]:
-    if not is_closed(gradient).closed:
-        return None
     try:
         return LocalFunctional(exactify(gradient))
-    except LogRequired:
+    except (NotClosed, LogRequired):
         return None
 
 
@@ -318,9 +316,10 @@ def verify_sequence(
 ) -> HierarchyRecord:
     """Fill the verification flags of a record in place and return it.
 
-    Checks the recursion K F^{n+1} = H F^n, closedness of the gradient at
-    every step, the gradient/density relation, and the pairing matrices
-    int F^m . (op F^n) of every operator, each entry evaluated once:
+    Checks the recursion K F^{n+1} = H F^n, the gradient/density relation,
+    closedness of every gradient (certain where that relation holds), and
+    the pairing matrices int F^m . (op F^n) of every operator, each entry
+    evaluated once:
 
     * orthogonality: every entry of every matrix vanishes;
     * involution of the densities under op: for a symplectic chain the
@@ -347,11 +346,11 @@ def verify_sequence(
     ]
     ver.orthogonality = all(all(row) for P in pairings for row in P)
     gradients = KF if kind == "symplectic" else Fs
-    ver.closed = [is_closed(g).closed for g in gradients]
     exact = [
         s.h is not None and variational_derivative(s.h.rep) == tuple(g)
         for s, g in zip(steps, gradients)
     ]
+    ver.closed = [ok or is_closed(g).closed for g, ok in zip(gradients, exact)]
     ver.gradients = all(ok or s.h is None for s, ok in zip(steps, exact))
     if kind == "symplectic":
         involution = [all(all(row) for row in P) for P in pairings]

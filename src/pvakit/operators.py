@@ -212,9 +212,6 @@ class MatrixDiffOp:
             rows.append(row)
         return MatrixDiffOp(self.ctx, rows)
 
-    def is_skew_adjoint(self) -> bool:
-        return (self.adjoint() + self).is_zero()
-
     # -- symbols ---------------------------------------------------------
 
     def symbol(self, i: int, j: int) -> "LambdaPoly":
@@ -276,7 +273,9 @@ class MatrixDiffOp:
                 parts.append("%s*%s" % (a.render(), d))
             else:
                 parts.append("(%s)*%s" % (a.render(), d))
-        return " + ".join(parts)
+        return parts[0] + "".join(
+            " - " + t[1:] if t.startswith("-") else " + " + t for t in parts[1:]
+        )
 
     def render(self) -> str:
         if self.nrows == 1 and self.ncols == 1:

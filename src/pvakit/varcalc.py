@@ -22,6 +22,7 @@ from .algebra import (
     VectorExpr,
     mono_set_exp,
     mono_weight,
+    vec_dot,
     vec_is_zero,
 )
 from .errors import LogRequired, NotClosed, NotExact, OrderViolation
@@ -78,9 +79,19 @@ class ClosednessReport:
     defect: MatrixDiffOp  # D_F - D_F^*
 
 
-def is_closed(F: VectorExpr) -> ClosednessReport:
+def frechet_defect(F: VectorExpr) -> MatrixDiffOp:
+    """D_F - D_F^*: zero exactly when F is closed."""
     d = frechet(F)
-    defect = d - d.adjoint()
+    return d - d.adjoint()
+
+
+def is_closed(F: VectorExpr) -> ClosednessReport:
+    """D_F = D_F^* with the defect D_F - D_F^*.  A variational derivative is
+    closed (the variational complex is a complex), so F is first certified
+    by delta of its scaling potential; the defect is built only if that fails."""
+    if _scaling_potential(F) is not None:
+        return ClosednessReport(True, MatrixDiffOp.zero(F[0].ctx))
+    defect = frechet_defect(F)
     return ClosednessReport(defect.is_zero(), defect)
 
 
@@ -175,20 +186,20 @@ def _constant_mod_derivatives(f: Expression) -> Coefficient:
     return rest.constant_coefficient()
 
 
-def _exactify_scaling(F: VectorExpr) -> Optional[Expression]:
-    """Potential via the grading shortcut: f = sum over eigencomponents of
-    (u . F) scaled by the inverse eigenvalue; None when a component sits
-    at eigenvalue zero."""
+def _scaling_potential(F: VectorExpr) -> Optional[Expression]:
+    """f = sum_{d != 0} (u . F)_d / d over the exponent-sum grading when
+    delta f = F, which certifies F closed; None for a degree-zero part of
+    u . F, a length other than nvars, or delta f != F."""
     ctx = F[0].ctx
-    w = ctx.zero()
-    for i, fi in enumerate(F):
-        w = w + ctx.gen(i, 0) * fi
+    if len(F) != ctx.nvars:
+        return None
+    w = vec_dot([ctx.gen(i, 0) for i in range(ctx.nvars)], F)
     f = ctx.zero()
     for d, comp in w.degree_components():
         if d == 0:
             return None
         f = f + comp.scale(Fraction(1) / d)
-    return f
+    return f if variational_derivative(f) == tuple(F) else None
 
 
 def _triple(F: VectorExpr):
@@ -241,18 +252,19 @@ def _exactify_inductive(F: VectorExpr) -> Expression:
 def exactify(F: VectorExpr) -> Expression:
     """A potential f with delta f / delta u = F, for closed F.
 
-    Tries the grading shortcut first and falls back to the inductive
-    double-antiderivative algorithm; the result always satisfies the
-    equation exactly.
+    The scaling potential is the answer when its delta is F, which also
+    certifies F closed.  Otherwise the defect D_F - D_F^* is built
+    (NotClosed when nonzero) and the inductive double-antiderivative
+    algorithm runs; the result always satisfies the equation exactly.
     """
     if vec_is_zero(F):
         return F[0].ctx.zero()
-    report = is_closed(F)
-    if not report.closed:
-        raise NotClosed("defect operator: %s" % report.defect.render())
-    f = _exactify_scaling(F)
-    if f is not None and variational_derivative(f) == tuple(F):
+    f = _scaling_potential(F)
+    if f is not None:
         return f
+    defect = frechet_defect(F)
+    if not defect.is_zero():
+        raise NotClosed("defect operator: %s" % defect.render())
     return _exactify_inductive(F)
 
 

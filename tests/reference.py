@@ -6,16 +6,26 @@ The verifiers below evaluate orthogonality and involution separately, with
 a second verifier for the one-operator NLS chain, and gen_bracket carries
 its own loop; the library reads every check from one pairing matrix per
 operator and shares one loop between the generator bracket and
-lambda_bracket.  test_fastpaths.py and test_verify_reference.py pin each
-pair together.
+lambda_bracket.  is_closed always builds the defect operator, and exactify
+decides closedness by it before it looks for a potential; the library
+first certifies closedness by delta of the scaling potential.
+test_fastpaths.py and test_verify_reference.py pin each pair together.
 """
 
+from fractions import Fraction
 from math import comb
 
-from pvakit.algebra import vec_dot
+from pvakit.algebra import vec_dot, vec_is_zero
 from pvakit.brackets import functional_bracket
+from pvakit.errors import NotClosed
 from pvakit.operators import BiLambdaPoly, LambdaPoly
-from pvakit.varcalc import LocalFunctional, is_closed, variational_derivative as vder
+from pvakit.varcalc import (
+    ClosednessReport,
+    LocalFunctional,
+    _exactify_inductive,
+    frechet,
+    variational_derivative as vder,
+)
 
 
 def variational_derivative(f):
@@ -139,6 +149,35 @@ def jacobi_triple_residual(H, i, j, k):
                 B = BiLambdaPoly(ctx, {(a, 0): p}).shift_both_neg(n)
                 res = res - B.op_apply_both(entry)
     return res
+
+
+def is_closed(F):
+    """D_F = D_F^*, decided by the defect operator D_F - D_F^*."""
+    d = frechet(F)
+    defect = d - d.adjoint()
+    return ClosednessReport(defect.is_zero(), defect)
+
+
+def exactify(F):
+    """Closedness by the defect first, then the grading shortcut checked by
+    delta, then the inductive algorithm."""
+    if vec_is_zero(F):
+        return F[0].ctx.zero()
+    report = is_closed(F)
+    if not report.closed:
+        raise NotClosed("defect operator: %s" % report.defect.render())
+    ctx = F[0].ctx
+    w = ctx.zero()
+    for i, fi in enumerate(F):
+        w = w + ctx.gen(i, 0) * fi
+    f = ctx.zero()
+    for d, comp in w.degree_components():
+        if d == 0:
+            return _exactify_inductive(F)
+        f = f + comp.scale(Fraction(1) / d)
+    if vder(f) == tuple(F):
+        return f
+    return _exactify_inductive(F)
 
 
 def verify_sequence(H, K, record):

@@ -1,6 +1,7 @@
 """Differential properties: every chained fast path equals its slice-by-slice
-reference in reference.py, the lazy zero test agrees with the certified
-comparison, and rendered text parses back to what was rendered."""
+reference in reference.py, certificate-first closedness and exactify agree
+with the defect-first references, the lazy zero test agrees with the
+certified comparison, and rendered text parses back to what was rendered."""
 
 from fractions import Fraction
 
@@ -12,12 +13,16 @@ from pvakit import (
     MatrixDiffOp,
     NotExact,
     OrderViolation,
+    PvakitError,
     euler_operator,
+    exactify,
+    is_closed,
     jacobi_triple_residual,
     lambda_bracket,
     variational_derivative,
 )
 from pvakit.fields import Coefficient
+from pvakit.hierarchies import FAMILIES
 from pvakit.parsing import parse_operator
 
 import reference
@@ -151,6 +156,64 @@ def test_shared_loop_jacobi_residual(data):
     )
 
 
+# monomials of exponent-sum degree -1: u_k times one of them has degree 0
+DEGREE_MINUS_ONE = (
+    lambda ctx, i, n: ctx.gen(i, n) ** -1,
+    lambda ctx, i, n: ctx.gen(i, n) ** -2 * ctx.gen(0, 1),
+    lambda ctx, i, n: ctx.gen(i, n) ** Fraction(-3, 2) * ctx.gen(0, 0) ** Fraction(1, 2),
+)
+
+
+@st.composite
+def closedness_inputs(draw):
+    """delta f, alone or plus a random vector, a degree-zero part of u . F,
+    or one component too many or too few."""
+    ctx = draw(contexts)
+    F = variational_derivative(draw(expressions(ctx, fractions_of_c=draw(st.booleans()))))
+    kind = draw(st.sampled_from(["gradient", "noise", "degree_zero", "length"]))
+    if kind == "noise":
+        F = tuple(x + draw(expressions(ctx, 2)) for x in F)
+    elif kind == "degree_zero":
+        k = draw(st.integers(0, ctx.nvars - 1))
+        mono = draw(st.sampled_from(DEGREE_MINUS_ONE))(
+            ctx, draw(st.integers(0, ctx.nvars - 1)), draw(st.integers(0, 2))
+        )
+        term = ctx.coeff_expr(draw(coefficients(ctx))) * mono
+        F = tuple(x + term if j == k else x for j, x in enumerate(F))
+    elif kind == "length":
+        if ctx.nvars == 1 or draw(st.booleans()):
+            F = F + (draw(expressions(ctx, 2)),)
+        else:
+            F = F[:1]
+    return F
+
+
+def _outcome(fn, F):
+    """fn(F), or the type and message of what it raised (ValueError for
+    an operator size mismatch)."""
+    try:
+        return fn(F)
+    except (PvakitError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(closedness_inputs())
+def test_certified_is_closed(F):
+    got, want = _outcome(is_closed, F), _outcome(reference.is_closed, F)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.closed == want.closed
+        assert got.defect == want.defect
+
+
+@settings(max_examples=60, deadline=None)
+@given(closedness_inputs())
+def test_certified_exactify(F):
+    assert _outcome(exactify, F) == _outcome(reference.exactify, F)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_lazy_zero_test_agrees_with_compare(data):
@@ -202,3 +265,14 @@ def test_render_keeps_parentheses_of_sums(ctx1c):
     assert e.render() == "(-8*c + 8/3)*u^2"
     op = parse_operator("(c + 1/2)*d^3", ctx1c)
     assert op.render_entry(0, 0) == "(c + 1/2)*d^3"
+
+
+def test_render_entry_writes_negative_terms_as_minus():
+    ctx = Context(("u",), ("c",))
+    H = parse_operator(FAMILIES["kn"].H, ctx)
+    text = H.render()
+    assert "+ -" not in text
+    assert text == (
+        "(-u'''*u'^(-3) + 3*u''^2*u'^(-4))*d - 3*u''*u'^(-3)*d^2 + u'^(-2)*d^3"
+    )
+    assert parse_operator(text, ctx) == H

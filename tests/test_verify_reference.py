@@ -1,15 +1,16 @@
 """verify_sequence reads every flag from one pairing matrix per operator;
 it must give the flags of the reference verifiers, which evaluate
 orthogonality and every bracket on their own, on sound and on corrupted
-records of all three chain kinds."""
+records of all three chain kinds; the densities the chains carry are the
+ones the defect-first reference attaches."""
 
 from dataclasses import replace
 
 import pytest
 
-from pvakit import LocalFunctional, verify_sequence
+from pvakit import LocalFunctional, LogRequired, verify_sequence
 from pvakit.hierarchies import FAMILIES, HierarchySpec, _Binding, generate
-from pvakit.lenard import HierarchyRecord
+from pvakit.lenard import HierarchyRecord, _attach_density
 
 import reference
 
@@ -82,3 +83,27 @@ def test_each_pairing_evaluated_once(name, monkeypatch):
     _flags(rec, H, K, verify_sequence)
     operators = 1 if rec.kind == "dirac" else 2
     assert len(calls) == operators * len(rec.steps) ** 2
+
+
+def _reference_density(gradient):
+    """The density attached with closedness decided by the defect first."""
+    if not reference.is_closed(gradient).closed:
+        return None
+    try:
+        return reference.exactify(gradient)
+    except LogRequired:
+        return None
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_densities_match_reference(name):
+    rec, H, K = _family(name)
+    for s in rec.steps:
+        gradient = K.apply(s.F) if rec.kind == "symplectic" else s.F
+        want = _reference_density(gradient)
+        assert (None if s.h is None else s.h.rep) == want
+
+
+def test_unclosed_gradient_gets_no_density(ctx1):
+    assert _attach_density((ctx1.gen(0, 1),)) is None
+    assert _reference_density((ctx1.gen(0, 1),)) is None
