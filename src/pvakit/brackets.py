@@ -81,26 +81,29 @@ def skew_image(x: LambdaPoly) -> LambdaPoly:
     return -x.subst_neg_shift()
 
 
+def _lift(x: LambdaPoly, bracket, to_lam: bool) -> BiLambdaPoly:
+    """sum_d bracket(x_d) over the coefficients x_d of x: the degree of each
+    bracket goes to the lambda slot and d to the mu slot when to_lam, the
+    other way round otherwise."""
+    out = BiLambdaPoly(x.ctx, {})
+    for d, xd in x.coeffs.items():
+        lp = bracket(xd)
+        out = out + BiLambdaPoly(
+            x.ctx, {((e, d) if to_lam else (d, e)): v for e, v in lp.coeffs.items()}
+        )
+    return out
+
+
 def nested_bracket_left(H: MatrixDiffOp, f: Expression, x: LambdaPoly) -> BiLambdaPoly:
     """{f_lam x} applied to the coefficients of x, whose degrees are read
     as powers of mu."""
-    ctx = f.ctx
-    out = BiLambdaPoly(ctx, {})
-    for b, xb in x.coeffs.items():
-        lp = lambda_bracket(H, f, xb)
-        out = out + BiLambdaPoly(ctx, {(a, b): v for a, v in lp.coeffs.items()})
-    return out
+    return _lift(x, lambda xb: lambda_bracket(H, f, xb), True)
 
 
 def nested_bracket_right(H: MatrixDiffOp, f: Expression, x: LambdaPoly) -> BiLambdaPoly:
     """{f_mu x} applied to the coefficients of x, whose degrees are read
     as powers of lambda."""
-    ctx = f.ctx
-    out = BiLambdaPoly(ctx, {})
-    for a, xa in x.coeffs.items():
-        lp = lambda_bracket(H, f, xa)
-        out = out + BiLambdaPoly(ctx, {(a, b): v for b, v in lp.coeffs.items()})
-    return out
+    return _lift(x, lambda xa: lambda_bracket(H, f, xa), False)
 
 
 def nested_bracket_composed(
@@ -180,6 +183,15 @@ def _gen_bracket(H: MatrixDiffOp, i: int, x: Expression) -> LambdaPoly:
     return out
 
 
+def _slices(x: LambdaPoly, h: int):
+    """(a, n, dx_a/du_h^(n)) for each nonzero slice of the coefficients x_a."""
+    for a, xa in x.coeffs.items():
+        for n in range(xa.max_order() + 1):
+            p = xa.partial(h, n)
+            if not p.is_zero():
+                yield a, n, p
+
+
 def jacobi_triple_residual(H: MatrixDiffOp, i: int, j: int, k: int) -> BiLambdaPoly:
     """Residual of the generator-triple Jacobi identity, zero for a
     Hamiltonian operator:
@@ -188,50 +200,39 @@ def jacobi_triple_residual(H: MatrixDiffOp, i: int, j: int, k: int) -> BiLambdaP
                 - dH_ki(lam)/du_h^(n) (mu+d)^n H_hj(mu) ]
       - sum_{h,n} H_kh(lam+mu+d)-> (-lam-mu-d)^n dH_ji(lam)/du_h^(n).
     """
-    ctx = H.ctx
-    ell = ctx.nvars
-    res = BiLambdaPoly(ctx, {})
-    # first term: {u_i lam H_kj(mu)} spread over mu degrees
-    for b, xb in H.symbol(k, j).coeffs.items():
-        lp = _gen_bracket(H, i, xb)
-        res = res + BiLambdaPoly(ctx, {(a, b): v for a, v in lp.coeffs.items()})
-    # second term: {u_j mu H_ki(lam)}
-    for a, ya in H.symbol(k, i).coeffs.items():
-        lp = _gen_bracket(H, j, ya)
-        res = res - BiLambdaPoly(ctx, {(a, b): v for b, v in lp.coeffs.items()})
+    # {u_i lam H_kj(mu)} - {u_j mu H_ki(lam)}
+    res = _lift(H.symbol(k, j), lambda x: _gen_bracket(H, i, x), True) - _lift(
+        H.symbol(k, i), lambda x: _gen_bracket(H, j, x), False
+    )
     # right side: {H_ji(lam) _(lam+mu) u_k}
-    for a, za in H.symbol(j, i).coeffs.items():
-        for h in range(ell):
-            entry = H.entry(k, h)
-            if not entry:
-                continue
-            for n in range(za.max_order() + 1):
-                p = za.partial(h, n)
-                if p.is_zero():
-                    continue
-                B = BiLambdaPoly(ctx, {(a, 0): p}).shift_both_neg(n)
+    z = H.symbol(j, i)
+    for h in range(H.ctx.nvars):
+        entry = H.entry(k, h)
+        if entry:
+            for a, n, p in _slices(z, h):
+                B = BiLambdaPoly(H.ctx, {(a, 0): p}).shift_both_neg(n)
                 res = res - B.op_apply_both(entry)
     return res
+
+
+def _check_triples(H: MatrixDiffOp, kind: str, residual) -> CheckReport:
+    """Skew-adjointness of H, then residual(H, i, j, k) on every generator
+    triple; a nonzero residual is a failure of the given kind."""
+    defect = H.adjoint() + H
+    if not defect.is_zero():
+        return CheckReport(False, [CheckFailure("skew", None, defect.render(), defect)])
+    failures = []
+    for i, j, k in product(range(H.ctx.nvars), repeat=3):
+        r = residual(H, i, j, k)
+        if not r.is_zero():
+            failures.append(CheckFailure(kind, (i + 1, j + 1, k + 1), r.render(), r))
+    return CheckReport(not failures, failures)
 
 
 def check_pva(H: MatrixDiffOp) -> CheckReport:
     """Hamiltonian test: skew-adjointness plus the Jacobi identity on all
     generator triples."""
-    defect = H.adjoint() + H
-    if not defect.is_zero():
-        return CheckReport(
-            False,
-            [CheckFailure("skew", None, defect.render(), defect)],
-        )
-    ell = H.ctx.nvars
-    failures = []
-    for i, j, k in product(range(ell), repeat=3):
-        r = jacobi_triple_residual(H, i, j, k)
-        if not r.is_zero():
-            failures.append(
-                CheckFailure("jacobi", (i + 1, j + 1, k + 1), r.render(), r)
-            )
-    return CheckReport(not failures, failures)
+    return _check_triples(H, "jacobi", jacobi_triple_residual)
 
 
 _MIX_PREFIX = "t"
@@ -274,40 +275,17 @@ def symplectic_triple_residual(S: MatrixDiffOp, i: int, j: int, k: int) -> BiLam
             + (-lam-mu-d)^n dS_ij(lam)/du_k^(n) ].
     """
     ctx = S.ctx
-    res = BiLambdaPoly(ctx, {})
-    for b, sb in S.symbol(k, i).coeffs.items():
-        for n in range(sb.max_order() + 1):
-            p = sb.partial(j, n)
-            if not p.is_zero():
-                res = res + BiLambdaPoly(ctx, {(n, b): p})
-    for a, sa in S.symbol(k, j).coeffs.items():
-        for n in range(sa.max_order() + 1):
-            p = sa.partial(i, n)
-            if not p.is_zero():
-                res = res - BiLambdaPoly(ctx, {(a, n): p})
-    for a, sa in S.symbol(i, j).coeffs.items():
-        for n in range(sa.max_order() + 1):
-            p = sa.partial(k, n)
-            if not p.is_zero():
-                res = res + BiLambdaPoly(ctx, {(a, 0): p}).shift_both_neg(n)
+    res = BiLambdaPoly(ctx, {(n, b): p for b, n, p in _slices(S.symbol(k, i), j)})
+    res = res - BiLambdaPoly(ctx, {(a, n): p for a, n, p in _slices(S.symbol(k, j), i)})
+    for a, n, p in _slices(S.symbol(i, j), k):
+        res = res + BiLambdaPoly(ctx, {(a, 0): p}).shift_both_neg(n)
     return res
 
 
 def check_symplectic(S: MatrixDiffOp) -> CheckReport:
-    defect = S.adjoint() + S
-    if not defect.is_zero():
-        return CheckReport(
-            False, [CheckFailure("skew", None, defect.render(), defect)]
-        )
-    ell = S.ctx.nvars
-    failures = []
-    for i, j, k in product(range(ell), repeat=3):
-        r = symplectic_triple_residual(S, i, j, k)
-        if not r.is_zero():
-            failures.append(
-                CheckFailure("symplectic", (i + 1, j + 1, k + 1), r.render(), r)
-            )
-    return CheckReport(not failures, failures)
+    """Skew-adjointness plus the two-form closedness condition on all
+    generator triples."""
+    return _check_triples(S, "symplectic", symplectic_triple_residual)
 
 
 def two_form_from_potential(F: VectorExpr) -> MatrixDiffOp:

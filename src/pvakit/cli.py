@@ -212,7 +212,7 @@ def check_symplectic_cmd(ctx, op_text, as_json):
               help="';'-separated monomials for a chain plan")
 @click.option("--seed", "seed_texts", required=True, multiple=True,
               help="seed vector, components separated by ','")
-@click.option("--depth", default=3, show_default=True)
+@click.option("--depth", default=3, show_default=True, type=click.IntRange(min=0))
 @click.option("--kind", default="hamiltonian",
               type=click.Choice(["hamiltonian", "symplectic"]))
 @click.option("--json", "as_json", is_flag=True)

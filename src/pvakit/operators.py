@@ -3,15 +3,16 @@
 A MatrixDiffOp is a matrix whose entries are finite sums a_k d^k with
 Expression coefficients, stored left-normalized (all derivatives to the
 right of coefficients).  LambdaPoly and BiLambdaPoly carry bracket values:
-polynomials in lambda (resp. lambda and mu) with Expression coefficients,
-together with the shift substitutions lambda -> lambda + d needed by the
-bracket calculus.
+polynomials in lambda (resp. lambda and mu) with Expression coefficients.
+An entry and its symbol (d^k read as lambda^k) share one calculus: the
+adjoint is the substitution lambda -> -lambda - d and composition is
+d -> lambda + d, so LambdaPoly runs both on the entry routines below.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Optional
+from typing import Iterator, Optional
 
 from .algebra import Context, Expression, VectorExpr
 from .fields import Fraction
@@ -26,6 +27,13 @@ def _entry_norm(ctx: Context, items) -> Entry:
             continue
         acc[p] = acc[p] + a if p in acc else a
     return tuple(sorted((p, a) for p, a in acc.items() if not a.is_zero()))
+
+
+def _join_terms(parts: list[str]) -> str:
+    """Join rendered terms, writing a negative term as " - "."""
+    return parts[0] + "".join(
+        " - " + t[1:] if t.startswith("-") else " + " + t for t in parts[1:]
+    )
 
 
 def _entry_apply(entry: Entry, f: Expression) -> Expression:
@@ -47,27 +55,27 @@ def _derivatives(a: Expression, top: int) -> list[Expression]:
     return out
 
 
-def _entry_adjoint(ctx: Context, entry: Entry) -> list[tuple[int, Expression]]:
-    """Formal adjoint of a scalar entry: sum_k (-d)^k o a_k, expanded."""
-    out: list[tuple[int, Expression]] = []
+def _entry_adjoint(ctx: Context, entry: Entry) -> Iterator[tuple[int, Expression]]:
+    """Formal adjoint of a scalar entry: sum_k (-d)^k o a_k, expanded into
+    (power, coeff) items; each a_k is differentiated along one chain whose
+    links are dropped once used."""
     for p, a in entry:
         sign = -1 if p % 2 else 1
-        da = _derivatives(a, p)
-        for k in range(p + 1):
-            out.append((k, da[p - k].scale(sign * comb(p, k))))
-    return out
+        da = a
+        for k in range(p, -1, -1):
+            yield k, da.scale(sign * comb(p, k))
+            if k:
+                da = da.total_derivative()
 
 
-def _entry_compose(ctx: Context, ea: Entry, eb: Entry) -> list[tuple[int, Expression]]:
-    """(a d^p) o (b d^q) expanded by the Leibniz rule."""
-    out: list[tuple[int, Expression]] = []
+def _entry_compose(ctx: Context, ea: Entry, eb: Entry) -> Iterator[tuple[int, Expression]]:
+    """(a d^p) o (b d^q) expanded by the Leibniz rule, as (power, coeff) items."""
     top = max((p for p, _ in ea), default=0)
     for q, b in eb:
         db = _derivatives(b, top)
         for p, a in ea:
             for k in range(p + 1):
-                out.append((k + q, a * db[p - k].scale(comb(p, k))))
-    return out
+                yield k + q, a * db[p - k].scale(comb(p, k))
 
 
 class MatrixDiffOp:
@@ -177,16 +185,18 @@ class MatrixDiffOp:
     def __sub__(self, other: "MatrixDiffOp") -> "MatrixDiffOp":
         return self + (-other)
 
+    def _map(self, fn, ctx: Optional[Context] = None) -> "MatrixDiffOp":
+        """fn applied to every coefficient, the result over ctx (default
+        this operator's context)."""
+        rows = [[[(p, fn(a)) for p, a in e] for e in row] for row in self.entries]
+        return MatrixDiffOp(ctx or self.ctx, rows)
+
     def scale(self, q) -> "MatrixDiffOp":
-        rows = [
-            [[(p, a.scale(Fraction(q))) for p, a in e] for e in row]
-            for row in self.entries
-        ]
-        return MatrixDiffOp(self.ctx, rows)
+        q = Fraction(q)
+        return self._map(lambda a: a.scale(q))
 
     def scale_expr(self, f: Expression) -> "MatrixDiffOp":
-        rows = [[[(p, f * a) for p, a in e] for e in row] for row in self.entries]
-        return MatrixDiffOp(self.ctx, rows)
+        return self._map(lambda a: f * a)
 
     def adjoint(self) -> "MatrixDiffOp":
         n, m = self.nrows, self.ncols
@@ -243,19 +253,11 @@ class MatrixDiffOp:
     # -- context / rendering -------------------------------------------------
 
     def with_context(self, ctx: Context) -> "MatrixDiffOp":
-        rows = [
-            [[(p, a.with_context(ctx)) for p, a in e] for e in row]
-            for row in self.entries
-        ]
-        return MatrixDiffOp(ctx, rows)
+        return self._map(lambda a: a.with_context(ctx), ctx)
 
     def subst(self, ctx: Context, values) -> "MatrixDiffOp":
         """Set parameters to values in every coefficient, as Expression.subst."""
-        rows = [
-            [[(p, a.subst(ctx, values)) for p, a in e] for e in row]
-            for row in self.entries
-        ]
-        return MatrixDiffOp(ctx, rows)
+        return self._map(lambda a: a.subst(ctx, values), ctx)
 
     def render_entry(self, i: int, j: int) -> str:
         e = self.entries[i][j]
@@ -273,9 +275,7 @@ class MatrixDiffOp:
                 parts.append("%s*%s" % (a.render(), d))
             else:
                 parts.append("(%s)*%s" % (a.render(), d))
-        return parts[0] + "".join(
-            " - " + t[1:] if t.startswith("-") else " + " + t for t in parts[1:]
-        )
+        return _join_terms(parts)
 
     def render(self) -> str:
         if self.nrows == 1 and self.ncols == 1:
@@ -290,8 +290,9 @@ class MatrixDiffOp:
         return self.render()
 
 
-class LambdaPoly:
-    """Polynomial in lambda with Expression coefficients."""
+class _SymbolPoly:
+    """Polynomial in formal symbols with Expression coefficients, keyed by
+    degree; a subclass says how a degree key is printed."""
 
     __slots__ = ("ctx", "coeffs")
 
@@ -299,33 +300,79 @@ class LambdaPoly:
         self.ctx = ctx
         self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
 
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            out[k] = out[k] + v if k in out else v
+        return type(self)(self.ctx, out)
+
+    def __neg__(self):
+        return type(self)(self.ctx, {k: -v for k, v in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def mul_expr(self, f: Expression):
+        return type(self)(self.ctx, {k: f * v for k, v in self.coeffs.items()})
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and self.ctx == other.ctx
+            and self.coeffs == other.coeffs
+        )
+
+    __hash__ = None
+
+    def render(self) -> str:
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for key in sorted(self.coeffs, reverse=True):
+            v = self.coeffs[key]
+            power = self._power(key)
+            if not power:
+                parts.append(v.render())
+            elif v == self.ctx.one():
+                parts.append(power)
+            elif v == self.ctx.num(-1):
+                parts.append("-" + power)
+            elif v.is_monomial():
+                parts.append("%s*%s" % (v.render(), power))
+            else:
+                parts.append("(%s)*%s" % (v.render(), power))
+        return _join_terms(parts)
+
+    def __repr__(self):
+        return self.render()
+
+
+def _var_power(name: str, k: int) -> str:
+    return "" if k == 0 else name if k == 1 else "%s^%d" % (name, k)
+
+
+class LambdaPoly(_SymbolPoly):
+    """Polynomial in lambda with Expression coefficients; as the symbol of
+    an operator entry, lambda^k stands for d^k."""
+
+    __slots__ = ()
+
     @staticmethod
     def of(expr: Expression, degree: int = 0) -> "LambdaPoly":
         return LambdaPoly(expr.ctx, {degree: expr})
+
+    @staticmethod
+    def _power(k: int) -> str:
+        return _var_power("lam", k)
 
     def coefficient(self, k: int) -> Expression:
         return self.coeffs.get(k, self.ctx.zero())
 
     def degree(self) -> int:
         return max(self.coeffs, default=0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "LambdaPoly") -> "LambdaPoly":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out[k] + v if k in out else v
-        return LambdaPoly(self.ctx, out)
-
-    def __neg__(self) -> "LambdaPoly":
-        return LambdaPoly(self.ctx, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other: "LambdaPoly") -> "LambdaPoly":
-        return self + (-other)
-
-    def mul_expr(self, f: Expression) -> "LambdaPoly":
-        return LambdaPoly(self.ctx, {k: f * v for k, v in self.coeffs.items()})
 
     def shift_apply(self, times: int = 1) -> "LambdaPoly":
         """Apply (lambda + d)^times, with d acting on coefficients;
@@ -347,112 +394,40 @@ class LambdaPoly:
 
     def subst_neg_shift(self) -> "LambdaPoly":
         """Substitute lambda -> -lambda - d, the derivative acting on the
-        coefficient it lands on."""
-        out: dict[int, Expression] = {}
-        for k, v in self.coeffs.items():
-            sign = -1 if k % 2 else 1
-            dv = v
-            for j in range(k, -1, -1):
-                term = dv.scale(sign * comb(k, j))
-                out[j] = out[j] + term if j in out else term
-                if j:
-                    dv = dv.total_derivative()
-        return LambdaPoly(self.ctx, out)
+        coefficient it lands on: the symbol of the adjoint entry."""
+        items = _entry_adjoint(self.ctx, self.coeffs.items())
+        return LambdaPoly(self.ctx, dict(_entry_norm(self.ctx, items)))
 
     def op_apply(self, entry: Entry) -> "LambdaPoly":
         """Apply an operator entry with d replaced by (lambda + d), acting
-        to the right on this polynomial."""
-        out = LambdaPoly(self.ctx, {})
-        shifted = self
-        last = 0
-        for p, a in entry:
-            shifted = shifted.shift_apply(p - last)
-            last = p
-            out = out + shifted.mul_expr(a)
-        return out
+        to the right on this polynomial: the symbol of the entry composed
+        with this one."""
+        items = _entry_compose(self.ctx, entry, self.coeffs.items())
+        return LambdaPoly(self.ctx, dict(_entry_norm(self.ctx, items)))
 
     def at_zero(self) -> Expression:
         return self.coefficient(0)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LambdaPoly)
-            and self.ctx == other.ctx
-            and self.coeffs == other.coeffs
-        )
 
-    __hash__ = None
-
-    def render(self, var: str = "lam") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in sorted(self.coeffs, reverse=True):
-            v = self.coeffs[k]
-            if k == 0:
-                parts.append(v.render())
-                continue
-            power = var if k == 1 else "%s^%d" % (var, k)
-            parts.append(_attach_power(self.ctx, v, power))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return self.render()
-
-
-def _attach_power(ctx: Context, v: Expression, power: str) -> str:
-    if v == ctx.one():
-        return power
-    if v == ctx.num(-1):
-        return "-" + power
-    if v.is_monomial():
-        return "%s*%s" % (v.render(), power)
-    return "(%s)*%s" % (v.render(), power)
-
-
-class BiLambdaPoly:
+class BiLambdaPoly(_SymbolPoly):
     """Polynomial in commuting formal lambda and mu over Expressions."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, ctx: Context, coeffs: dict):
-        self.ctx = ctx
-        self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "BiLambdaPoly") -> "BiLambdaPoly":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out[k] + v if k in out else v
-        return BiLambdaPoly(self.ctx, out)
-
-    def __neg__(self) -> "BiLambdaPoly":
-        return BiLambdaPoly(self.ctx, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other: "BiLambdaPoly") -> "BiLambdaPoly":
-        return self + (-other)
-
-    def mul_expr(self, f: Expression) -> "BiLambdaPoly":
-        return BiLambdaPoly(self.ctx, {k: f * v for k, v in self.coeffs.items()})
+    @staticmethod
+    def _power(key: tuple[int, int]) -> str:
+        return "*".join(filter(None, map(_var_power, ("lam", "mu"), key)))
 
     def _shift(self, sign: int, times: int) -> "BiLambdaPoly":
         """(sign * (lambda + mu + d))^times, d acting on coefficients."""
-        cur = self
+        cur, ctx = self, self.ctx
         for _ in range(times):
-            out: dict = {}
-
-            def put(key, val):
-                out[key] = out[key] + val if key in out else val
-
-            for (a, b), v in cur.coeffs.items():
-                put((a + 1, b), v.scale(sign))
-                put((a, b + 1), v.scale(sign))
-                dv = v.total_derivative().scale(sign)
-                if not dv.is_zero():
-                    put((a, b), dv)
-            cur = BiLambdaPoly(self.ctx, out)
+            c = {k: v.scale(sign) for k, v in cur.coeffs.items()}
+            cur = (
+                BiLambdaPoly(ctx, {(a + 1, b): v for (a, b), v in c.items()})
+                + BiLambdaPoly(ctx, {(a, b + 1): v for (a, b), v in c.items()})
+                + BiLambdaPoly(ctx, {k: v.total_derivative() for k, v in c.items()})
+            )
         return cur
 
     def shift_both_neg(self, times: int = 1) -> "BiLambdaPoly":
@@ -469,32 +444,3 @@ class BiLambdaPoly:
             last = p
             out = out + shifted.mul_expr(a)
         return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BiLambdaPoly)
-            and self.ctx == other.ctx
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None
-
-    def render(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for a, b in sorted(self.coeffs, reverse=True):
-            v = self.coeffs[(a, b)]
-            factors = []
-            if a:
-                factors.append("lam" if a == 1 else "lam^%d" % a)
-            if b:
-                factors.append("mu" if b == 1 else "mu^%d" % b)
-            if not factors:
-                parts.append(v.render())
-                continue
-            parts.append(_attach_power(self.ctx, v, "*".join(factors)))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return self.render()

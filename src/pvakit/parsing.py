@@ -18,6 +18,8 @@ from .errors import NonMonomialDivisor, ParseError
 from .operators import MatrixDiffOp
 
 _OPS = set("+-*/^()")
+# nesting of unary signs and parentheses, well inside the recursion limit
+_MAX_DEPTH = 100
 
 
 class _Tokens:
@@ -78,6 +80,7 @@ class _Parser:
     def __init__(self, text: str, ctx: Context, with_d: bool = False):
         self.toks = _Tokens(text)
         self.ctx = ctx
+        self.depth = 0
         self.with_d = with_d and "d" not in ctx.var_names and "d" not in ctx.params
 
     # expression := term (('+'|'-') term)*
@@ -98,12 +101,19 @@ class _Parser:
         return value
 
     def factor(self):
+        # every unary sign and every parenthesized group nests one factor
         tok = self.toks.peek()
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ParseError("nested too deeply", tok[2])
         if tok[0] in ("+", "-"):
             self.toks.next()
             inner = self.factor()
-            return inner if tok[0] == "+" else self._neg(inner)
-        return self.power()
+            value = inner if tok[0] == "+" else self._neg(inner)
+        else:
+            value = self.power()
+        self.depth -= 1
+        return value
 
     def power(self):
         base = self.atom()

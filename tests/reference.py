@@ -8,15 +8,20 @@ its own loop; the library reads every check from one pairing matrix per
 operator and shares one loop between the generator bracket and
 lambda_bracket.  is_closed always builds the defect operator, and exactify
 decides closedness by it before it looks for a potential; the library
-first certifies closedness by delta of the scaling potential.
+first certifies closedness by delta of the scaling potential.  The symbol
+routines below carry their own binomial loops, and the nested brackets
+and structure checks one loop per slot; the library runs symbols on the
+operator-entry routines and shares one lift, one slice loop and one
+triple checker.
 test_fastpaths.py and test_verify_reference.py pin each pair together.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 from pvakit.algebra import vec_dot, vec_is_zero
-from pvakit.brackets import functional_bracket
+from pvakit.brackets import CheckFailure, CheckReport, functional_bracket
 from pvakit.errors import NotClosed
 from pvakit.operators import BiLambdaPoly, LambdaPoly
 from pvakit.varcalc import (
@@ -72,6 +77,69 @@ def entry_compose(ea, eb):
     return out
 
 
+def subst_neg_shift(x):
+    """x with lambda -> -lambda - d, the derivative acting on the
+    coefficient it lands on."""
+    out = {}
+    for k, v in x.coeffs.items():
+        sign = -1 if k % 2 else 1
+        dv = v
+        for j in range(k, -1, -1):
+            term = dv.scale(sign * comb(k, j))
+            out[j] = out[j] + term if j in out else term
+            if j:
+                dv = dv.total_derivative()
+    return LambdaPoly(x.ctx, out)
+
+
+def op_apply(x, entry):
+    """An operator entry with d replaced by (lambda + d), applied to x."""
+    out = LambdaPoly(x.ctx, {})
+    shifted = x
+    last = 0
+    for p, a in entry:
+        shifted = shifted.shift_apply(p - last)
+        last = p
+        out = out + shifted.mul_expr(a)
+    return out
+
+
+def shift(x, sign, times):
+    """(sign * (lambda + mu + d))^times applied to x, d acting on
+    coefficients."""
+    cur = x
+    for _ in range(times):
+        out = {}
+
+        def put(key, val):
+            out[key] = out[key] + val if key in out else val
+
+        for (a, b), v in cur.coeffs.items():
+            put((a + 1, b), v.scale(sign))
+            put((a, b + 1), v.scale(sign))
+            dv = v.total_derivative().scale(sign)
+            if not dv.is_zero():
+                put((a, b), dv)
+        cur = BiLambdaPoly(x.ctx, out)
+    return cur
+
+
+def shift_both_neg(x, times):
+    return shift(x, -1, times)
+
+
+def op_apply_both(x, entry):
+    """An operator entry with d replaced by (lambda + mu + d), applied to x."""
+    out = BiLambdaPoly(x.ctx, {})
+    shifted = x
+    last = 0
+    for p, a in entry:
+        shifted = shift(shifted, 1, p - last)
+        last = p
+        out = out + shifted.mul_expr(a)
+    return out
+
+
 def lambda_bracket(H, f, g):
     """{f_lam g}, applying (-lam-d) to each slice m times over."""
     ctx = f.ctx
@@ -94,7 +162,7 @@ def lambda_bracket(H, f, g):
         for i in range(ctx.nvars):
             entry = H.entry(j, i)
             if entry and not A[i].is_zero():
-                cj = cj + A[i].op_apply(entry)
+                cj = cj + op_apply(A[i], entry)
         shifted = cj
         last = 0
         for n in range(g.max_order() + 1):
@@ -146,9 +214,79 @@ def jacobi_triple_residual(H, i, j, k):
                 p = za.partial(h, n)
                 if p.is_zero():
                     continue
-                B = BiLambdaPoly(ctx, {(a, 0): p}).shift_both_neg(n)
-                res = res - B.op_apply_both(entry)
+                B = shift_both_neg(BiLambdaPoly(ctx, {(a, 0): p}), n)
+                res = res - op_apply_both(B, entry)
     return res
+
+
+def nested_bracket_left(H, f, x):
+    """{f_lam x}, the degrees of x read as powers of mu."""
+    ctx = f.ctx
+    out = BiLambdaPoly(ctx, {})
+    for b, xb in x.coeffs.items():
+        lp = lambda_bracket(H, f, xb)
+        out = out + BiLambdaPoly(ctx, {(a, b): v for a, v in lp.coeffs.items()})
+    return out
+
+
+def nested_bracket_right(H, f, x):
+    """{f_mu x}, the degrees of x read as powers of lambda."""
+    ctx = f.ctx
+    out = BiLambdaPoly(ctx, {})
+    for a, xa in x.coeffs.items():
+        lp = lambda_bracket(H, f, xa)
+        out = out + BiLambdaPoly(ctx, {(a, b): v for b, v in lp.coeffs.items()})
+    return out
+
+
+def check_pva(H):
+    """Skew-adjointness, then the Jacobi residual on every triple."""
+    defect = H.adjoint() + H
+    if not defect.is_zero():
+        return CheckReport(False, [CheckFailure("skew", None, defect.render(), defect)])
+    failures = []
+    for i, j, k in product(range(H.ctx.nvars), repeat=3):
+        r = jacobi_triple_residual(H, i, j, k)
+        if not r.is_zero():
+            failures.append(CheckFailure("jacobi", (i + 1, j + 1, k + 1), r.render(), r))
+    return CheckReport(not failures, failures)
+
+
+def symplectic_triple_residual(S, i, j, k):
+    """The two-form closedness residual, one slice loop per term."""
+    ctx = S.ctx
+    res = BiLambdaPoly(ctx, {})
+    for b, sb in S.symbol(k, i).coeffs.items():
+        for n in range(sb.max_order() + 1):
+            p = sb.partial(j, n)
+            if not p.is_zero():
+                res = res + BiLambdaPoly(ctx, {(n, b): p})
+    for a, sa in S.symbol(k, j).coeffs.items():
+        for n in range(sa.max_order() + 1):
+            p = sa.partial(i, n)
+            if not p.is_zero():
+                res = res - BiLambdaPoly(ctx, {(a, n): p})
+    for a, sa in S.symbol(i, j).coeffs.items():
+        for n in range(sa.max_order() + 1):
+            p = sa.partial(k, n)
+            if not p.is_zero():
+                res = res + shift_both_neg(BiLambdaPoly(ctx, {(a, 0): p}), n)
+    return res
+
+
+def check_symplectic(S):
+    """Skew-adjointness, then the closedness residual on every triple."""
+    defect = S.adjoint() + S
+    if not defect.is_zero():
+        return CheckReport(False, [CheckFailure("skew", None, defect.render(), defect)])
+    failures = []
+    for i, j, k in product(range(S.ctx.nvars), repeat=3):
+        r = symplectic_triple_residual(S, i, j, k)
+        if not r.is_zero():
+            failures.append(
+                CheckFailure("symplectic", (i + 1, j + 1, k + 1), r.render(), r)
+            )
+    return CheckReport(not failures, failures)
 
 
 def is_closed(F):

@@ -49,6 +49,23 @@ def test_bracket_cmd():
     assert r.output.strip() == "c*lam^3 + 2*u*lam + u'"
 
 
+def test_bracket_writes_negative_terms_as_minus():
+    r = run("bracket", "--op", "u'*d - d^3", "--", "u^2", "u'")
+    assert r.exit_code == 0
+    assert r.output.strip() == (
+        "-2*u*lam^4 - 8*u'*lam^3 + (-12*u'' + 2*u'*u)*lam^2"
+        " + (-8*u''' + 2*u''*u + 4*u'^2)*lam - 2*u^(4) + 4*u''*u'"
+    )
+
+
+def test_failing_jacobi_residual_writes_negative_terms_as_minus():
+    r = run("check-pva", "--op", "u*d^3 + 3/2*u'*d^2 + 3/2*u''*d + 1/2*u'''")
+    assert r.exit_code == 1
+    assert "jacobi at (1, 1, 1): " in r.output
+    assert " - 3/2*u'*lam^2*mu^3" in r.output
+    assert "+ -" not in r.output
+
+
 def test_check_commands_exit_codes():
     assert run("--params", "c", "check-pva", "--op", "u' + 2*u*d + c*d^3").exit_code == 0
     assert run("check-pva", "--op", "d^2").exit_code == 1
@@ -159,6 +176,28 @@ def test_malformed_config_is_usage_error(tmp_path):
 
 def test_zero_depth_is_usage_error():
     _assert_usage_error(run("hierarchy", "kdv", "--depth", "0"))
+
+
+def test_deep_nesting_is_usage_error():
+    parens = "(" * 200 + "u" + ")" * 200
+    signs = "-" * 2000 + "u"
+    for argv in (
+        ["vder", parens],
+        ["vder", "--", signs],
+        ["check-pva", "--op", parens + "*d"],
+        ["check-pva", "--op", signs],
+    ):
+        r = run(*argv)
+        assert isinstance(r.exception, SystemExit), r.exc_info
+        _assert_usage_error(r)
+        assert "nested too deeply" in r.output
+    assert run("vder", "(" * 99 + "u" + ")" * 99).output == "1\n"
+
+
+def test_negative_lenard_depth_is_usage_error():
+    _assert_usage_error(
+        run("lenard", "--op-h", "d^3", "--op-k", "d", "--seed", "u", "--depth", "-2")
+    )
 
 
 def test_config_names_must_be_lists(tmp_path):

@@ -1,26 +1,34 @@
 """Differential properties: every chained fast path equals its slice-by-slice
 reference in reference.py, certificate-first closedness and exactify agree
-with the defect-first references, the lazy zero test agrees with the
-certified comparison, and rendered text parses back to what was rendered."""
+with the defect-first references, the symbol routines, nested brackets and
+structure checks agree with their one-loop-per-rule references, the lazy
+zero test agrees with the certified comparison, and rendered text parses
+back to what was rendered."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from pvakit import (
+    BiLambdaPoly,
     Context,
+    LambdaPoly,
     LocalFunctional,
     MatrixDiffOp,
     NotExact,
     OrderViolation,
     PvakitError,
+    check_pva,
+    check_symplectic,
     euler_operator,
     exactify,
     is_closed,
     jacobi_triple_residual,
     lambda_bracket,
+    symplectic_triple_residual,
     variational_derivative,
 )
+from pvakit.brackets import nested_bracket_left, nested_bracket_right
 from pvakit.fields import Coefficient
 from pvakit.hierarchies import FAMILIES
 from pvakit.parsing import parse_operator
@@ -28,6 +36,7 @@ from pvakit.parsing import parse_operator
 import reference
 
 CTXS = (Context(("u",), ("c",)), Context(("u", "v"), ("c",)))
+CTXS3 = CTXS + (Context(("u", "v", "w"), ("c",)),)
 EXPONENTS = (1, 2, 3, -1, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2))
 
 rationals = st.builds(
@@ -154,6 +163,74 @@ def test_shared_loop_jacobi_residual(data):
     assert jacobi_triple_residual(H, i, j, k) == reference.jacobi_triple_residual(
         H, i, j, k
     )
+
+
+@st.composite
+def lambda_polys(draw, ctx):
+    keys = draw(st.sets(st.integers(0, 3), max_size=3))
+    return LambdaPoly(ctx, {k: draw(expressions(ctx, 2, 2)) for k in keys})
+
+
+@st.composite
+def bilambda_polys(draw, ctx):
+    keys = draw(st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=3))
+    return BiLambdaPoly(ctx, {k: draw(expressions(ctx, 2, 2)) for k in keys})
+
+
+@st.composite
+def structure_operators(draw, ctx):
+    """An operator with at most one term a*d^k per entry (k <= 2, a one
+    product of powers of the u_i and u_i'), or its skew-adjoint part
+    A - A^* so that the triple checks run past the skew test; larger draws
+    can take seconds per Jacobi check."""
+    rows = [
+        [
+            [(draw(st.integers(0, 2)), draw(expressions(ctx, 1, 1)))
+             for _ in range(draw(st.integers(0, 1)))]
+            for _ in range(ctx.nvars)
+        ]
+        for _ in range(ctx.nvars)
+    ]
+    A = MatrixDiffOp(ctx, rows)
+    return A - A.adjoint() if draw(st.booleans()) else A
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_symbols_run_on_entry_routines(data):
+    ctx = data.draw(st.sampled_from(CTXS3))
+    entry = MatrixDiffOp(ctx, [[data.draw(entries(ctx))]]).entry(0, 0)
+    x = data.draw(lambda_polys(ctx))
+    assert x.subst_neg_shift() == reference.subst_neg_shift(x)
+    assert x.op_apply(entry) == reference.op_apply(x, entry)
+    y = data.draw(bilambda_polys(ctx))
+    n = data.draw(st.integers(0, 3))
+    assert y.shift_both_neg(n) == reference.shift_both_neg(y, n)
+    assert y.op_apply_both(entry) == reference.op_apply_both(y, entry)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_one_lift_for_nested_brackets(data):
+    ctx = data.draw(st.sampled_from(CTXS3))
+    H = data.draw(structure_operators(ctx))
+    f = data.draw(expressions(ctx, 2, 2))
+    x = data.draw(lambda_polys(ctx))
+    assert nested_bracket_left(H, f, x) == reference.nested_bracket_left(H, f, x)
+    assert nested_bracket_right(H, f, x) == reference.nested_bracket_right(H, f, x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_one_triple_checker(data):
+    ctx = data.draw(st.sampled_from(CTXS3))
+    S = data.draw(structure_operators(ctx))
+    i, j, k = (data.draw(st.integers(0, ctx.nvars - 1)) for _ in range(3))
+    assert symplectic_triple_residual(S, i, j, k) == reference.symplectic_triple_residual(
+        S, i, j, k
+    )
+    assert check_symplectic(S).to_json() == reference.check_symplectic(S).to_json()
+    assert check_pva(S).to_json() == reference.check_pva(S).to_json()
 
 
 # monomials of exponent-sum degree -1: u_k times one of them has degree 0
