@@ -10,7 +10,7 @@ All values are immutable after construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .errors import NonMonomialDivisor, NonRationalExponent
 from .fields import Coefficient
@@ -217,11 +217,6 @@ class Context:
 
         return parse_expression(text, self)
 
-    # -- parameter extension ---------------------------------------------
-
-    def extend_params(self, extra: Iterable[str]) -> "Context":
-        return Context(self.var_names, self.params + tuple(extra))
-
     # -- rendering --------------------------------------------------------
 
     def gen_name(self, g: Gen) -> str:
@@ -257,13 +252,6 @@ class Expression:
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
-
-    def generators(self) -> set[Gen]:
-        out: set[Gen] = set()
-        for m in self.terms:
-            for g, _ in m:
-                out.add(g)
-        return out
 
     def diff_order(self) -> Optional[Gen]:
         """Largest (n, i) on which the expression depends, None for constants."""
@@ -468,21 +456,6 @@ class Expression:
                         out[nm] = s
             cur = Expression(cur.ctx, out)
         return cur
-
-    # -- context embedding ------------------------------------------------------
-
-    def with_context(self, ctx: Context) -> "Expression":
-        """Re-embed into a context with the same variables and a parameter
-        superset."""
-        if ctx == self.ctx:
-            return self
-        if ctx.var_names != self.ctx.var_names:
-            raise ValueError("target context has different variables")
-        positions = [ctx.params.index(p) for p in self.ctx.params]
-        n = len(ctx.params)
-        return Expression(
-            ctx, {m: c.pad(n, positions) for m, c in self.terms.items()}
-        )
 
     def subst(self, ctx: Context, values) -> "Expression":
         """Set parameter j to values[j] wherever that is not None; ctx holds

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 from math import comb
 from typing import Optional, Sequence, Union
 
-from .algebra import Context, Expression, VectorExpr, vec_dot, vec_sub
+from .algebra import Expression, VectorExpr, vec_dot, vec_sub
 from .errors import IndividualFailure
 from .operators import BiLambdaPoly, LambdaPoly, MatrixDiffOp
 from .varcalc import LocalFunctional, frechet, frechet_defect, variational_derivative
@@ -155,9 +155,15 @@ class CheckFailure:
     triple: Optional[tuple] = None  # 1-based indices when applicable
     residual_text: str = ""
     residual: object = None
+    # 1-based positions (a, b) of the operators whose sum H_a + H_b gave
+    # this failure, set only by check_compatible
+    pair: Optional[tuple] = None
 
     def to_json(self) -> dict:
-        return {"triple": self.triple, "residual_text": self.residual_text}
+        out = {"triple": self.triple, "residual_text": self.residual_text}
+        if self.pair is not None:
+            out["pair"] = self.pair
+        return out
 
 
 @dataclass
@@ -235,36 +241,24 @@ def check_pva(H: MatrixDiffOp) -> CheckReport:
     return _check_triples(H, "jacobi", jacobi_triple_residual)
 
 
-_MIX_PREFIX = "t"
-
-
-def _mixing_names(ctx: Context, count: int) -> list[str]:
-    taken = set(ctx.params) | set(ctx.var_names)
-    names = []
-    k = 1
-    while len(names) < count:
-        name = "%s%d" % (_MIX_PREFIX, k)
-        if name not in taken:
-            names.append(name)
-        k += 1
-    return names
-
-
 def check_compatible(ops: Sequence[MatrixDiffOp]) -> CheckReport:
-    """Compatibility: a generic linear combination with fresh formal
-    parameters must itself pass the Hamiltonian test."""
+    """Compatibility: every linear combination sum t_a H_a must pass the
+    Hamiltonian test.  The Jacobi residual R is quadratic in H, so
+    R(sum t_a H_a) = sum t_a^2 R(H_a) + sum_{a<b} t_a t_b B_ab with
+    B_ab = R(H_a + H_b) - R(H_a) - R(H_b); once each H_a passes, this
+    holds exactly when every pairwise sum H_a + H_b passes.  Failures are
+    those of the pairwise checks, in pair order, tagged with the pair."""
     if len({op.ctx for op in ops}) != 1:
         raise ValueError("operators must share one context")
     bad = [idx for idx, H in enumerate(ops) if not check_pva(H).passed]
     if bad:
         raise IndividualFailure(bad)
-    ctx = ops[0].ctx
-    names = _mixing_names(ctx, len(ops))
-    big = ctx.extend_params(names)
-    total = MatrixDiffOp.zero(big, ops[0].nrows)
-    for name, H in zip(names, ops):
-        total = total + H.with_context(big).scale_expr(big.param(name))
-    return check_pva(total)
+    failures = []
+    for a, b in combinations(range(len(ops)), 2):
+        for f in check_pva(ops[a] + ops[b]).failures:
+            f.pair = (a + 1, b + 1)
+            failures.append(f)
+    return CheckReport(not failures, failures)
 
 
 def symplectic_triple_residual(S: MatrixDiffOp, i: int, j: int, k: int) -> BiLambdaPoly:

@@ -74,6 +74,13 @@ def _parse(ctx: Context, text: str):
         raise click.UsageError(str(exc))
 
 
+def _parse_vector(ctx: Context, texts) -> tuple:
+    """One expression per variable, parsed in order."""
+    if len(texts) != ctx.nvars:
+        raise click.UsageError("expected %d components" % ctx.nvars)
+    return tuple(_parse(ctx, t) for t in texts)
+
+
 def _parse_op(ctx: Context, text: str) -> MatrixDiffOp:
     try:
         op = parse_operator(text, ctx)
@@ -95,6 +102,8 @@ def _emit_report(report, as_json: bool):
         click.echo("fail")
         for f in report.failures:
             where = " at %s" % (f.triple,) if f.triple else ""
+            if f.pair:
+                where += " for ops %s" % (f.pair,)
             click.echo("  %s%s: %s" % (f.kind, where, f.residual_text))
     sys.exit(0 if report.passed else 1)
 
@@ -139,9 +148,7 @@ def integrate(ctx, expr):
 @click.pass_obj
 def exactify_cmd(ctx, components):
     """Potential f with delta f/delta u = (COMPONENTS...)."""
-    if len(components) != ctx.nvars:
-        raise click.UsageError("expected %d components" % ctx.nvars)
-    F = tuple(_parse(ctx, c) for c in components)
+    F = _parse_vector(ctx, components)
     try:
         click.echo(exactify(F).render())
     except PvakitError as exc:
@@ -154,9 +161,7 @@ def exactify_cmd(ctx, components):
 @click.pass_obj
 def frechet_cmd(ctx, components, adjoint):
     """First-variation operator of the vector (COMPONENTS...)."""
-    if len(components) != ctx.nvars:
-        raise click.UsageError("expected %d components" % ctx.nvars)
-    F = tuple(_parse(ctx, c) for c in components)
+    F = _parse_vector(ctx, components)
     click.echo(frechet(F, adjoint=adjoint).render())
 
 

@@ -238,14 +238,14 @@ class Coefficient:
     parameter-free arithmetic avoids polynomial dictionaries.
     """
 
-    __slots__ = ("num", "den", "const", "_hash")
+    __slots__ = ("num", "den", "const")
 
-    def __init__(self, num: Poly, den: Poly, reduce: bool = True):
+    def __init__(self, num: Poly, den: Poly):
         if not den:
             raise ZeroDivisionError("zero denominator in coefficient")
         if not num:
             den = _pconst(_F1, len(next(iter(den))))
-        elif reduce and not _pis_const(den):
+        elif not _pis_const(den):
             g = _pgcd(num, den)
             if not _pis_const(g):
                 num = _pdiv_exact(num, g)
@@ -263,7 +263,6 @@ class Coefficient:
         self.num = num
         self.den = den
         self.const = _pconst_value(num) if _pis_const(num) and _pis_const(den) else None
-        self._hash = None
 
     @staticmethod
     def _raw(num: Poly, den: Poly, const) -> "Coefficient":
@@ -271,7 +270,6 @@ class Coefficient:
         out.num = num
         out.den = den
         out.const = const
-        out._hash = None
         return out
 
     # -- constructors -------------------------------------------------
@@ -301,9 +299,6 @@ class Coefficient:
 
     def is_one(self) -> bool:
         return self.const == 1
-
-    def is_rational(self) -> bool:
-        return self.const is not None
 
     def as_fraction(self) -> Fraction:
         if self.const is None:
@@ -374,26 +369,7 @@ class Coefficient:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(
-                (frozenset(self.num.items()), frozenset(self.den.items()))
-            )
-        return self._hash
-
-    def pad(self, nvars: int, positions: list[int]) -> "Coefficient":
-        """Re-embed into a larger parameter list; positions[j] is the new
-        slot of old parameter j."""
-
-        def remap(p: Poly) -> Poly:
-            out: Poly = {}
-            for e, q in p.items():
-                ne = [0] * nvars
-                for j, x in enumerate(e):
-                    ne[positions[j]] = x
-                out[tuple(ne)] = q
-            return out
-
-        return Coefficient(remap(self.num), remap(self.den), reduce=False)
+        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
 
     def subst(self, values) -> "Coefficient":
         """Set parameter j to values[j] wherever that is not None; the

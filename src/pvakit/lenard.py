@@ -1,11 +1,10 @@
 """Recursion driver for bi-Hamiltonian and bi-symplectic chains.
 
 Extends a seed F^0 (, F^1) through K F^{n+1} = H F^n with a structured
-solver for K, fixes integration constants to zero, projects away
-kernel slack with the exponent-sum grading when both operators are
-homogeneous, attaches conserved densities through the exactness
-algorithms, and verifies the produced chain (orthogonality, involution,
-closedness) from one pairing matrix per operator.
+solver for K, fixes integration constants to zero, attaches conserved
+densities through the exactness algorithms, and verifies the produced
+chain (orthogonality, involution, closedness) from one pairing matrix per
+operator.
 """
 
 from __future__ import annotations
@@ -203,19 +202,6 @@ class HierarchyRecord:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
-def _vector_degree(F: VectorExpr) -> Optional[Fraction]:
-    """Common exponent-sum degree of the nonzero components, if any."""
-    deg = None
-    for f in F:
-        if f.is_zero():
-            continue
-        d = f.degree_if_homogeneous()
-        if d is None or (deg is not None and d != deg):
-            return None
-        deg = d
-    return deg
-
-
 def _attach_density(gradient: VectorExpr) -> Optional[LocalFunctional]:
     try:
         return LocalFunctional(exactify(gradient))
@@ -237,31 +223,22 @@ def lenard_extend(
     """Extend seed vectors to F^0 ... F^depth through K F^{n+1} = H F^n.
 
     Seeds must already satisfy the recursion pairwise.  Kernel slack is
-    fixed by zero integration constants, plus projection onto the expected
-    grading degree when H and K are homogeneous.
+    fixed by zero integration constants: the plans solve by monomial
+    division and d^{-1}, both homogeneous for the exponent-sum grading, so
+    a homogeneous step stays homogeneous without any projection.
     """
     seeds = [tuple(s) for s in seeds]
     for a, b in zip(seeds, seeds[1:]):
         if K.apply(b) != H.apply(a):
             raise NotExact("seed vectors do not satisfy the recursion")
-    dH = H.homogeneous_degree()
-    dK = K.homogeneous_degree()
     chain = list(seeds)
     while len(chain) <= depth - start_index:
-        prev = chain[-1]
-        target = None
-        if dH is not None and dK is not None:
-            d = _vector_degree(prev)
-            if d is not None:
-                target = d + dH - dK
         try:
-            nxt = plan.solve(H.apply(prev))
+            nxt = plan.solve(H.apply(chain[-1]))
         except (NotExact, LogRequired) as exc:
             raise type(exc)(
                 "step %d: %s" % (start_index + len(chain), exc)
             ) from exc
-        if target is not None:
-            nxt = tuple(x.project_degree(target) for x in nxt)
         chain.append(nxt)
     steps = []
     for offset, F in enumerate(chain):

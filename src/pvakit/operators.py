@@ -20,7 +20,7 @@ from .fields import Fraction
 Entry = tuple[tuple[int, Expression], ...]  # ((power, coeff), ...) sorted by power
 
 
-def _entry_norm(ctx: Context, items) -> Entry:
+def _entry_norm(items) -> Entry:
     acc: dict[int, Expression] = {}
     for p, a in items:
         if a.is_zero():
@@ -55,7 +55,7 @@ def _derivatives(a: Expression, top: int) -> list[Expression]:
     return out
 
 
-def _entry_adjoint(ctx: Context, entry: Entry) -> Iterator[tuple[int, Expression]]:
+def _entry_adjoint(entry: Entry) -> Iterator[tuple[int, Expression]]:
     """Formal adjoint of a scalar entry: sum_k (-d)^k o a_k, expanded into
     (power, coeff) items; each a_k is differentiated along one chain whose
     links are dropped once used."""
@@ -68,7 +68,7 @@ def _entry_adjoint(ctx: Context, entry: Entry) -> Iterator[tuple[int, Expression
                 da = da.total_derivative()
 
 
-def _entry_compose(ctx: Context, ea: Entry, eb: Entry) -> Iterator[tuple[int, Expression]]:
+def _entry_compose(ea: Entry, eb: Entry) -> Iterator[tuple[int, Expression]]:
     """(a d^p) o (b d^q) expanded by the Leibniz rule, as (power, coeff) items."""
     top = max((p for p, _ in ea), default=0)
     for q, b in eb:
@@ -93,10 +93,10 @@ class MatrixDiffOp:
 
     def _coerce(self, e) -> Entry:
         if isinstance(e, Expression):
-            return _entry_norm(self.ctx, [(0, e)])
+            return _entry_norm([(0, e)])
         if isinstance(e, dict):
-            return _entry_norm(self.ctx, e.items())
-        return _entry_norm(self.ctx, e)
+            return _entry_norm(e.items())
+        return _entry_norm(e)
 
     # -- constructors ----------------------------------------------------
 
@@ -140,11 +140,6 @@ class MatrixDiffOp:
 
     def entry(self, i: int, j: int) -> Entry:
         return self.entries[i][j]
-
-    def max_order(self) -> int:
-        return max(
-            (p for row in self.entries for e in row for p, _ in e), default=0
-        )
 
     def is_zero(self) -> bool:
         return all(not e for row in self.entries for e in row)
@@ -195,13 +190,10 @@ class MatrixDiffOp:
         q = Fraction(q)
         return self._map(lambda a: a.scale(q))
 
-    def scale_expr(self, f: Expression) -> "MatrixDiffOp":
-        return self._map(lambda a: f * a)
-
     def adjoint(self) -> "MatrixDiffOp":
         n, m = self.nrows, self.ncols
         rows = [
-            [_entry_adjoint(self.ctx, self.entries[j][i]) for j in range(n)]
+            [_entry_adjoint(self.entries[j][i]) for j in range(n)]
             for i in range(m)
         ]
         return MatrixDiffOp(self.ctx, rows)
@@ -216,7 +208,7 @@ class MatrixDiffOp:
                 items: list[tuple[int, Expression]] = []
                 for k in range(self.ncols):
                     items.extend(
-                        _entry_compose(self.ctx, self.entries[i][k], other.entries[k][j])
+                        _entry_compose(self.entries[i][k], other.entries[k][j])
                     )
                 row.append(items)
             rows.append(row)
@@ -251,9 +243,6 @@ class MatrixDiffOp:
         return Fraction(0) if deg is None else deg
 
     # -- context / rendering -------------------------------------------------
-
-    def with_context(self, ctx: Context) -> "MatrixDiffOp":
-        return self._map(lambda a: a.with_context(ctx), ctx)
 
     def subst(self, ctx: Context, values) -> "MatrixDiffOp":
         """Set parameters to values in every coefficient, as Expression.subst."""
@@ -371,9 +360,6 @@ class LambdaPoly(_SymbolPoly):
     def coefficient(self, k: int) -> Expression:
         return self.coeffs.get(k, self.ctx.zero())
 
-    def degree(self) -> int:
-        return max(self.coeffs, default=0)
-
     def shift_apply(self, times: int = 1) -> "LambdaPoly":
         """Apply (lambda + d)^times, with d acting on coefficients;
         expanded binomially so each coefficient is differentiated along a
@@ -395,15 +381,15 @@ class LambdaPoly(_SymbolPoly):
     def subst_neg_shift(self) -> "LambdaPoly":
         """Substitute lambda -> -lambda - d, the derivative acting on the
         coefficient it lands on: the symbol of the adjoint entry."""
-        items = _entry_adjoint(self.ctx, self.coeffs.items())
-        return LambdaPoly(self.ctx, dict(_entry_norm(self.ctx, items)))
+        items = _entry_adjoint(self.coeffs.items())
+        return LambdaPoly(self.ctx, dict(_entry_norm(items)))
 
     def op_apply(self, entry: Entry) -> "LambdaPoly":
         """Apply an operator entry with d replaced by (lambda + d), acting
         to the right on this polynomial: the symbol of the entry composed
         with this one."""
-        items = _entry_compose(self.ctx, entry, self.coeffs.items())
-        return LambdaPoly(self.ctx, dict(_entry_norm(self.ctx, items)))
+        items = _entry_compose(entry, self.coeffs.items())
+        return LambdaPoly(self.ctx, dict(_entry_norm(items)))
 
     def at_zero(self) -> Expression:
         return self.coefficient(0)

@@ -12,7 +12,9 @@ first certifies closedness by delta of the scaling potential.  The symbol
 routines below carry their own binomial loops, and the nested brackets
 and structure checks one loop per slot; the library runs symbols on the
 operator-entry routines and shares one lift, one slice loop and one
-triple checker.
+triple checker.  check_compatible mixes the operators with fresh parameters
+t1, t2, ...; the library checks every pairwise sum in the operators' own
+context.
 test_fastpaths.py and test_verify_reference.py pin each pair together.
 """
 
@@ -20,10 +22,12 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from pvakit.algebra import vec_dot, vec_is_zero
+from pvakit.algebra import Context, vec_dot, vec_is_zero
 from pvakit.brackets import CheckFailure, CheckReport, functional_bracket
-from pvakit.errors import NotClosed
-from pvakit.operators import BiLambdaPoly, LambdaPoly
+from pvakit.brackets import check_pva as lib_check_pva
+from pvakit.errors import IndividualFailure, NotClosed
+from pvakit.operators import BiLambdaPoly, LambdaPoly, MatrixDiffOp
+from pvakit.parsing import parse_operator
 from pvakit.varcalc import (
     ClosednessReport,
     LocalFunctional,
@@ -287,6 +291,47 @@ def check_symplectic(S):
                 CheckFailure("symplectic", (i + 1, j + 1, k + 1), r.render(), r)
             )
     return CheckReport(not failures, failures)
+
+
+def mixing_context(ctx, count):
+    """ctx with fresh parameters t1, t2, ... appended, one per operator,
+    skipping names already taken."""
+    taken = set(ctx.params) | set(ctx.var_names)
+    names = []
+    k = 1
+    while len(names) < count:
+        if "t%d" % k not in taken:
+            names.append("t%d" % k)
+        k += 1
+    return Context(ctx.var_names, ctx.params + tuple(names)), names
+
+
+def reembed(op, ctx):
+    """op over a context with the same variables and more parameters,
+    through its rendered text."""
+    rows = (
+        ", ".join(op.render_entry(i, j) for j in range(op.ncols))
+        for i in range(op.nrows)
+    )
+    return parse_operator("; ".join(rows), ctx)
+
+
+def check_compatible(ops):
+    """The generic combination sum t_a H_a over QQ(params, t1, ...) must
+    pass the Hamiltonian test."""
+    if len({op.ctx for op in ops}) != 1:
+        raise ValueError("operators must share one context")
+    bad = [idx for idx, H in enumerate(ops) if not lib_check_pva(H).passed]
+    if bad:
+        raise IndividualFailure(bad)
+    big, names = mixing_context(ops[0].ctx, len(ops))
+    n = ops[0].nrows
+    total = MatrixDiffOp.zero(big, n)
+    for name, H in zip(names, ops):
+        t = big.param(name)
+        diag = MatrixDiffOp(big, [[[(0, t)] if i == j else [] for j in range(n)] for i in range(n)])
+        total = total + diag.compose(reembed(H, big))
+    return lib_check_pva(total)
 
 
 def is_closed(F):

@@ -142,11 +142,6 @@ def test_context_rules():
         Context(("u", "u"))
     with pytest.raises(ValueError):
         Context(("u",), ("u",))
-    a = Context(("u",), ("c",))
-    b = a.extend_params(["t1"])
-    f = a.param("c") * a.gen(0)
-    g = f.with_context(b)
-    assert g.ctx == b and g.render() == f.render()
 
 
 def test_render_canonical_order(ctx1c):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -25,7 +26,10 @@ from pvakit import (
     variational_derivative,
 )
 from pvakit.algebra import vec_is_zero
+from pvakit.operators import BiLambdaPoly
+from pvakit.parsing import parse_expression, parse_operator
 
+import reference
 from conftest import kdv_pair, rand_expr, rand_vector
 
 
@@ -134,6 +138,60 @@ def test_check_compatible_two_variable_pairs():
     ctx2 = Context(("u", "v"), ("alpha", "beta"))
     H2, K2 = parse_operator(cnw_hd.H, ctx2), parse_operator(cnw_hd.K, ctx2)
     assert check_compatible([H2, K2]).passed
+
+
+# Hamiltonian operators in u, v over QQ(c): the cnw operator, the
+# identity and the swap of d, and one-slot first- and third-order pieces
+COMPAT_POOL = (
+    "u' + 2*u*d + c*d^3, v*d; v' + v*d, 0",
+    "d, 0; 0, d",
+    "0, d; d, 0",
+    "v' + 2*v*d, 0; 0, 0",
+    "0, u*d; u' + u*d, 0",
+    "0, 0; 0, u' + 2*u*d",
+    "d^3, 0; 0, 0",
+    "0, 0; 0, v' + 2*v*d",
+    "u' + 2*u*d, 0; 0, 0",
+)
+
+
+def test_pairwise_compatibility_matches_mixed_reference():
+    """On every pair and triple of the pool, the pairwise check gives the
+    reference's verdict and failing triples, and each mixed residual is
+    sum_{a<b} t_a t_b times the residual reported for ops (a, b)."""
+    ctx = Context(("u", "v"), ("c",))
+    pool = [parse_operator(t, ctx) for t in COMPAT_POOL]
+    verdicts = []
+    for size in (2, 3):
+        for idx in combinations(range(len(pool)), size):
+            ops = [pool[a] for a in idx]
+            ref = reference.check_compatible(ops)
+            got = check_compatible(ops)
+            verdicts.append(got.passed)
+            assert got.passed == ref.passed
+            assert {f.triple for f in got.failures} == {f.triple for f in ref.failures}
+            assert all(f.kind == "jacobi" and f.pair for f in got.failures)
+            big, names = reference.mixing_context(ctx, size)
+            for rf in ref.failures:
+                mixed = BiLambdaPoly(big, {})
+                for f in got.failures:
+                    if f.triple != rf.triple:
+                        continue
+                    a, b = f.pair
+                    t = big.param(names[a - 1]) * big.param(names[b - 1])
+                    mixed = mixed + BiLambdaPoly(big, {
+                        key: t * parse_expression(v.render(), big)
+                        for key, v in f.residual.coeffs.items()
+                    })
+                assert mixed == rf.residual
+    assert (verdicts.count(True), verdicts.count(False)) == (32, 88)
+
+
+def test_check_compatible_needs_one_shared_context(ctx1, ctx1c):
+    with pytest.raises(ValueError):
+        check_compatible([])
+    with pytest.raises(ValueError):
+        check_compatible([MatrixDiffOp.derivative(ctx1), MatrixDiffOp.derivative(ctx1c)])
 
 
 def test_check_symplectic(ctx1c):

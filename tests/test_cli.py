@@ -84,6 +84,30 @@ def test_check_commands_exit_codes():
     assert "not Hamiltonian" in r.output
 
 
+def test_incompatible_pair_names_ops_and_pairwise_residuals():
+    args = ("--vars", "u,v", "check-compat",
+            "--op", "d, 0; 0, d", "--op", "v' + 2*v*d, 0; 0, 0")
+    r = run(*args)
+    assert r.exit_code == 1
+    assert r.output == (
+        "fail\n"
+        "  jacobi at (1, 1, 2) for ops (1, 2): -lam^2 + mu^2\n"
+        "  jacobi at (1, 2, 1) for ops (1, 2): -2*lam*mu - mu^2\n"
+        "  jacobi at (2, 1, 1) for ops (1, 2): lam^2 + 2*lam*mu\n"
+    )
+    r = run(*args, "--json")
+    assert r.exit_code == 1
+    expected = {
+        "passed": False,
+        "failures": [
+            {"pair": [1, 2], "triple": [1, 1, 2], "residual_text": "-lam^2 + mu^2"},
+            {"pair": [1, 2], "triple": [1, 2, 1], "residual_text": "-2*lam*mu - mu^2"},
+            {"pair": [1, 2], "triple": [2, 1, 1], "residual_text": "lam^2 + 2*lam*mu"},
+        ],
+    }
+    assert r.output == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_check_json_output():
     r = run("check-pva", "--op", "d^2", "--json")
     assert r.exit_code == 1
@@ -172,6 +196,15 @@ def test_malformed_config_is_usage_error(tmp_path):
     cfg = tmp_path / "session.json"
     cfg.write_text('{"variables": ["u"')
     _assert_usage_error(run("--config", str(cfg), "vder", "u"))
+
+
+def test_wrong_component_count_is_usage_error():
+    r = run("--vars", "u,v", "exactify", "u")
+    assert r.exit_code == 2 and "expected 2 components" in r.output
+    r = run("--vars", "u,v", "frechet", "u")
+    assert r.exit_code == 2 and "expected 2 components" in r.output
+    r = run("lenard", "--op-h", "d^3", "--op-k", "d", "--seed", "1,2")
+    assert r.exit_code == 2 and "seed needs 1 components" in r.output
 
 
 def test_zero_depth_is_usage_error():

@@ -68,13 +68,6 @@ def test_gcd_multivariate():
     assert _pgcd(c, t) == one
 
 
-def test_pad_embedding():
-    c = P(0, nvars=1)
-    big = c.pad(3, [1])
-    assert big.render(("a", "c", "t")) == "c"
-    assert big.nvars == 3
-
-
 def test_field_axioms_random():
     rng = random.Random(3)
 
