@@ -280,11 +280,6 @@ class Expression:
             return None if comps else Fraction(0)
         return comps[0][0]
 
-    def project_degree(self, d) -> "Expression":
-        d = Fraction(d)
-        kept = {m: c for m, c in self.terms.items() if mono_degree(m) == d}
-        return Expression(self.ctx, kept)
-
     def is_polynomial(self) -> bool:
         return all(
             isinstance(e, int) and e > 0 for m in self.terms for _, e in m

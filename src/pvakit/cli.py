@@ -62,8 +62,16 @@ def _session(vars_, params, config) -> Context:
         raise click.UsageError(str(exc))
 
 
+def _echo(text: str, err: bool = False):
+    """click.echo to the current sys.stdout or sys.stderr.  Without a file,
+    click caches a wrapper per stream, keyed weakly by the stream but
+    holding it strongly, so every redirected stream that main() wrote to
+    stays alive, text and all, when main() runs in process."""
+    click.echo(text, file=click.get_text_stream("stderr" if err else "stdout"))
+
+
 def _fail(message: str):
-    click.echo("error: %s" % message, err=True)
+    _echo("error: %s" % message, err=True)
     sys.exit(1)
 
 
@@ -77,7 +85,9 @@ def _parse(ctx: Context, text: str):
 def _parse_vector(ctx: Context, texts) -> tuple:
     """One expression per variable, parsed in order."""
     if len(texts) != ctx.nvars:
-        raise click.UsageError("expected %d components" % ctx.nvars)
+        raise click.UsageError(
+            "expected %d component%s" % (ctx.nvars, "" if ctx.nvars == 1 else "s")
+        )
     return tuple(_parse(ctx, t) for t in texts)
 
 
@@ -95,16 +105,16 @@ def _parse_op(ctx: Context, text: str) -> MatrixDiffOp:
 
 def _emit_report(report, as_json: bool):
     if as_json:
-        click.echo(report.json_text())
+        _echo(report.json_text())
     elif report.passed:
-        click.echo("pass")
+        _echo("pass")
     else:
-        click.echo("fail")
+        _echo("fail")
         for f in report.failures:
             where = " at %s" % (f.triple,) if f.triple else ""
             if f.pair:
                 where += " for ops %s" % (f.pair,)
-            click.echo("  %s%s: %s" % (f.kind, where, f.residual_text))
+            _echo("  %s%s: %s" % (f.kind, where, f.residual_text))
     sys.exit(0 if report.passed else 1)
 
 
@@ -126,7 +136,7 @@ def vder(ctx, expr):
     """Variational derivative of EXPR, one component per line."""
     f = _parse(ctx, expr)
     for component in variational_derivative(f):
-        click.echo(component.render())
+        _echo(component.render())
 
 
 @main.command()
@@ -139,8 +149,8 @@ def integrate(ctx, expr):
         g, c = integrate_total(f)
     except PvakitError as exc:
         _fail(str(exc))
-    click.echo(g.render())
-    click.echo("const: %s" % c.render(ctx.params))
+    _echo(g.render())
+    _echo("const: %s" % c.render(ctx.params))
 
 
 @main.command("exactify")
@@ -150,7 +160,7 @@ def exactify_cmd(ctx, components):
     """Potential f with delta f/delta u = (COMPONENTS...)."""
     F = _parse_vector(ctx, components)
     try:
-        click.echo(exactify(F).render())
+        _echo(exactify(F).render())
     except PvakitError as exc:
         _fail(str(exc))
 
@@ -162,7 +172,7 @@ def exactify_cmd(ctx, components):
 def frechet_cmd(ctx, components, adjoint):
     """First-variation operator of the vector (COMPONENTS...)."""
     F = _parse_vector(ctx, components)
-    click.echo(frechet(F, adjoint=adjoint).render())
+    _echo(frechet(F, adjoint=adjoint).render())
 
 
 @main.command()
@@ -173,7 +183,7 @@ def frechet_cmd(ctx, components, adjoint):
 def bracket(ctx, op_text, f, g):
     """{f_lam g} for the bracket defined by --op."""
     H = _parse_op(ctx, op_text)
-    click.echo(lambda_bracket(H, _parse(ctx, f), _parse(ctx, g)).render())
+    _echo(lambda_bracket(H, _parse(ctx, f), _parse(ctx, g)).render())
 
 
 @main.command("check-pva")
@@ -232,12 +242,7 @@ def lenard_cmd(ctx, h_text, k_text, plan_kind, chain_text, seed_texts, depth,
         raise click.UsageError("--plan chain needs --chain")
     if chain_text:
         monomials = [_parse(ctx, t) for t in chain_text.split(";")]
-    seeds = []
-    for text in seed_texts:
-        parts = [p for p in text.split(",")]
-        if len(parts) != ctx.nvars:
-            raise click.UsageError("seed needs %d components" % ctx.nvars)
-        seeds.append(tuple(_parse(ctx, p) for p in parts))
+    seeds = [_parse_vector(ctx, text.split(",")) for text in seed_texts]
     try:
         plan = make_plan(K, plan_kind, monomials)
         rec = lenard_extend(H, K, plan, seeds, depth, name="lenard", kind=kind)
@@ -245,12 +250,12 @@ def lenard_cmd(ctx, h_text, k_text, plan_kind, chain_text, seed_texts, depth,
     except PvakitError as exc:
         _fail(str(exc))
     if as_json:
-        click.echo(rec.json_text())
+        _echo(rec.json_text())
     else:
         for s in rec.steps:
-            click.echo("F^%d = (%s)" % (s.n, ", ".join(x.render() for x in s.F)))
+            _echo("F^%d = (%s)" % (s.n, ", ".join(x.render() for x in s.F)))
             if s.h is not None:
-                click.echo("h_%d = %s" % (s.n, s.h.rep.render()))
+                _echo("h_%d = %s" % (s.n, s.h.rep.render()))
     sys.exit(0 if rec.verification.passed() else 1)
 
 
@@ -287,19 +292,19 @@ def hierarchy_cmd(name, param_texts, depth, do_verify, as_json):
         _fail(str(exc))
     ok = rec.verification.passed()
     if as_json:
-        click.echo(rec.json_text())
+        _echo(rec.json_text())
     else:
         for s in rec.steps:
-            click.echo("F^%d = (%s)" % (s.n, ", ".join(x.render() for x in s.F)))
-            click.echo(
+            _echo("F^%d = (%s)" % (s.n, ", ".join(x.render() for x in s.F)))
+            _echo(
                 "h_%d = %s" % (s.n, s.h.rep.render() if s.h is not None else "-")
             )
-            click.echo("flow_%d = (%s)" % (s.n, ", ".join(x.render() for x in s.flow)))
-        click.echo("verification: %s" % ("pass" if ok else "fail"))
+            _echo("flow_%d = (%s)" % (s.n, ", ".join(x.render() for x in s.flow)))
+        _echo("verification: %s" % ("pass" if ok else "fail"))
     if do_verify:
         report = golden_verify(spec, rec)
         if not as_json:
-            click.echo("golden: %s" % ("pass" if report.passed else "fail"))
+            _echo("golden: %s" % ("pass" if report.passed else "fail"))
         ok = ok and report.passed
     sys.exit(0 if ok else 1)
 

@@ -3,8 +3,12 @@
 Extends a seed F^0 (, F^1) through K F^{n+1} = H F^n with a structured
 solver for K, fixes integration constants to zero, attaches conserved
 densities through the exactness algorithms, and verifies the produced
-chain (orthogonality, involution, closedness) from one pairing matrix per
-operator.
+chain (orthogonality, involution, closedness) from one pairing matrix
+int F^m . op F^n per operator.  By the Lenard lemma every entry vanishes
+when H and K are skew-adjoint and the recursion holds, so such a chain is
+certified without evaluating any; otherwise a skew operator is evaluated
+on the triangle m < n only.  functional_bracket is reached only for a
+density whose variational derivative is not its step's gradient.
 """
 
 from __future__ import annotations
@@ -295,18 +299,37 @@ def verify_sequence(
 
     Checks the recursion K F^{n+1} = H F^n, the gradient/density relation,
     closedness of every gradient (certain where that relation holds), and
-    the pairing matrices int F^m . (op F^n) of every operator, each entry
-    evaluated once:
+    the pairing matrices int F^m . (op F^n) of every operator:
 
     * orthogonality: every entry of every matrix vanishes;
     * involution of the densities under op: for a symplectic chain the
       bracket {int h_m, int h_n} is the entry (m, n) itself; for the other
       kinds it is int dh_n . op dh_m, the entry (n, m) wherever both
-      densities have the step's gradient as variational derivative, and
-      the bracket evaluated afresh otherwise.
+      densities have the step's gradient as variational derivative.
+      functional_bracket is evaluated only for a density whose variational
+      derivative is not its step's gradient.
+
+    Lenard lemma: if H and K are skew-adjoint and the recursion holds on
+    the recorded steps 0 .. N-1, every entry of both matrices vanishes.
+    Write a_{m,n} = int F^m . H F^n and b_{m,n} = int F^m . K F^n.  For
+    m > n, the recursion at n and at m - 1 and skewness of K and of H give
+
+        a_{m,n} = b_{m,n+1} = -int F^{n+1} . K F^m
+                = -int F^{n+1} . H F^{m-1} = a_{m-1,n+1};
+
+    the walk (m, n) -> (m-1, n+1) -> ... -> (n, m) stays inside the box of
+    recorded steps, and skewness gives a_{n,m} = -a_{m,n}, so a_{m,n} = 0;
+    the diagonal vanishes by skewness alone.  The K matrix follows from
+    b_{m,n+1} = a_{m,n} and b_{m,0} = -b_{0,m}.  So when both operators
+    are skew (op^* + op = 0, tested once per call) and ``chain`` holds, no
+    entry is evaluated.  Otherwise a skew operator still has
+    int F^m . J F^n = -int F^n . J F^m and a zero diagonal, so only the
+    triangle m < n is evaluated and mirrored; a non-skew operator gets all
+    N^2 entries.
 
     A "dirac" chain (NLS) has the one operator J = K, with flow_n =
-    J F^{n+1} in place of the recursion; H is not read.
+    J F^{n+1} in place of the recursion, so the lemma does not apply and J
+    gets its skew triangle; H is not read.
     """
     steps = record.steps
     ver = record.verification
@@ -317,10 +340,15 @@ def verify_sequence(
     KF = images[-1]
     targets = [s.flow for s in steps] if kind == "dirac" else images[0]
     ver.chain = all(KF[m + 1] == targets[m] for m in range(len(Fs) - 1))
-    pairings = [
-        [[LocalFunctional(vec_dot(F, image)).is_zero() for image in opF] for F in Fs]
-        for opF in images
-    ]
+    skew = [(op.adjoint() + op).is_zero() for op in ops]
+    certified = ver.chain and all(skew) and kind != "dirac"
+    pairings = [[[True] * len(Fs) for _ in Fs] for _ in ops]
+    for P, opF, is_skew in zip(pairings, images, skew):
+        for m in range(0 if certified else len(Fs)):
+            for n in range(m + 1 if is_skew else 0, len(Fs)):
+                P[m][n] = LocalFunctional(vec_dot(Fs[m], opF[n])).is_zero()
+                if is_skew:
+                    P[n][m] = P[m][n]
     ver.orthogonality = all(all(row) for P in pairings for row in P)
     gradients = KF if kind == "symplectic" else Fs
     exact = [

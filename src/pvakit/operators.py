@@ -225,23 +225,6 @@ class MatrixDiffOp:
             [self.symbol(i, j) for j in range(self.ncols)] for i in range(self.nrows)
         ]
 
-    # -- grading -----------------------------------------------------------
-
-    def homogeneous_degree(self) -> Optional[Fraction]:
-        """Common exponent-sum degree of all coefficients, or None."""
-        deg: Optional[Fraction] = None
-        for row in self.entries:
-            for e in row:
-                for _, a in e:
-                    d = a.degree_if_homogeneous()
-                    if d is None:
-                        return None
-                    if deg is None:
-                        deg = d
-                    elif deg != d:
-                        return None
-        return Fraction(0) if deg is None else deg
-
     # -- context / rendering -------------------------------------------------
 
     def subst(self, ctx: Context, values) -> "MatrixDiffOp":

@@ -57,7 +57,6 @@ def test_diff_order_and_degrees(ctx1):
     degs = [d for d, _ in mixed.degree_components()]
     assert degs == [1, 2]
     assert mixed.degree_if_homogeneous() is None
-    assert mixed.project_degree(2) == u * u
 
 
 def test_exponent_must_be_rational(ctx1):

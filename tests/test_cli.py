@@ -1,5 +1,10 @@
+import contextlib
+import gc
+import io
 import json
+import weakref
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
@@ -204,7 +209,27 @@ def test_wrong_component_count_is_usage_error():
     r = run("--vars", "u,v", "frechet", "u")
     assert r.exit_code == 2 and "expected 2 components" in r.output
     r = run("lenard", "--op-h", "d^3", "--op-k", "d", "--seed", "1,2")
-    assert r.exit_code == 2 and "seed needs 1 components" in r.output
+    assert r.exit_code == 2 and "expected 1 component\n" in r.output
+
+
+def test_in_process_runs_release_their_streams():
+    """main() run in process under redirected streams, as an embedding
+    program does, keeps none of them (nor their text) alive."""
+    refs = []
+    for argv in (
+        ["hierarchy", "kdv", "--json"],
+        ["check-pva", "--op", "d^2"],
+        ["integrate", "u^2"],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit):
+                main(argv, prog_name="pvakit")
+        assert out.getvalue() or err.getvalue()
+        refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
 
 
 def test_zero_depth_is_usage_error():

@@ -93,18 +93,6 @@ def test_apply_linear(ctx2):
         assert (A + B).apply(P) == tuple(a + b for a, b in zip(A.apply(P), B.apply(P)))
 
 
-def test_homogeneous_degree(ctx1c):
-    u = ctx1c.gen(0)
-    H = MatrixDiffOp.single(ctx1c, [(1, ctx1c.param("c")), (3, ctx1c.one())])
-    assert H.homogeneous_degree() == 0
-    K = MatrixDiffOp.single(ctx1c, [(0, u.total_derivative()), (1, u.scale(2))])
-    assert K.homogeneous_degree() == 1
-    kdv = MatrixDiffOp.single(
-        ctx1c, [(0, u.total_derivative()), (1, u.scale(2)), (3, ctx1c.param("c"))]
-    )
-    assert kdv.homogeneous_degree() is None
-
-
 def test_render_matrix(ctx2):
     v = ctx2.gen(1)
     op = MatrixDiffOp(ctx2, [[[(1, ctx2.one())], [(1, v)]], [[], [(0, v)]]])
