@@ -274,12 +274,6 @@ class Expression:
             (Fraction(d), Expression(self.ctx, t)) for d, t in sorted(buckets.items())
         ]
 
-    def degree_if_homogeneous(self) -> Optional[Fraction]:
-        comps = self.degree_components()
-        if len(comps) != 1:
-            return None if comps else Fraction(0)
-        return comps[0][0]
-
     def is_polynomial(self) -> bool:
         return all(
             isinstance(e, int) and e > 0 for m in self.terms for _, e in m

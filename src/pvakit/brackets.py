@@ -28,6 +28,7 @@ from .varcalc import LocalFunctional, frechet, frechet_defect, variational_deriv
 
 def lambda_bracket(H: MatrixDiffOp, f: Expression, g: Expression) -> LambdaPoly:
     """{f_lam g} for the bracket with {u_i lam u_j} = H_ji(lam)."""
+    _check_shape(H)
     ctx = f.ctx
     ell = ctx.nvars
     zero = LambdaPoly(ctx, {})
@@ -221,15 +222,47 @@ def jacobi_triple_residual(H: MatrixDiffOp, i: int, j: int, k: int) -> BiLambdaP
     return res
 
 
+def _check_shape(H: MatrixDiffOp):
+    n = H.ctx.nvars
+    if (H.nrows, H.ncols) != (n, n):
+        raise ValueError(
+            "operator is %d x %d, expected %d x %d" % (H.nrows, H.ncols, n, n)
+        )
+
+
 def _check_triples(H: MatrixDiffOp, kind: str, residual) -> CheckReport:
     """Skew-adjointness of H, then residual(H, i, j, k) on every generator
-    triple; a nonzero residual is a failure of the given kind."""
+    triple; a nonzero residual is a failure of the given kind.
+
+    Once H is skew-adjoint, the residual is only evaluated for i <= j: both
+    residuals satisfy the mirror identity
+
+      R_ijk(lam, mu) = -R_jik(mu, lam).
+
+    Proof.  Swapping i <-> j and lam <-> mu turns each of the first two
+    terms into minus the other (the nested generator brackets for Jacobi,
+    the Beltrami-type slices for closedness).  The third term is
+    {X_ij(lam) _(lam+mu) u_k} with X_ij(lam) = H_ji(lam), resp. S_ij(lam),
+    for the bracket of H, resp. the Beltrami bracket.  Skewness gives
+    X_ij(lam) = -sum_p (-lam-d)^p x_p with X_ji(mu) = sum_p x_p mu^p, and
+    sesquilinearity in the first slot, {d a _nu b} = -nu {a _nu b}, turns
+    (-lam-d)^p at nu = lam + mu into (-lam + lam + mu)^p = mu^p; so the
+    third term of R_ijk is minus that of R_jik, read at (mu, lam).
+
+    Failures are reported in product order, a mirrored residual built by
+    negating R_jik and swapping its two slots."""
+    _check_shape(H)
     defect = H.adjoint() + H
     if not defect.is_zero():
         return CheckReport(False, [CheckFailure("skew", None, defect.render(), defect)])
     failures = []
+    evaluated = {}
     for i, j, k in product(range(H.ctx.nvars), repeat=3):
-        r = residual(H, i, j, k)
+        if i <= j:
+            r = evaluated[i, j, k] = residual(H, i, j, k)
+        else:
+            m = evaluated[j, i, k]
+            r = BiLambdaPoly(H.ctx, {(b, a): -v for (a, b), v in m.coeffs.items()})
         if not r.is_zero():
             failures.append(CheckFailure(kind, (i + 1, j + 1, k + 1), r.render(), r))
     return CheckReport(not failures, failures)

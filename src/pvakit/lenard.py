@@ -7,8 +7,8 @@ chain (orthogonality, involution, closedness) from one pairing matrix
 int F^m . op F^n per operator.  By the Lenard lemma every entry vanishes
 when H and K are skew-adjoint and the recursion holds, so such a chain is
 certified without evaluating any; otherwise a skew operator is evaluated
-on the triangle m < n only.  functional_bracket is reached only for a
-density whose variational derivative is not its step's gradient.
+on the triangle m < n only.  A bracket of two densities is evaluated
+only where a density's variational derivative is not its step's gradient.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import Context, Expression, VectorExpr, vec_dot, vec_is_zero
-from .brackets import functional_bracket
 from .errors import LogRequired, NonMonomialDivisor, NotClosed, NotExact, PlanMismatch
 from .operators import MatrixDiffOp
 from .varcalc import (
@@ -306,8 +305,8 @@ def verify_sequence(
       bracket {int h_m, int h_n} is the entry (m, n) itself; for the other
       kinds it is int dh_n . op dh_m, the entry (n, m) wherever both
       densities have the step's gradient as variational derivative.
-      functional_bracket is evaluated only for a density whose variational
-      derivative is not its step's gradient.
+      Elsewhere it is evaluated from the dh that the gradient check
+      computes, with op applied once per density.
 
     Lenard lemma: if H and K are skew-adjoint and the recursion holds on
     the recorded steps 0 .. N-1, every entry of both matrices vanishes.
@@ -351,24 +350,24 @@ def verify_sequence(
                     P[n][m] = P[m][n]
     ver.orthogonality = all(all(row) for P in pairings for row in P)
     gradients = KF if kind == "symplectic" else Fs
-    exact = [
-        s.h is not None and variational_derivative(s.h.rep) == tuple(g)
-        for s, g in zip(steps, gradients)
-    ]
+    deltas = [None if s.h is None else variational_derivative(s.h.rep) for s in steps]
+    exact = [d is not None and d == tuple(g) for d, g in zip(deltas, gradients)]
     ver.closed = [ok or is_closed(g).closed for g, ok in zip(gradients, exact)]
     ver.gradients = all(ok or s.h is None for s, ok in zip(steps, exact))
     if kind == "symplectic":
         involution = [all(all(row) for row in P) for P in pairings]
     else:
-        hs = [(n, s.h) for n, s in enumerate(steps) if s.h is not None]
-        involution = [
-            all(
-                P[n][m] if exact[m] and exact[n]
-                else functional_bracket(op, a, b).is_zero()
-                for m, a in hs
-                for n, b in hs
+        hs = [n for n, d in enumerate(deltas) if d is not None]
+        involution = []
+        for op, P, opF in zip(ops, pairings, images):
+            op_dh = {m: opF[m] if exact[m] else op.apply(deltas[m]) for m in hs}
+            involution.append(
+                all(
+                    P[n][m] if exact[m] and exact[n]
+                    else LocalFunctional(vec_dot(deltas[n], op_dh[m])).is_zero()
+                    for m in hs
+                    for n in hs
+                )
             )
-            for op, P in zip(ops, pairings)
-        ]
     ver.involution_h, ver.involution_k = involution[0], involution[-1]
     return record

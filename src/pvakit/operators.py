@@ -388,16 +388,31 @@ class BiLambdaPoly(_SymbolPoly):
         return "*".join(filter(None, map(_var_power, ("lam", "mu"), key)))
 
     def _shift(self, sign: int, times: int) -> "BiLambdaPoly":
-        """(sign * (lambda + mu + d))^times, d acting on coefficients."""
-        cur, ctx = self, self.ctx
-        for _ in range(times):
-            c = {k: v.scale(sign) for k, v in cur.coeffs.items()}
-            cur = (
-                BiLambdaPoly(ctx, {(a + 1, b): v for (a, b), v in c.items()})
-                + BiLambdaPoly(ctx, {(a, b + 1): v for (a, b), v in c.items()})
-                + BiLambdaPoly(ctx, {k: v.total_derivative() for k, v in c.items()})
-            )
-        return cur
+        """(sign * (lambda + mu + d))^times, d acting on coefficients,
+        expanded multinomially:
+
+          (s(lam+mu+d))^n c lam^a mu^b
+            = s^n sum_{k+i+j=n} n!/(k! i! j!) lam^(a+i) mu^(b+j) d^k c,
+
+        so each coefficient is differentiated along a single chain."""
+        if times == 0:
+            return self
+        sign = sign**times
+        out: dict[tuple[int, int], Expression] = {}
+        for (a, b), v in self.coeffs.items():
+            dv = v
+            for k in range(times + 1):
+                if k:
+                    dv = dv.total_derivative()
+                    if dv.is_zero():
+                        break
+                rest = times - k
+                for i in range(rest + 1):
+                    q = sign * comb(times, k) * comb(rest, i)
+                    term = dv if q == 1 else dv.scale(q)
+                    key = (a + i, b + rest - i)
+                    out[key] = out[key] + term if key in out else term
+        return BiLambdaPoly(self.ctx, out)
 
     def shift_both_neg(self, times: int = 1) -> "BiLambdaPoly":
         """(-lambda - mu - d)^times."""

@@ -12,9 +12,11 @@ first certifies closedness by delta of the scaling potential.  The symbol
 routines below carry their own binomial loops, and the nested brackets
 and structure checks one loop per slot; the library runs symbols on the
 operator-entry routines and shares one lift, one slice loop and one
-triple checker.  check_compatible mixes the operators with fresh parameters
-t1, t2, ...; the library checks every pairwise sum in the operators' own
-context.
+triple checker.  shift applies (lambda + mu + d) once per step, and
+check_pva and check_symplectic evaluate every triple; the library expands
+the shift multinomially and builds each triple with i > j from its mirror.
+check_compatible mixes the operators with fresh parameters t1, t2, ...;
+the library checks every pairwise sum in the operators' own context.
 test_fastpaths.py and test_verify_reference.py pin each pair together.
 """
 

@@ -25,6 +25,7 @@ from pvakit import (
     two_form_from_potential,
     variational_derivative,
 )
+from pvakit import brackets
 from pvakit.algebra import vec_is_zero
 from pvakit.operators import BiLambdaPoly
 from pvakit.parsing import parse_expression, parse_operator
@@ -299,3 +300,71 @@ def test_check_report_json(ctx1c):
     assert data["passed"] is False
     assert data["failures"][0]["residual_text"]
     assert "triple" in data["failures"][0]
+
+
+# two-variable operators over QQ(c), or their skew parts A - A^*: passing,
+# failing the skew test, and failing on triples, mirrored ones (i > j)
+# among them; with the triples each check reports, in product order
+_NOT_SKEW = "u*d, v*d; v*d + v', u*d"
+_TRIPLES = [(1, 2, 2), (2, 1, 2), (2, 2, 1)]
+_CASES = [
+    ("0, u*d; u*d + u', 0", False, [], []),
+    (_NOT_SKEW, False, [None], [None]),
+    (
+        _NOT_SKEW,
+        True,
+        [(1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 1, 1), (2, 1, 2), (2, 2, 1)],
+        _TRIPLES,
+    ),
+    ("c*d^3 + 2*u*d + u', v*d; v*d + v', 0", False, [], _TRIPLES),
+]
+
+
+@pytest.mark.parametrize("text, skew_part, pva, symplectic", _CASES)
+def test_check_reports_match_reference(text, skew_part, pva, symplectic):
+    A = parse_operator(text, Context(("u", "v"), ("c",)))
+    H = A - A.adjoint() if skew_part else A
+    for check, ref, triples in (
+        (check_pva, reference.check_pva, pva),
+        (check_symplectic, reference.check_symplectic, symplectic),
+    ):
+        got = check(H).to_json()
+        assert got == ref(H).to_json()
+        assert [f["triple"] for f in got["failures"]] == triples
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize(
+    "name, check",
+    [("jacobi_triple_residual", check_pva), ("symplectic_triple_residual", check_symplectic)],
+)
+def test_mirrored_triples_are_not_evaluated(nvars, name, check, monkeypatch):
+    """A skew operator gets N^2 (N + 1) / 2 residuals, those with i <= j;
+    one that fails the skew test gets none."""
+    ctx = Context(("u", "v", "w")[:nvars])
+    calls = []
+    original = getattr(brackets, name)
+
+    def counted(H, i, j, k):
+        calls.append((i, j, k))
+        return original(H, i, j, k)
+
+    monkeypatch.setattr(brackets, name, counted)
+    assert check(MatrixDiffOp.derivative(ctx, 1, nvars)).passed
+    assert len(calls) == nvars**2 * (nvars + 1) // 2
+    assert all(i <= j for i, j, _ in calls)
+    calls.clear()
+    assert not check(MatrixDiffOp.identity(ctx)).passed
+    assert calls == []
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_operator_must_be_nvars_square(ctx2, size):
+    """A 3 x 3 operator in two variables used to pass (its third row and
+    column were never read), a 1 x 1 one raised IndexError."""
+    op = MatrixDiffOp.derivative(ctx2, 1, size)
+    for check in (check_pva, check_symplectic, lambda H: check_compatible([H])):
+        with pytest.raises(ValueError, match="expected 2 x 2"):
+            check(op)
+    with pytest.raises(ValueError, match="expected 2 x 2"):
+        lambda_bracket(op, ctx2.gen(0), ctx2.gen(1))

@@ -89,6 +89,14 @@ def test_check_commands_exit_codes():
     assert "not Hamiltonian" in r.output
 
 
+@pytest.mark.parametrize("op", ["d, 0, 0; 0, d, 0; 0, 0, d", "d"])
+@pytest.mark.parametrize("command", ["check-pva", "check-symplectic", "check-compat"])
+def test_operator_of_wrong_size_is_usage_error(command, op):
+    r = run("--vars", "u,v", command, "--op", op)
+    assert r.exit_code == 2, (r.exit_code, r.output, r.exception)
+    assert "must be 2 x 2" in r.output
+
+
 def test_incompatible_pair_names_ops_and_pairwise_residuals():
     args = ("--vars", "u,v", "check-compat",
             "--op", "d, 0; 0, d", "--op", "v' + 2*v*d, 0; 0, 0")

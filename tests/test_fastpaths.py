@@ -1,13 +1,15 @@
 """Differential properties: every chained fast path equals its slice-by-slice
 reference in reference.py, certificate-first closedness and exactify agree
 with the defect-first references, the symbol routines, nested brackets and
-structure checks agree with their one-loop-per-rule references, the lazy
+structure checks agree with their one-loop-per-rule references (the
+multinomial shift with the iterated one, and both triple residuals of a
+skew operator satisfy the mirror identity the checks rely on), the lazy
 zero test agrees with the certified comparison, and rendered text parses
 back to what was rendered."""
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pvakit import (
     BiLambdaPoly,
@@ -178,11 +180,12 @@ def bilambda_polys(draw, ctx):
 
 
 @st.composite
-def structure_operators(draw, ctx):
+def structure_operators(draw, ctx, skew=None):
     """An operator with at most one term a*d^k per entry (k <= 2, a one
     product of powers of the u_i and u_i'), or its skew-adjoint part
-    A - A^* so that the triple checks run past the skew test; larger draws
-    can take seconds per Jacobi check."""
+    A - A^* so that the triple checks run past the skew test (always when
+    skew, drawn when None); larger draws can take seconds per Jacobi
+    check."""
     rows = [
         [
             [(draw(st.integers(0, 2)), draw(expressions(ctx, 1, 1)))
@@ -192,7 +195,9 @@ def structure_operators(draw, ctx):
         for _ in range(ctx.nvars)
     ]
     A = MatrixDiffOp(ctx, rows)
-    return A - A.adjoint() if draw(st.booleans()) else A
+    if skew is None:
+        skew = draw(st.booleans())
+    return A - A.adjoint() if skew else A
 
 
 @settings(max_examples=60, deadline=None)
@@ -207,6 +212,40 @@ def test_symbols_run_on_entry_routines(data):
     n = data.draw(st.integers(0, 3))
     assert y.shift_both_neg(n) == reference.shift_both_neg(y, n)
     assert y.op_apply_both(entry) == reference.op_apply_both(y, entry)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_multinomial_shift(data):
+    """(s(lam+mu+d))^n expanded multinomially equals n steps of
+    (lam+mu+d), and so does an entry up to d^5 applied through it."""
+    ctx = data.draw(st.sampled_from(CTXS3))
+    y = data.draw(bilambda_polys(ctx))
+    n = data.draw(st.integers(0, 6))
+    assert y.shift_both_neg(n) == reference.shift(y, -1, n)
+    entry = MatrixDiffOp(
+        ctx,
+        [[[(data.draw(st.integers(0, 5)), data.draw(expressions(ctx, 2, 2)))
+           for _ in range(data.draw(st.integers(0, 3)))]]],
+    ).entry(0, 0)
+    assert y.op_apply_both(entry) == reference.op_apply_both(y, entry)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_mirror_identity(data):
+    """For skew-adjoint S both triple residuals satisfy
+    R_ijk(lam, mu) = -R_jik(mu, lam), checked where R_ijk is nonzero."""
+    ctx = data.draw(st.sampled_from(CTXS3))
+    S = data.draw(structure_operators(ctx, skew=True))
+    residual = data.draw(
+        st.sampled_from([jacobi_triple_residual, symplectic_triple_residual])
+    )
+    i, j, k = (data.draw(st.integers(0, ctx.nvars - 1)) for _ in range(3))
+    r = residual(S, i, j, k)
+    assume(not r.is_zero())
+    m = residual(S, j, i, k)
+    assert r == BiLambdaPoly(ctx, {(b, a): -v for (a, b), v in m.coeffs.items()})
 
 
 @settings(max_examples=40, deadline=None)

@@ -95,7 +95,7 @@ def test_hd_degree_law():
     rec = generate(HierarchySpec("hd", depth=3))
     for s in rec.steps:
         (f,) = s.F
-        assert f.degree_if_homogeneous() == Fraction(-2 * s.n - 1, 2)
+        assert [d for d, _ in f.degree_components()] == [Fraction(-2 * s.n - 1, 2)]
 
 
 def test_cnw_hd_alpha_zero_terminates():

@@ -20,6 +20,7 @@ from pvakit import (
     parse_operator,
     verify_sequence,
 )
+from pvakit import brackets, varcalc
 from pvakit.hierarchies import FAMILIES, HierarchySpec, _Binding, generate
 from pvakit.lenard import HierarchyRecord, _attach_density
 
@@ -81,9 +82,10 @@ def test_corrupted_flags_match_reference(name, corrupt):
 
 
 def _pairing_tests(rec, H, K, monkeypatch):
-    """How many pairings int F^m . op F^n verify_sequence zero-tests on a
-    fresh copy of rec; the brackets of the involution fallback are not
-    pairings and are not counted."""
+    """How many functionals verify_sequence zero-tests on a fresh copy of
+    rec: the pairings int F^m . op F^n, plus the brackets
+    int dh_n . op dh_m of the involution fallback, which a record reaches
+    only where a density's variational derivative is not its gradient."""
     calls = []
 
     class Counted(LocalFunctional):
@@ -111,11 +113,47 @@ def test_each_pairing_evaluated_once(name, monkeypatch):
 
 
 def test_broken_chain_evaluates_each_skew_triangle(monkeypatch):
+    """Both skew triangles, plus the involution fallback for each operator
+    on the 2N - 1 pairs of densities that involve the perturbed step."""
     rec, H, K = _family("kdv")
     steps = list(rec.steps)
     _perturb_F(steps)
     bad = HierarchyRecord(rec.name, rec.kind, rec.params, steps)
-    assert _pairing_tests(bad, H, K, monkeypatch) == 2 * _triangle(len(steps))
+    N = len(steps)
+    assert _pairing_tests(bad, H, K, monkeypatch) == 2 * _triangle(N) + 2 * (2 * N - 1)
+
+
+def test_involution_fallback_reuses_variational_derivatives(monkeypatch):
+    """On the kdv record broken by _perturb_F the fallback brackets read the
+    dh of the gradient check: one variational derivative per density and
+    none per bracket (those of the zero tests themselves are taken in
+    varcalc and not counted); each operator is applied once to the one
+    inexact dh."""
+    rec, H, K = _family("kdv")
+    steps = list(rec.steps)
+    _perturb_F(steps)
+    bad = HierarchyRecord(rec.name, rec.kind, rec.params, steps)
+    want = _flags(bad, H, K, reference.verify_sequence)
+    calls = []
+    applied = []
+    vder = varcalc.variational_derivative
+
+    def counted(f):
+        calls.append(f)
+        return vder(f)
+
+    class Applied(type(H)):
+        def apply(self, vec):
+            applied.append(vec)
+            return super().apply(vec)
+
+    for mod in (lenard, brackets):
+        monkeypatch.setattr(mod, "variational_derivative", counted)
+    H2, K2 = (Applied(op.ctx, op.entries) for op in (H, K))
+    assert _flags(bad, H2, K2, verify_sequence) == want
+    assert len(calls) == len(steps)
+    # op F^n for every step, then op dh_2 once, for each operator
+    assert len(applied) == 2 * (len(steps) + 1)
 
 
 def _lenard_record(h_text, seed, depth, kind="hamiltonian"):
