@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from math import comb
 from typing import Optional, Sequence, Union
 
 from .algebra import Expression, VectorExpr, vec_dot, vec_sub
@@ -29,28 +28,30 @@ from .varcalc import LocalFunctional, frechet, frechet_defect, variational_deriv
 def lambda_bracket(H: MatrixDiffOp, f: Expression, g: Expression) -> LambdaPoly:
     """{f_lam g} for the bracket with {u_i lam u_j} = H_ji(lam)."""
     _check_shape(H)
-    ctx = f.ctx
-    ell = ctx.nvars
-    zero = LambdaPoly(ctx, {})
-    # A_i = sum_m (-lam-d)^m df/du_i^(m), in Horner form
-    # p_0 + (-lam-d)(p_1 + (-lam-d)(p_2 + ...))
+    A = [_horner(f, i) for i in range(f.ctx.nvars)]
+    out = LambdaPoly(f.ctx, {})
+    for j in range(f.ctx.nvars):
+        out = out + _spread(g, j, _against_gen(H, A, j))
+    return out
+
+
+def _horner(f: Expression, i: int) -> LambdaPoly:
+    """A_i = sum_m (-lam-d)^m df/du_i^(m), in Horner form
+    p_0 + (-lam-d)(p_1 + (-lam-d)(p_2 + ...))."""
     top = f.max_order()
-    A = []
-    for i in range(ell):
-        acc = LambdaPoly.of(f.partial(i, top))
-        for m in range(top - 1, -1, -1):
-            acc = LambdaPoly.of(f.partial(i, m)) - acc.shift_apply()
-        A.append(acc)
-    out = zero
-    for j in range(ell):
-        cj = zero
-        for i in range(ell):
-            if A[i].is_zero():
-                continue
-            entry = H.entry(j, i)
-            if entry:
-                cj = cj + A[i].op_apply(entry)
-        out = out + _spread(g, j, cj)
+    acc = LambdaPoly.of(f.partial(i, top))
+    for m in range(top - 1, -1, -1):
+        acc = LambdaPoly.of(f.partial(i, m)) - acc.shift_apply()
+    return acc
+
+
+def _against_gen(H: MatrixDiffOp, A: Sequence[LambdaPoly], j: int) -> LambdaPoly:
+    """{f_lam u_j} = sum_i H_ji(lam+d) A_i, from the A_i of f."""
+    out = LambdaPoly(H.ctx, {})
+    for i, Ai in enumerate(A):
+        entry = H.entry(j, i)
+        if entry and not Ai.is_zero():
+            out = out + Ai.op_apply(entry)
     return out
 
 
@@ -110,17 +111,11 @@ def nested_bracket_right(H: MatrixDiffOp, f: Expression, x: LambdaPoly) -> BiLam
 def nested_bracket_composed(
     H: MatrixDiffOp, x: LambdaPoly, g: Expression
 ) -> BiLambdaPoly:
-    """{x(lam)_{lam+mu} g}: bracket each coefficient against g and
-    evaluate the bracket variable at lam + mu."""
-    ctx = g.ctx
-    out = BiLambdaPoly(ctx, {})
+    """{x(lam)_{lam+mu} g}: the bracket of each coefficient x_a against g,
+    read at lam + mu and times lam^a."""
+    out = BiLambdaPoly(g.ctx, {})
     for a, xa in x.coeffs.items():
-        lp = lambda_bracket(H, xa, g)
-        for k, w in lp.coeffs.items():
-            for j in range(k + 1):
-                key = (a + j, k - j)
-                term = w.scale(comb(k, j))
-                out = out + BiLambdaPoly(ctx, {key: term})
+        out = out + BiLambdaPoly.at_sum(lambda_bracket(H, xa, g), a)
     return out
 
 
@@ -211,14 +206,11 @@ def jacobi_triple_residual(H: MatrixDiffOp, i: int, j: int, k: int) -> BiLambdaP
     res = _lift(H.symbol(k, j), lambda x: _gen_bracket(H, i, x), True) - _lift(
         H.symbol(k, i), lambda x: _gen_bracket(H, j, x), False
     )
-    # right side: {H_ji(lam) _(lam+mu) u_k}
-    z = H.symbol(j, i)
-    for h in range(H.ctx.nvars):
-        entry = H.entry(k, h)
-        if entry:
-            for a, n, p in _slices(z, h):
-                B = BiLambdaPoly(H.ctx, {(a, 0): p}).shift_both_neg(n)
-                res = res - B.op_apply_both(entry)
+    # right side: {H_ji(lam) _(lam+mu) u_k}, each coefficient z_a giving
+    # lam^a {z_a _nu u_k} read at nu = lam + mu
+    for a, za in H.symbol(j, i).coeffs.items():
+        A = [_horner(za, h) for h in range(H.ctx.nvars)]
+        res = res - BiLambdaPoly.at_sum(_against_gen(H, A, k), a)
     return res
 
 
@@ -243,7 +235,9 @@ def _check_triples(H: MatrixDiffOp, kind: str, residual) -> CheckReport:
     terms into minus the other (the nested generator brackets for Jacobi,
     the Beltrami-type slices for closedness).  The third term is
     {X_ij(lam) _(lam+mu) u_k} with X_ij(lam) = H_ji(lam), resp. S_ij(lam),
-    for the bracket of H, resp. the Beltrami bracket.  Skewness gives
+    for the bracket of H, resp. the Beltrami bracket: for each coefficient
+    z_a of X_ij(lam) = sum_a z_a lam^a, the one-variable symbol
+    {z_a _nu u_k} read at nu = lam + mu, times lam^a.  Skewness gives
     X_ij(lam) = -sum_p (-lam-d)^p x_p with X_ji(mu) = sum_p x_p mu^p, and
     sesquilinearity in the first slot, {d a _nu b} = -nu {a _nu b}, turns
     (-lam-d)^p at nu = lam + mu into (-lam + lam + mu)^p = mu^p; so the
@@ -304,8 +298,10 @@ def symplectic_triple_residual(S: MatrixDiffOp, i: int, j: int, k: int) -> BiLam
     ctx = S.ctx
     res = BiLambdaPoly(ctx, {(n, b): p for b, n, p in _slices(S.symbol(k, i), j)})
     res = res - BiLambdaPoly(ctx, {(a, n): p for a, n, p in _slices(S.symbol(k, j), i)})
-    for a, n, p in _slices(S.symbol(i, j), k):
-        res = res + BiLambdaPoly(ctx, {(a, 0): p}).shift_both_neg(n)
+    # the third term: lam^a A_k(s_a) read at lam + mu, A_k of the
+    # coefficient s_a of S_ij(lam) as in lambda_bracket
+    for a, sa in S.symbol(i, j).coeffs.items():
+        res = res + BiLambdaPoly.at_sum(_horner(sa, k), a)
     return res
 
 

@@ -306,7 +306,9 @@ def verify_sequence(
       kinds it is int dh_n . op dh_m, the entry (n, m) wherever both
       densities have the step's gradient as variational derivative.
       Elsewhere it is evaluated from the dh that the gradient check
-      computes, with op applied once per density.
+      computes, with op applied once per density; for a skew op only
+      m < n, since int dh_n . op dh_m = -int dh_m . op dh_n and the
+      diagonal vanishes.
 
     Lenard lemma: if H and K are skew-adjoint and the recursion holds on
     the recorded steps 0 .. N-1, every entry of both matrices vanishes.
@@ -359,7 +361,7 @@ def verify_sequence(
     else:
         hs = [n for n, d in enumerate(deltas) if d is not None]
         involution = []
-        for op, P, opF in zip(ops, pairings, images):
+        for op, P, opF, is_skew in zip(ops, pairings, images, skew):
             op_dh = {m: opF[m] if exact[m] else op.apply(deltas[m]) for m in hs}
             involution.append(
                 all(
@@ -367,6 +369,7 @@ def verify_sequence(
                     else LocalFunctional(vec_dot(deltas[n], op_dh[m])).is_zero()
                     for m in hs
                     for n in hs
+                    if not is_skew or m < n
                 )
             )
     ver.involution_h, ver.involution_k = involution[0], involution[-1]

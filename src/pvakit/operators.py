@@ -7,6 +7,9 @@ polynomials in lambda (resp. lambda and mu) with Expression coefficients.
 An entry and its symbol (d^k read as lambda^k) share one calculus: the
 adjoint is the substitution lambda -> -lambda - d and composition is
 d -> lambda + d, so LambdaPoly runs both on the entry routines below.
+A two-variable value is a one-variable symbol read at lambda + mu
+(BiLambdaPoly.at_sum), so d -> lambda + mu + d is never expanded in two
+variables.
 """
 
 from __future__ import annotations
@@ -220,11 +223,6 @@ class MatrixDiffOp:
         """The entry (i, j) with d^k replaced by lambda^k."""
         return LambdaPoly(self.ctx, {p: a for p, a in self.entries[i][j]})
 
-    def symbol_matrix(self) -> list[list["LambdaPoly"]]:
-        return [
-            [self.symbol(i, j) for j in range(self.ncols)] for i in range(self.nrows)
-        ]
-
     # -- context / rendering -------------------------------------------------
 
     def subst(self, ctx: Context, values) -> "MatrixDiffOp":
@@ -374,9 +372,6 @@ class LambdaPoly(_SymbolPoly):
         items = _entry_compose(entry, self.coeffs.items())
         return LambdaPoly(self.ctx, dict(_entry_norm(items)))
 
-    def at_zero(self) -> Expression:
-        return self.coefficient(0)
-
 
 class BiLambdaPoly(_SymbolPoly):
     """Polynomial in commuting formal lambda and mu over Expressions."""
@@ -387,44 +382,28 @@ class BiLambdaPoly(_SymbolPoly):
     def _power(key: tuple[int, int]) -> str:
         return "*".join(filter(None, map(_var_power, ("lam", "mu"), key)))
 
-    def _shift(self, sign: int, times: int) -> "BiLambdaPoly":
-        """(sign * (lambda + mu + d))^times, d acting on coefficients,
-        expanded multinomially:
-
-          (s(lam+mu+d))^n c lam^a mu^b
-            = s^n sum_{k+i+j=n} n!/(k! i! j!) lam^(a+i) mu^(b+j) d^k c,
-
-        so each coefficient is differentiated along a single chain."""
-        if times == 0:
-            return self
-        sign = sign**times
+    @staticmethod
+    def at_sum(x: LambdaPoly, a: int = 0, b: int = 0) -> "BiLambdaPoly":
+        """lambda^a mu^b x(lambda + mu): each x_k nu^k spread binomially
+        over lambda^j mu^(k-j); no coefficient is differentiated."""
         out: dict[tuple[int, int], Expression] = {}
-        for (a, b), v in self.coeffs.items():
-            dv = v
-            for k in range(times + 1):
-                if k:
-                    dv = dv.total_derivative()
-                    if dv.is_zero():
-                        break
-                rest = times - k
-                for i in range(rest + 1):
-                    q = sign * comb(times, k) * comb(rest, i)
-                    term = dv if q == 1 else dv.scale(q)
-                    key = (a + i, b + rest - i)
-                    out[key] = out[key] + term if key in out else term
-        return BiLambdaPoly(self.ctx, out)
+        for k, v in x.coeffs.items():
+            for j in range(k + 1):
+                key = (a + j, b + k - j)
+                term = v.scale(comb(k, j)) if 0 < j < k else v
+                out[key] = out[key] + term if key in out else term
+        return BiLambdaPoly(x.ctx, out)
 
     def shift_both_neg(self, times: int = 1) -> "BiLambdaPoly":
-        """(-lambda - mu - d)^times."""
-        return self._shift(-1, times)
+        """(-lambda - mu - d)^times, the entry (-1)^times d^times read at
+        lambda + mu as op_apply_both does."""
+        return self.op_apply_both(((times, self.ctx.num((-1) ** times)),))
 
     def op_apply_both(self, entry: Entry) -> "BiLambdaPoly":
-        """Apply an operator entry with d replaced by (lambda + mu + d)."""
+        """Apply an operator entry with d replaced by (lambda + mu + d): on
+        each term v lambda^a mu^b, the one-variable symbol of the entry
+        composed with v, read at lambda + mu."""
         out = BiLambdaPoly(self.ctx, {})
-        shifted = self
-        last = 0
-        for p, a in entry:
-            shifted = shifted._shift(1, p - last)
-            last = p
-            out = out + shifted.mul_expr(a)
+        for (a, b), v in self.coeffs.items():
+            out = out + BiLambdaPoly.at_sum(LambdaPoly.of(v).op_apply(entry), a, b)
         return out

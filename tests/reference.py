@@ -12,9 +12,11 @@ first certifies closedness by delta of the scaling potential.  The symbol
 routines below carry their own binomial loops, and the nested brackets
 and structure checks one loop per slot; the library runs symbols on the
 operator-entry routines and shares one lift, one slice loop and one
-triple checker.  shift applies (lambda + mu + d) once per step, and
-check_pva and check_symplectic evaluate every triple; the library expands
-the shift multinomially and builds each triple with i > j from its mirror.
+triple checker.  shift applies (lambda + mu + d) once per step, the
+triple residuals shift every slice in two variables, nested_bracket_composed
+spreads each term binomially on its own, and check_pva and
+check_symplectic evaluate every triple; the library reads one-variable
+symbols at lambda + mu and builds each triple with i > j from its mirror.
 check_compatible mixes the operators with fresh parameters t1, t2, ...;
 the library checks every pairwise sum in the operators' own context.
 test_fastpaths.py and test_verify_reference.py pin each pair together.
@@ -242,6 +244,19 @@ def nested_bracket_right(H, f, x):
     for a, xa in x.coeffs.items():
         lp = lambda_bracket(H, f, xa)
         out = out + BiLambdaPoly(ctx, {(a, b): v for b, v in lp.coeffs.items()})
+    return out
+
+
+def nested_bracket_composed(H, x, g):
+    """{x(lam)_{lam+mu} g}, each term of each bracket spread binomially
+    over lambda and mu one key at a time."""
+    ctx = g.ctx
+    out = BiLambdaPoly(ctx, {})
+    for a, xa in x.coeffs.items():
+        lp = lambda_bracket(H, xa, g)
+        for k, w in lp.coeffs.items():
+            for j in range(k + 1):
+                out = out + BiLambdaPoly(ctx, {(a + j, k - j): w.scale(comb(k, j))})
     return out
 
 

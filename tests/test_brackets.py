@@ -47,7 +47,7 @@ def test_beltrami_values(ctx1c):
     u = ctx1c.gen(0)
     assert beltrami_bracket(u, u) == LambdaPoly(ctx1c, {0: ctx1c.one()})
     f = (u ** 3).scale(Fraction(1, 2))
-    assert beltrami_bracket(f, u).at_zero() == (u * u).scale(Fraction(3, 2))
+    assert beltrami_bracket(f, u).coefficient(0) == (u * u).scale(Fraction(3, 2))
     # rows of the first variation through the bracket against generators
     up = ctx1c.gen(0, 1)
     F = ((up ** -1).scale(Fraction(-1, 2)),)

@@ -102,11 +102,10 @@ def test_render_matrix(ctx2):
 def test_symbol_matrix(ctx2):
     v = ctx2.gen(1)
     op = MatrixDiffOp(ctx2, [[[(1, ctx2.one())], [(1, v)]], [[], [(0, v)]]])
-    sym = op.symbol_matrix()
-    assert sym[0][0].render() == "lam"
-    assert sym[0][1].render() == "v*lam"
-    assert sym[1][0].is_zero()
-    assert sym[1][1].render() == "v"
+    assert op.symbol(0, 0).render() == "lam"
+    assert op.symbol(0, 1).render() == "v*lam"
+    assert op.symbol(1, 0).is_zero()
+    assert op.symbol(1, 1).render() == "v"
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,10 +2,11 @@
 reference in reference.py, certificate-first closedness and exactify agree
 with the defect-first references, the symbol routines, nested brackets and
 structure checks agree with their one-loop-per-rule references (the
-multinomial shift with the iterated one, and both triple residuals of a
-skew operator satisfy the mirror identity the checks rely on), the lazy
-zero test agrees with the certified comparison, and rendered text parses
-back to what was rendered."""
+two-variable read-off at lambda + mu with the iterated shift and the
+binomial spread, and both triple residuals of a skew operator satisfy the
+mirror identity the checks rely on), the lazy zero test agrees with the
+certified comparison, and rendered text parses back to what was
+rendered."""
 
 from fractions import Fraction
 
@@ -30,7 +31,11 @@ from pvakit import (
     symplectic_triple_residual,
     variational_derivative,
 )
-from pvakit.brackets import nested_bracket_left, nested_bracket_right
+from pvakit.brackets import (
+    nested_bracket_composed,
+    nested_bracket_left,
+    nested_bracket_right,
+)
 from pvakit.fields import Coefficient
 from pvakit.hierarchies import FAMILIES
 from pvakit.parsing import parse_operator
@@ -217,7 +222,7 @@ def test_symbols_run_on_entry_routines(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_multinomial_shift(data):
-    """(s(lam+mu+d))^n expanded multinomially equals n steps of
+    """(s(lam+mu+d))^n read off at lam + mu equals n steps of
     (lam+mu+d), and so does an entry up to d^5 applied through it."""
     ctx = data.draw(st.sampled_from(CTXS3))
     y = data.draw(bilambda_polys(ctx))
@@ -257,6 +262,18 @@ def test_one_lift_for_nested_brackets(data):
     x = data.draw(lambda_polys(ctx))
     assert nested_bracket_left(H, f, x) == reference.nested_bracket_left(H, f, x)
     assert nested_bracket_right(H, f, x) == reference.nested_bracket_right(H, f, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_composed_bracket_reads_symbols_at_sum(data):
+    """{x(lam)_{lam+mu} g} read off at lam + mu equals the binomial
+    spread of every term."""
+    ctx = data.draw(st.sampled_from(CTXS3))
+    H = data.draw(structure_operators(ctx))
+    x = data.draw(lambda_polys(ctx))
+    g = data.draw(expressions(ctx, 2, 2))
+    assert nested_bracket_composed(H, x, g) == reference.nested_bracket_composed(H, x, g)
 
 
 @settings(max_examples=30, deadline=None)

@@ -113,14 +113,15 @@ def test_each_pairing_evaluated_once(name, monkeypatch):
 
 
 def test_broken_chain_evaluates_each_skew_triangle(monkeypatch):
-    """Both skew triangles, plus the involution fallback for each operator
-    on the 2N - 1 pairs of densities that involve the perturbed step."""
+    """Both skew triangles, plus the involution fallback for each skew
+    operator on the N - 1 pairs m < n of densities that involve the
+    perturbed step."""
     rec, H, K = _family("kdv")
     steps = list(rec.steps)
     _perturb_F(steps)
     bad = HierarchyRecord(rec.name, rec.kind, rec.params, steps)
     N = len(steps)
-    assert _pairing_tests(bad, H, K, monkeypatch) == 2 * _triangle(N) + 2 * (2 * N - 1)
+    assert _pairing_tests(bad, H, K, monkeypatch) == 2 * _triangle(N) + 2 * (N - 1)
 
 
 def test_involution_fallback_reuses_variational_derivatives(monkeypatch):
