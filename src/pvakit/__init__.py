@@ -29,6 +29,7 @@ from .errors import (
     IndividualFailure,
     LogRequired,
     NonMonomialDivisor,
+    NonRationalCoefficient,
     NonRationalExponent,
     NotClosed,
     NotExact,

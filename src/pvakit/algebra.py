@@ -13,20 +13,65 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import NonMonomialDivisor, NonRationalExponent
-from .fields import Coefficient
-from . import fields
+from .fields import Coefficient, rational
 
 Gen = tuple[int, int]  # (derivative order n, variable index i), both >= 0
 Monomial = tuple[tuple[Gen, Union[int, Fraction]], ...]  # sorted by Gen, descending
 
 ONE_MONO: Monomial = ()
 
+# numbers that Expression arithmetic turns into constants; ``rational``
+# refuses the floats among them
+_NUMBERS = (int, Fraction, float)
+
+
+class _Exponent(Fraction):
+    """A non-integral exponent, interned by ``_exp``, whose hash is computed
+    once.  Its ``==``, ``<``, ``hash``, ``str`` and ``repr`` are those of
+    the plain Fraction of the same value; arithmetic on it gives plain
+    Fractions."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return "Fraction(%d, %d)" % (self._numerator, self._denominator)
+
+    def __reduce__(self):
+        return (_exp, (Fraction(self._numerator, self._denominator),))
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+_EXPONENTS: dict[tuple[int, int], _Exponent] = {}
+
 
 def _exp(x) -> Union[int, Fraction]:
-    if isinstance(x, int):
+    """The canonical exponent equal to x: an int when x is integral, else
+    the one interned ``_Exponent`` of that value, so that monomials, which
+    are dict keys everywhere, hash their exponents without recomputing a
+    Fraction hash (a modular inverse) at every lookup."""
+    cls = x.__class__
+    if cls is int or cls is _Exponent:
         return x
     if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
+        n, d = x._numerator, x._denominator
+        if d == 1:
+            return n
+        e = _EXPONENTS.get((n, d))
+        if e is None:
+            e = Fraction.__new__(_Exponent, n, d)
+            e._hash = hash(Fraction(n, d))
+            _EXPONENTS[(n, d)] = e
+        return e
+    if isinstance(x, int):
+        return int(x)
     raise NonRationalExponent("exponent %r is not a rational number" % (x,))
 
 
@@ -171,7 +216,7 @@ class Context:
         return self.num(1)
 
     def num(self, p, q=1) -> "Expression":
-        value = Fraction(p, q) if q != 1 else Fraction(p)
+        value = rational(p) if q == 1 else Fraction(rational(p), rational(q))
         if not value:
             return self.zero()
         return Expression(
@@ -286,7 +331,7 @@ class Expression:
             raise ValueError("expressions live in different contexts")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _NUMBERS):
             other = self.ctx.num(other)
         self._check_ctx(other)
         if not self.terms:
@@ -312,7 +357,7 @@ class Expression:
         return Expression(self.ctx, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _NUMBERS):
             other = self.ctx.num(other)
         return self + (-other)
 
@@ -320,7 +365,7 @@ class Expression:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _NUMBERS):
             return self.scale(other)
         if isinstance(other, Coefficient):
             return self.scale_coeff(other)
@@ -344,8 +389,8 @@ class Expression:
     __rmul__ = __mul__
 
     def scale(self, q) -> "Expression":
-        if not isinstance(q, (int, Fraction)):
-            q = Fraction(q)
+        if q.__class__ is not int:
+            q = rational(q)
         if not q:
             return self.ctx.zero()
         return Expression(self.ctx, {m: c.scale(q) for m, c in self.terms.items()})
@@ -383,8 +428,8 @@ class Expression:
         return Expression(self.ctx, {mono_pow(m, k): c})
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(1) / Fraction(other))
+        if isinstance(other, _NUMBERS):
+            return self.scale(Fraction(1) / rational(other))
         self._check_ctx(other)
         if not other.is_monomial():
             raise NonMonomialDivisor("division is only defined by monomials")
@@ -487,20 +532,9 @@ def _render_term(ctx: Context, m: Monomial, c: Coefficient) -> tuple[str, bool]:
     for g, e in m:
         name = ctx.gen_name(g)
         factors.append(name if e == 1 else name + _render_exponent(e))
-    negative = False
-    coeff = c
-    if len(coeff.num) == 1 and fields._pis_const(coeff.den):
-        (exps, q), = coeff.num.items()
-        if q < 0:
-            negative = True
-            coeff = -coeff
-    ctext = coeff.render(ctx.params)
+    negative, ctext = c.render_signed(ctx.params)
     if ctext == "1" and factors:
         return "*".join(factors), negative
-    if len(coeff.num) > 1 and fields._pis_const(coeff.den):
-        # a sum over a constant denominator; a non-constant one renders
-        # as "(sum)/den", which needs no further parentheses
-        ctext = "(%s)" % ctext
     return "*".join([ctext] + factors), negative
 
 

@@ -9,6 +9,10 @@ class NonRationalExponent(PvakitError):
     """A monomial exponent is not a rational number."""
 
 
+class NonRationalCoefficient(PvakitError):
+    """A coefficient is not a rational number (a float, say)."""
+
+
 class NonMonomialDivisor(PvakitError):
     """Division is only defined by single-term (monomial) expressions."""
 

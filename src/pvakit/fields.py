@@ -1,21 +1,67 @@
 """Exact arithmetic in the field QQ(p_1, ..., p_k) of rational functions.
 
-Polynomials over the parameters are sparse maps exponent-tuple -> Fraction.
-A Coefficient is a normalized quotient num/den: numerator and denominator
-coprime, denominator monic in its leading monomial (tuple-lexicographic
-order), zero stored as the empty numerator.  Everything is immutable.
+A Coefficient takes one of two forms.
+
+* A plain rational (no parameter occurs) holds only ``const``: an ``int``
+  when the value is integral, else a ``Fraction`` whose denominator is not
+  1.  ``+ - * scale neg ==`` on two plain rationals is one Python-number
+  operation plus one object; ``num``/``den`` are built only when something
+  asks for them.  Since ``int / int`` is a float in Python, every
+  reciprocal that can meet an ``int`` divides through ``Fraction``
+  (``_F1 / x``), and ``rational`` refuses floats at every entry point.
+  The hot paths read the ``_numerator``/``_denominator`` slots of a
+  ``Fraction`` directly; its public properties only wrap them.
+* A parametric coefficient holds a normalized quotient num/den of sparse
+  polynomials (maps exponent-tuple -> int or Fraction): numerator and
+  denominator coprime, denominator monic in its leading monomial
+  (tuple-lexicographic order), and at least one of them non-constant.
+
+Zero is the plain rational 0.  Everything is immutable.
 """
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
+from typing import Union
+
+from .errors import NonRationalCoefficient
 
 Exps = tuple[int, ...]
-Poly = dict[Exps, Fraction]
+Poly = dict[Exps, Union[int, Fraction]]
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 _ZEROS: dict[int, tuple] = {}
+
+
+def _zeros(nvars: int) -> Exps:
+    z = _ZEROS.get(nvars)
+    if z is None:
+        z = _ZEROS[nvars] = (0,) * nvars
+    return z
+
+
+def rational(q):
+    """q as an exact rational: an int when integral, else a Fraction.
+
+    Accepts ints, Fractions and whatever ``Fraction`` reads exactly
+    (strings, Decimals, other Rationals); a float, or any other real that
+    is not a Rational, raises NonRationalCoefficient.
+    """
+    if q.__class__ is int:
+        return q
+    if not isinstance(q, Fraction):
+        if isinstance(q, int):
+            return int(q)
+        if isinstance(q, numbers.Real) and not isinstance(q, numbers.Rational):
+            raise NonRationalCoefficient(
+                "coefficient %r is not a rational number; use Fraction" % (q,)
+            )
+        q = Fraction(q)
+    elif q.__class__ is not Fraction:
+        q = Fraction(q._numerator, q._denominator)
+    return q._numerator if q._denominator == 1 else q
 
 
 def _pconst(q: Fraction, nvars: int) -> Poly:
@@ -28,7 +74,7 @@ def _pis_const(a: Poly) -> bool:
 
 def _pconst_value(a: Poly) -> Fraction:
     if not a:
-        return Fraction(0)
+        return _F0
     return next(iter(a.values()))
 
 
@@ -92,7 +138,7 @@ def _pmonic(a: Poly) -> Poly:
     lc = a[_plead(a)]
     if lc == 1:
         return a
-    return _pscale(a, 1 / lc)
+    return _pscale(a, _F1 / lc)
 
 
 def _pvars(a: Poly, b: Poly) -> list[int]:
@@ -213,7 +259,7 @@ def _pdiv_exact(a: Poly, b: Poly) -> Poly:
     if not a:
         return {}
     if _pis_const(b):
-        return _pscale(a, 1 / _pconst_value(b))
+        return _pscale(a, _F1 / _pconst_value(b))
     used = _pvars(a, b)
     v = used[-1]
     ua, ub = _to_univar(a, v), _to_univar(b, v)
@@ -234,17 +280,19 @@ def _pdiv_exact(a: Poly, b: Poly) -> Poly:
 class Coefficient:
     """An element of QQ(p_1, ..., p_k), kept in canonical reduced form.
 
-    The plain-rational case carries a fast tag so that the dominant
-    parameter-free arithmetic avoids polynomial dictionaries.
+    ``const`` is the value of a plain rational (int or Fraction) and None
+    for a parametric coefficient, whose polynomials live in ``_num`` and
+    ``_den`` (None for a plain rational); see the module docstring.
     """
 
-    __slots__ = ("num", "den", "const")
+    __slots__ = ("const", "nvars", "_num", "_den")
 
     def __init__(self, num: Poly, den: Poly):
         if not den:
             raise ZeroDivisionError("zero denominator in coefficient")
+        nvars = len(next(iter(den)))
         if not num:
-            den = _pconst(_F1, len(next(iter(den))))
+            den = _pconst(_F1, nvars)
         elif not _pis_const(den):
             g = _pgcd(num, den)
             if not _pis_const(g):
@@ -253,110 +301,135 @@ class Coefficient:
         if num and not _pis_const(den):
             lc = den[_plead(den)]
             if lc != 1:
-                num = _pscale(num, 1 / lc)
-                den = _pscale(den, 1 / lc)
+                num = _pscale(num, _F1 / lc)
+                den = _pscale(den, _F1 / lc)
         elif _pis_const(den):
             c = _pconst_value(den)
             if c != 1:
-                num = _pscale(num, 1 / c)
-                den = _pconst(_F1, len(next(iter(den))))
-        self.num = num
-        self.den = den
-        self.const = _pconst_value(num) if _pis_const(num) and _pis_const(den) else None
-
-    @staticmethod
-    def _raw(num: Poly, den: Poly, const) -> "Coefficient":
-        out = Coefficient.__new__(Coefficient)
-        out.num = num
-        out.den = den
-        out.const = const
-        return out
+                num = _pscale(num, _F1 / c)
+                den = _pconst(_F1, nvars)
+        self.nvars = nvars
+        if _pis_const(num) and _pis_const(den):
+            self.const = rational(_pconst_value(num))
+            self._num = self._den = None
+        else:
+            self.const = None
+            self._num = num
+            self._den = den
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def from_fraction(q, nvars: int) -> "Coefficient":
-        if not isinstance(q, Fraction):
-            q = Fraction(q)
-        zeros = _ZEROS.get(nvars)
-        if zeros is None:
-            zeros = _ZEROS[nvars] = (0,) * nvars
-        return Coefficient._raw({zeros: q} if q else {}, {zeros: _F1}, q)
+        return _plain(rational(q), nvars)
 
     @staticmethod
     def parameter(j: int, nvars: int) -> "Coefficient":
         e = tuple(1 if k == j else 0 for k in range(nvars))
-        return Coefficient._raw({e: _F1}, {(0,) * nvars: _F1}, None)
+        return _parametric({e: 1}, {_zeros(nvars): 1}, nvars)
 
     # -- predicates ----------------------------------------------------
 
     @property
-    def nvars(self) -> int:
-        return len(next(iter(self.den)))
+    def num(self) -> Poly:
+        n = self._num
+        if n is None:
+            c = self.const
+            return {_zeros(self.nvars): c} if c else {}
+        return n
+
+    @property
+    def den(self) -> Poly:
+        d = self._den
+        return {_zeros(self.nvars): 1} if d is None else d
 
     def is_zero(self) -> bool:
-        return not self.num
+        return self.const == 0
 
     def is_one(self) -> bool:
         return self.const == 1
 
     def as_fraction(self) -> Fraction:
-        if self.const is None:
+        c = self.const
+        if c is None:
             raise ValueError("coefficient is not a plain rational")
-        return self.const
+        return c if c.__class__ is Fraction else Fraction(c)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "Coefficient") -> "Coefficient":
-        if self.const is not None and other.const is not None:
-            cq = self.const + other.const
-            if not cq:
-                return Coefficient._raw({}, self.den, _F0)
-            return Coefficient._raw({next(iter(self.den)): cq}, self.den, cq)
-        if self.den == other.den:
-            return Coefficient(_padd(self.num, other.num), dict(self.den))
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return Coefficient(num, _pmul(self.den, other.den))
+        a = self.const
+        b = other.const
+        if a is not None and b is not None:
+            c = a + b
+            if c.__class__ is not int and c._denominator == 1:
+                c = c._numerator
+            return _plain(c, self.nvars)
+        den = self.den
+        if den == other.den:
+            num = _padd(self.num, other.num)
+            if _pis_const(den):  # polynomials: no gcd
+                if _pis_const(num):
+                    return _plain(rational(_pconst_value(num)), self.nvars)
+                return _parametric(num, den, self.nvars)
+            return Coefficient(num, den)
+        num = _padd(_pmul(self.num, other.den), _pmul(other.num, den))
+        return Coefficient(num, _pmul(den, other.den))
 
     def __sub__(self, other: "Coefficient") -> "Coefficient":
         return self + (-other)
 
     def __neg__(self) -> "Coefficient":
-        return Coefficient._raw(
-            _pneg(self.num),
-            self.den,
-            -self.const if self.const is not None else None,
-        )
-
-    def __mul__(self, other: "Coefficient") -> "Coefficient":
-        if self.const is not None:
-            return other.scale(self.const)
-        if other.const is not None:
-            return self.scale(other.const)
-        return Coefficient(_pmul(self.num, other.num), _pmul(self.den, other.den))
-
-    def __truediv__(self, other: "Coefficient") -> "Coefficient":
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero coefficient")
-        if other.const is not None:
-            return self.scale(1 / other.const)
-        return Coefficient(_pmul(self.num, other.den), _pmul(self.den, other.num))
-
-    def scale(self, q) -> "Coefficient":
-        if not q:
-            return Coefficient.from_fraction(_F0, self.nvars)
         c = self.const
         if c is not None:
-            cq = c * q
-            if not cq:
-                return Coefficient._raw({}, self.den, _F0)
-            return Coefficient._raw({next(iter(self.den)): cq}, self.den, cq)
-        return Coefficient._raw(_pscale(self.num, q), self.den, None)
+            return _plain(-c, self.nvars)
+        return _parametric(_pneg(self._num), self._den, self.nvars)
+
+    def __mul__(self, other: "Coefficient") -> "Coefficient":
+        a = self.const
+        if a is not None:
+            b = other.const
+            if b is not None:
+                c = a * b
+                if c.__class__ is not int and c._denominator == 1:
+                    c = c._numerator
+                return _plain(c, self.nvars)
+            return other.scale(a)
+        b = other.const
+        if b is not None:
+            return self.scale(b)
+        return Coefficient(_pmul(self._num, other._num), _pmul(self._den, other._den))
+
+    def __truediv__(self, other: "Coefficient") -> "Coefficient":
+        b = other.const
+        if b == 0:
+            raise ZeroDivisionError("division by zero coefficient")
+        if b is not None:
+            return self.scale(_F1 / b)
+        return Coefficient(_pmul(self.num, other._den), _pmul(self.den, other._num))
+
+    def scale(self, q) -> "Coefficient":
+        c = self.const
+        if c is not None:
+            c = c * q
+            t = c.__class__
+            if t is not int:
+                if t is Fraction:
+                    if c._denominator == 1:
+                        c = c._numerator
+                else:
+                    c = rational(c)
+            return _plain(c, self.nvars)
+        if q.__class__ is not int and not isinstance(q, Fraction):
+            q = rational(q)
+        if not q:
+            return _plain(0, self.nvars)
+        return _parametric(_pscale(self._num, q), self._den, self.nvars)
 
     def __pow__(self, k: int) -> "Coefficient":
         if k < 0:
-            return Coefficient.from_fraction(1, self.nvars) / self ** (-k)
-        out = Coefficient.from_fraction(1, self.nvars)
+            return _plain(1, self.nvars) / self ** (-k)
+        out = _plain(1, self.nvars)
         for _ in range(k):
             out = out * self
         return out
@@ -366,23 +439,34 @@ class Coefficient:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coefficient):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        c = self.const
+        if c is not None:
+            return c == other.const and self.nvars == other.nvars
+        return (
+            other.const is None
+            and self._num == other._num
+            and self._den == other._den
+        )
 
     def __hash__(self):
-        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
+        c = self.const
+        if c is not None:
+            return hash(c)
+        return hash((frozenset(self._num.items()), frozenset(self._den.items())))
 
     def subst(self, values) -> "Coefficient":
         """Set parameter j to values[j] wherever that is not None; the
         parameters left symbolic keep their order."""
+        values = [v if v is None else rational(v) for v in values]
 
         def evaluate(p: Poly) -> Poly:
             out: Poly = {}
             for e, q in p.items():
                 for x, v in zip(e, values):
                     if v is not None:
-                        q *= Fraction(v) ** x
+                        q *= v ** x
                 kept = tuple(x for x, v in zip(e, values) if v is None)
-                out[kept] = out.get(kept, _F0) + q
+                out[kept] = out.get(kept, 0) + q
             return {e: q for e, q in out.items() if q}
 
         return Coefficient(evaluate(self.num), evaluate(self.den))
@@ -390,19 +474,62 @@ class Coefficient:
     # -- rendering -----------------------------------------------------
 
     def render(self, names: tuple[str, ...]) -> str:
-        num = _render_poly(self.num, names)
-        if _pis_const(self.den):
+        if self.const is not None:
+            return str(self.const)
+        num = _render_poly(self._num, names)
+        if _pis_const(self._den):
             return num
-        den = _render_poly(self.den, names)
-        if len(self.num) > 1:
+        den = _render_poly(self._den, names)
+        if len(self._num) > 1:
             num = "(%s)" % num
-        if len(self.den) > 1 or not _is_atomic_poly(self.den):
+        if len(self._den) > 1 or not _is_atomic_poly(self._den):
             den = "(%s)" % den
         return "%s/%s" % (num, den)
+
+    def render_signed(self, names: tuple[str, ...]) -> tuple[bool, str]:
+        """(sign is negative, text without that sign) for the coefficient
+        written in front of a monomial.  A one-term numerator over a
+        constant denominator gives up its sign, and a sum over a constant
+        denominator is parenthesised; a non-constant denominator renders as
+        "(sum)/den", which needs neither."""
+        c = self.const
+        if c is not None:
+            return c < 0, str(abs(c))
+        num = self._num
+        if not _pis_const(self._den):
+            return False, self.render(names)
+        if len(num) > 1:
+            return False, "(%s)" % _render_poly(num, names)
+        (q,) = num.values()
+        if q < 0:
+            return True, _render_poly(_pneg(num), names)
+        return False, _render_poly(num, names)
 
     def __repr__(self):
         names = tuple("p%d" % j for j in range(self.nvars))
         return "Coefficient(%s)" % self.render(names)
+
+
+_new = object.__new__
+
+
+def _plain(q, nvars: int) -> Coefficient:
+    """The plain rational q (an int, or a Fraction with denominator > 1)."""
+    out = _new(Coefficient)
+    out.const = q
+    out.nvars = nvars
+    out._num = out._den = None
+    return out
+
+
+def _parametric(num: Poly, den: Poly, nvars: int) -> Coefficient:
+    """A parametric coefficient whose num/den is already normalized."""
+    out = _new(Coefficient)
+    out.const = None
+    out.nvars = nvars
+    out._num = num
+    out._den = den
+    return out
 
 
 def _is_atomic_poly(p: Poly) -> bool:

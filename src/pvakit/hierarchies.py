@@ -23,6 +23,7 @@ from typing import Optional
 from .algebra import Context
 from .brackets import CheckFailure, CheckReport
 from .errors import PvakitError
+from .fields import rational
 from .lenard import (
     HierarchyRecord,
     HierarchyStep,
@@ -334,7 +335,7 @@ class HierarchySpec:
                 )
         full = {k: params.get(k, fam.params[k]) for k in allowed}
         full = {
-            k: (v if v is None else Fraction(v)) for k, v in full.items()
+            k: (v if v is None else Fraction(rational(v))) for k, v in full.items()
         }
         depth = self.depth if self.depth is not None else fam.depth
         if depth < 1:

@@ -18,7 +18,7 @@ from math import comb
 from typing import Iterator, Optional
 
 from .algebra import Context, Expression, VectorExpr
-from .fields import Fraction
+from .fields import rational
 
 Entry = tuple[tuple[int, Expression], ...]  # ((power, coeff), ...) sorted by power
 
@@ -190,7 +190,7 @@ class MatrixDiffOp:
         return MatrixDiffOp(ctx or self.ctx, rows)
 
     def scale(self, q) -> "MatrixDiffOp":
-        q = Fraction(q)
+        q = rational(q)
         return self._map(lambda a: a.scale(q))
 
     def adjoint(self) -> "MatrixDiffOp":
