@@ -55,6 +55,8 @@ def _session(vars_, params, config) -> Context:
         except (OSError, ValueError, TypeError, AttributeError) as exc:
             raise click.UsageError("unreadable --config file: %s" % exc)
     names = tuple(s.strip() for s in vars_.split(",") if s.strip())
+    if not names:
+        raise click.UsageError("the session needs at least one variable")
     plist = tuple(s.strip() for s in params.split(",") if s.strip()) if params else ()
     try:
         return Context(names, plist)
@@ -240,6 +242,8 @@ def lenard_cmd(ctx, h_text, k_text, plan_kind, chain_text, seed_texts, depth,
     monomials = None
     if plan_kind == "chain" and not chain_text:
         raise click.UsageError("--plan chain needs --chain")
+    if chain_text and plan_kind != "chain":
+        raise click.UsageError("--chain needs --plan chain")
     if chain_text:
         monomials = [_parse(ctx, t) for t in chain_text.split(";")]
     seeds = [_parse_vector(ctx, text.split(",")) for text in seed_texts]

@@ -3,12 +3,14 @@
 Extends a seed F^0 (, F^1) through K F^{n+1} = H F^n with a structured
 solver for K, fixes integration constants to zero, attaches conserved
 densities through the exactness algorithms, and verifies the produced
-chain (orthogonality, involution, closedness) from one pairing matrix
-int F^m . op F^n per operator.  By the Lenard lemma every entry vanishes
-when H and K are skew-adjoint and the recursion holds, so such a chain is
-certified without evaluating any; otherwise a skew operator is evaluated
-on the triangle m < n only.  A bracket of two densities is evaluated
-only where a density's variational derivative is not its step's gradient.
+chain (orthogonality, involution, closedness) from the set of nonzero
+pairings int F^m . op F^n of each operator.  By the Lenard lemma every
+pairing vanishes when H and K are skew-adjoint and the recursion holds,
+so such a chain is certified with empty sets and nothing evaluated;
+otherwise a skew operator is evaluated on the triangle m < n only.  A
+bracket of two densities is evaluated only where a density's variational
+derivative is not its step's gradient.  The verifier's state is linear in
+the depth plus the number of nonzero pairings.
 """
 
 from __future__ import annotations
@@ -298,20 +300,26 @@ def verify_sequence(
 
     Checks the recursion K F^{n+1} = H F^n, the gradient/density relation,
     closedness of every gradient (certain where that relation holds), and
-    the pairing matrices int F^m . (op F^n) of every operator:
+    the pairings int F^m . (op F^n) of every operator, of which only the
+    set of nonzero pairs (m, n) is kept:
 
-    * orthogonality: every entry of every matrix vanishes;
+    * orthogonality: no operator has a nonzero pairing;
     * involution of the densities under op: for a symplectic chain the
-      bracket {int h_m, int h_n} is the entry (m, n) itself; for the other
-      kinds it is int dh_n . op dh_m, the entry (n, m) wherever both
-      densities have the step's gradient as variational derivative.
-      Elsewhere it is evaluated from the dh that the gradient check
-      computes, with op applied once per density; for a skew op only
-      m < n, since int dh_n . op dh_m = -int dh_m . op dh_n and the
-      diagonal vanishes.
+      bracket {int h_m, int h_n} is the pairing (m, n) itself, so it holds
+      when op has no nonzero pairing; for the other kinds it is
+      int dh_n . op dh_m, the pairing (n, m) wherever both densities have
+      the step's gradient as variational derivative, so such a pair fails
+      exactly when (n, m) is in the set.  A pair with any other density is
+      evaluated from the dh that the gradient check computes, with op
+      applied once per density.  The pairs are walked in the order (m, n)
+      up to the first failure; for a skew op only m < n, since
+      int dh_n . op dh_m = -int dh_m . op dh_n and the diagonal vanishes.
+
+    Besides the images op F^n, the state is the nonzero pairings, so it is
+    linear in the depth plus their number.
 
     Lenard lemma: if H and K are skew-adjoint and the recursion holds on
-    the recorded steps 0 .. N-1, every entry of both matrices vanishes.
+    the recorded steps 0 .. N-1, every pairing of both operators vanishes.
     Write a_{m,n} = int F^m . H F^n and b_{m,n} = int F^m . K F^n.  For
     m > n, the recursion at n and at m - 1 and skewness of K and of H give
 
@@ -320,13 +328,14 @@ def verify_sequence(
 
     the walk (m, n) -> (m-1, n+1) -> ... -> (n, m) stays inside the box of
     recorded steps, and skewness gives a_{n,m} = -a_{m,n}, so a_{m,n} = 0;
-    the diagonal vanishes by skewness alone.  The K matrix follows from
+    the diagonal vanishes by skewness alone.  The K pairings follow from
     b_{m,n+1} = a_{m,n} and b_{m,0} = -b_{0,m}.  So when both operators
     are skew (op^* + op = 0, tested once per call) and ``chain`` holds, no
-    entry is evaluated.  Otherwise a skew operator still has
-    int F^m . J F^n = -int F^n . J F^m and a zero diagonal, so only the
-    triangle m < n is evaluated and mirrored; a non-skew operator gets all
-    N^2 entries.
+    pairing is evaluated and both sets stay empty.  Otherwise a skew
+    operator still has int F^m . J F^n = -int F^n . J F^m and a zero
+    diagonal, so only the triangle m < n is evaluated and each nonzero
+    pairing enters the set with its mirror; a non-skew operator gets all
+    N^2 pairings.
 
     A "dirac" chain (NLS) has the one operator J = K, with flow_n =
     J F^{n+1} in place of the recursion, so the lemma does not apply and J
@@ -343,32 +352,34 @@ def verify_sequence(
     ver.chain = all(KF[m + 1] == targets[m] for m in range(len(Fs) - 1))
     skew = [(op.adjoint() + op).is_zero() for op in ops]
     certified = ver.chain and all(skew) and kind != "dirac"
-    pairings = [[[True] * len(Fs) for _ in Fs] for _ in ops]
-    for P, opF, is_skew in zip(pairings, images, skew):
+    nonzero = [set() for _ in ops]
+    for S, opF, is_skew in zip(nonzero, images, skew):
         for m in range(0 if certified else len(Fs)):
             for n in range(m + 1 if is_skew else 0, len(Fs)):
-                P[m][n] = LocalFunctional(vec_dot(Fs[m], opF[n])).is_zero()
-                if is_skew:
-                    P[n][m] = P[m][n]
-    ver.orthogonality = all(all(row) for P in pairings for row in P)
+                if not LocalFunctional(vec_dot(Fs[m], opF[n])).is_zero():
+                    S.update({(m, n), (n, m)} if is_skew else {(m, n)})
+    ver.orthogonality = not any(nonzero)
     gradients = KF if kind == "symplectic" else Fs
     deltas = [None if s.h is None else variational_derivative(s.h.rep) for s in steps]
     exact = [d is not None and d == tuple(g) for d, g in zip(deltas, gradients)]
     ver.closed = [ok or is_closed(g).closed for g, ok in zip(gradients, exact)]
     ver.gradients = all(ok or s.h is None for s, ok in zip(steps, exact))
     if kind == "symplectic":
-        involution = [all(all(row) for row in P) for P in pairings]
+        involution = [not S for S in nonzero]
     else:
         hs = [n for n, d in enumerate(deltas) if d is not None]
+        inexact = [n for n in hs if not exact[n]]
         involution = []
-        for op, P, opF, is_skew in zip(ops, pairings, images, skew):
+        for op, S, opF, is_skew in zip(ops, nonzero, images, skew):
             op_dh = {m: opF[m] if exact[m] else op.apply(deltas[m]) for m in hs}
+            # a pair of exact densities is listed only when its pairing fails
+            fails = [(m, n) for n, m in S if exact[m] and exact[n]]
+            pairs = fails + [(m, n) for m in hs for n in (inexact if exact[m] else hs)]
             involution.append(
                 all(
-                    P[n][m] if exact[m] and exact[n]
-                    else LocalFunctional(vec_dot(deltas[n], op_dh[m])).is_zero()
-                    for m in hs
-                    for n in hs
+                    not (exact[m] and exact[n])
+                    and LocalFunctional(vec_dot(deltas[n], op_dh[m])).is_zero()
+                    for m, n in sorted(pairs)
                     if not is_skew or m < n
                 )
             )

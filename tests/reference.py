@@ -4,8 +4,8 @@ The first functions differentiate every slice from scratch; the library
 computes the same values along one chain of derivatives (Horner form).
 The verifiers below evaluate orthogonality and involution separately, with
 a second verifier for the one-operator NLS chain, and gen_bracket carries
-its own loop; the library reads every check from one pairing matrix per
-operator and shares one loop between the generator bracket and
+its own loop; the library reads every check from the nonzero pairings
+of each operator and shares one loop between the generator bracket and
 lambda_bracket.  is_closed always builds the defect operator, and exactify
 decides closedness by it before it looks for a potential; the library
 first certifies closedness by delta of the scaling potential.  The symbol

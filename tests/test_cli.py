@@ -2,12 +2,21 @@ import contextlib
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import weakref
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import pvakit
 from pvakit.cli import main
 
 
@@ -205,6 +214,28 @@ def test_chain_plan_without_chain_is_usage_error():
     )
 
 
+def test_chain_without_chain_plan_is_usage_error():
+    r = run("lenard", "--op-h", "d^3", "--op-k", "d", "--chain", "u^2", "--seed", "1",
+            "--depth", "2")
+    _assert_usage_error(r)
+    assert "--chain needs --plan chain" in r.output
+
+
+def test_session_without_variables_is_usage_error():
+    for names in ("", ","):
+        r = run("--vars", names, "vder", "1")
+        _assert_usage_error(r)
+        assert "at least one variable" in r.output
+
+
+def test_config_without_variables_is_usage_error(tmp_path):
+    cfg = tmp_path / "session.json"
+    cfg.write_text(json.dumps({"variables": [], "parameters": ["c"]}))
+    r = run("--config", str(cfg), "check-pva", "--op", "0")
+    _assert_usage_error(r)
+    assert "at least one variable" in r.output
+
+
 def test_malformed_config_is_usage_error(tmp_path):
     cfg = tmp_path / "session.json"
     cfg.write_text('{"variables": ["u"')
@@ -238,6 +269,32 @@ def test_in_process_runs_release_their_streams():
         del out, err
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
+
+
+@pytest.mark.skipif(
+    resource is None or not sys.platform.startswith("linux"),
+    reason="RLIMIT_AS of a child process needs Linux",
+)
+def test_certified_deep_chain_fits_in_bounded_memory():
+    """A certified chain keeps no per-pair state: depth 6400 runs in a
+    child whose address space is capped at 200 MB (N x N pairing matrices
+    would need more)."""
+    root = os.path.dirname(os.path.dirname(pvakit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    argv = ["lenard", "--op-h", "d^3", "--op-k", "d", "--seed", "1", "--depth", "6400",
+            "--json"]
+    r = subprocess.run(
+        [sys.executable, "-m", "pvakit.cli"] + argv,
+        capture_output=True, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20)),
+        timeout=300,
+    )
+    assert r.returncode == 0, r.stderr.decode()[-2000:]
+    record = json.loads(r.stdout)
+    assert len(record["steps"]) == 6401
+    flags = record["verification"]
+    assert all(flags[k] for k in flags if k != "closed") and all(flags["closed"])
 
 
 def test_zero_depth_is_usage_error():

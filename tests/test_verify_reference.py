@@ -1,9 +1,11 @@
-"""verify_sequence reads every flag from one pairing matrix per operator,
-certified by the Lenard lemma or evaluated on its skew triangle; it must
-give the flags of the reference verifiers, which evaluate
-orthogonality and every bracket on their own, on sound and on corrupted
-records of all three chain kinds; the densities the chains carry are the
-ones the defect-first reference attaches."""
+"""verify_sequence reads every flag from the set of nonzero pairings of
+each operator, empty when the Lenard lemma certifies the chain and
+otherwise evaluated on the skew triangle, and evaluates a bracket only
+where a density is inexact; its state is linear in the depth plus the
+number of nonzero pairings.  It must give the flags of the reference
+verifiers, which evaluate orthogonality and every bracket on their own,
+on sound and on corrupted records of all three chain kinds; the densities
+the chains carry are the ones the defect-first reference attaches."""
 
 from dataclasses import replace
 
@@ -68,8 +70,29 @@ def _swap_h(steps):
     steps[1], steps[2] = replace(a, h=b.h), replace(b, h=a.h)
 
 
+def _foreign(ctx):
+    """u*u'^2, a density foreign to the kdv, pkdv and nls chains."""
+    u, u1 = ctx.gen(0, 0), ctx.gen(0, 1)
+    return u * u1 * u1
+
+
+def _foreign_h(steps):
+    """An inexact density whose brackets with the exact ones do not vanish."""
+    s = steps[2]
+    steps[2] = replace(s, h=LocalFunctional(_foreign(s.F[0].ctx)))
+
+
+def _foreign_step(steps):
+    """An exact density whose pairings with the other steps do not vanish."""
+    s = steps[2]
+    g = _foreign(s.F[0].ctx)
+    steps[2] = replace(s, F=varcalc.variational_derivative(g), h=LocalFunctional(g))
+
+
 @pytest.mark.parametrize("name", ["kdv", "pkdv", "nls"])
-@pytest.mark.parametrize("corrupt", [_perturb_F, _double_h, _swap_h])
+@pytest.mark.parametrize(
+    "corrupt", [_perturb_F, _double_h, _swap_h, _foreign_h, _foreign_step]
+)
 def test_corrupted_flags_match_reference(name, corrupt):
     rec, H, K = _family(name)
     steps = list(rec.steps)
@@ -122,6 +145,19 @@ def test_broken_chain_evaluates_each_skew_triangle(monkeypatch):
     bad = HierarchyRecord(rec.name, rec.kind, rec.params, steps)
     N = len(steps)
     assert _pairing_tests(bad, H, K, monkeypatch) == 2 * _triangle(N) + 2 * (N - 1)
+
+
+def test_failing_exact_pairs_are_read_not_evaluated(monkeypatch):
+    """On the kdv record broken by _foreign_step every density is exact, so
+    involution reads the nonzero pairings of the two skew triangles and
+    evaluates no bracket."""
+    rec, H, K = _family("kdv")
+    steps = list(rec.steps)
+    _foreign_step(steps)
+    bad = HierarchyRecord(rec.name, rec.kind, rec.params, steps)
+    ver = _flags(bad, H, K, verify_sequence)
+    assert ver["gradients"] and not ver["involution_H"] and not ver["involution_K"]
+    assert _pairing_tests(bad, H, K, monkeypatch) == 2 * _triangle(len(steps))
 
 
 def test_involution_fallback_reuses_variational_derivatives(monkeypatch):
