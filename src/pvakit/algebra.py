@@ -27,11 +27,14 @@ _NUMBERS = (int, Fraction, float)
 
 class _Exponent(Fraction):
     """A non-integral exponent, interned by ``_exp``, whose hash is computed
-    once.  Its ``==``, ``<``, ``hash``, ``str`` and ``repr`` are those of
-    the plain Fraction of the same value; arithmetic on it gives plain
-    Fractions."""
+    once.  Its ``==``, ``<``, ``hash``, ``str``, ``repr``, ``copy`` and
+    ``pickle`` are those of the plain Fraction of the same value;
+    arithmetic on it gives plain Fractions.  ``_pred`` and ``_succ`` hold
+    the interned e - 1 and e + 1, filled on first use by ``_fill_pred``
+    and ``_fill_succ``, so that the derivations step an exponent by
+    reading a slot, with no Fraction arithmetic and no re-interning."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_pred", "_succ")
 
     def __hash__(self):
         return self._hash
@@ -52,11 +55,39 @@ class _Exponent(Fraction):
 _EXPONENTS: dict[tuple[int, int], _Exponent] = {}
 
 
+def _intern(n: int, d: int) -> _Exponent:
+    """The one ``_Exponent`` equal to n/d, for coprime n and d > 1."""
+    e = _EXPONENTS.get((n, d))
+    if e is None:
+        e = Fraction.__new__(_Exponent, n, d)
+        e._hash = hash(Fraction(n, d))
+        e._pred = e._succ = None
+        _EXPONENTS[(n, d)] = e
+    return e
+
+
+def _fill_pred(e: _Exponent) -> _Exponent:
+    """Set and return e._pred, the interned e - 1, and link it back."""
+    d = e._denominator
+    p = e._pred = _intern(e._numerator - d, d)
+    p._succ = e
+    return p
+
+
+def _fill_succ(e: _Exponent) -> _Exponent:
+    """Set and return e._succ, the interned e + 1, and link it back."""
+    d = e._denominator
+    s = e._succ = _intern(e._numerator + d, d)
+    s._pred = e
+    return s
+
+
 def _exp(x) -> Union[int, Fraction]:
     """The canonical exponent equal to x: an int when x is integral, else
     the one interned ``_Exponent`` of that value, so that monomials, which
     are dict keys everywhere, hash their exponents without recomputing a
-    Fraction hash (a modular inverse) at every lookup."""
+    Fraction hash (a modular inverse) at every lookup, and carry their
+    neighbours e - 1 and e + 1 (see ``_Exponent``)."""
     cls = x.__class__
     if cls is int or cls is _Exponent:
         return x
@@ -64,12 +95,7 @@ def _exp(x) -> Union[int, Fraction]:
         n, d = x._numerator, x._denominator
         if d == 1:
             return n
-        e = _EXPONENTS.get((n, d))
-        if e is None:
-            e = Fraction.__new__(_Exponent, n, d)
-            e._hash = hash(Fraction(n, d))
-            _EXPONENTS[(n, d)] = e
-        return e
+        return _intern(n, d)
     if isinstance(x, int):
         return int(x)
     raise NonRationalExponent("exponent %r is not a rational number" % (x,))
@@ -101,7 +127,9 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
         else:
             e = ea + eb
             if e:
-                out.append((ga, _exp(e)))
+                if e.__class__ is not int:
+                    e = _exp(e)
+                out.append((ga, e))
             ia += 1
             ib += 1
     out.extend(a[ia:])
@@ -133,44 +161,38 @@ def mono_weight(a: Monomial):
     return w
 
 
-def mono_set_exp(a: Monomial, g: Gen, e) -> Monomial:
-    """Return a with the exponent of g replaced by e (e may be 0)."""
-    e = _exp(e)
-    out = [(h, x) for h, x in a if h != g]
-    if e:
-        out.append((g, e))
-        out.sort(reverse=True)
-    return tuple(out)
-
-
 def mono_bump(a: Monomial, idx: int) -> Monomial:
     """One product-rule step of the total derivative at position idx:
     lower that generator's exponent by one and multiply by its derivative
-    generator (order + 1, same variable)."""
+    generator (order + 1, same variable).
+
+    The result is spliced from slices of a.  Since a is sorted in
+    descending order, the slot of the derivative generator lies before
+    idx; a short scan back from idx finds it.  There that generator is
+    inserted with exponent 1, or the exponent already present is raised
+    (and the factor dropped when it reaches 0); then a[idx] is lowered
+    (and dropped when it was 1).  Integer exponents step by int
+    arithmetic, the others by reading the interned neighbours ``_pred``
+    and ``_succ``."""
     g, e = a[idx]
     up: Gen = (g[0] + 1, g[1])
-    out = []
-    placed = False
-    for t in range(len(a)):
-        h, x = a[t]
-        if not placed:
-            if h == up:
-                placed = True
-                merged = x + 1
-                if merged:
-                    out.append((up, _exp(merged)))
-                continue
-            if h < up:
-                out.append((up, 1))
-                placed = True
-        if t == idx:
-            if e != 1:
-                out.append((g, _exp(e - 1)))
-        else:
-            out.append((h, x))
-    if not placed:
-        out.append((up, 1))
-    return tuple(out)
+    j = idx
+    while j and a[j - 1][0] <= up:
+        j -= 1
+    if e.__class__ is int:
+        rest = a[idx + 1:] if e == 1 else ((g, e - 1),) + a[idx + 1:]
+    else:
+        rest = ((g, e._pred or _fill_pred(e)),) + a[idx + 1:]
+    if a[j][0] != up:
+        return a[:j] + ((up, 1),) + a[j:idx] + rest
+    x = a[j][1]
+    if x.__class__ is int:
+        if x == -1:
+            return a[:j] + a[j + 1:idx] + rest
+        x += 1
+    else:
+        x = x._succ or _fill_succ(x)
+    return a[:j] + ((up, x),) + a[j + 1:idx] + rest
 
 
 class Context:
@@ -452,42 +474,57 @@ class Expression:
     # -- derivations ----------------------------------------------------------
 
     def partial(self, i: int, n: int) -> "Expression":
-        """Partial derivative with respect to u_i^{(n)}."""
+        """Partial derivative with respect to u_i^{(n)}: in each monomial
+        the factor of u_i^{(n)} is spliced out and, unless its exponent was
+        1, put back with the exponent one lower (an int, or the interned
+        ``_pred``)."""
         g = (n, i)
         out: dict = {}
         for m, c in self.terms.items():
-            for h, e in m:
+            for t, (h, e) in enumerate(m):
                 if h == g:
-                    nm = mono_set_exp(m, g, e - 1)
-                    nc = c.scale(e)
-                    s = out.get(nm)
-                    s = nc if s is None else s + nc
-                    if s.is_zero():
-                        if nm in out:
-                            del out[nm]
+                    if e.__class__ is not int:
+                        nm = m[:t] + ((g, e._pred or _fill_pred(e)),) + m[t + 1:]
+                        c = c.scale(e)
+                    elif e == 1:
+                        nm = m[:t] + m[t + 1:]
                     else:
-                        out[nm] = s
+                        nm = m[:t] + ((g, e - 1),) + m[t + 1:]
+                        c = c.scale(e)
+                    s = out.get(nm)
+                    if s is None:
+                        out[nm] = c
+                    else:
+                        s = s + c
+                        if s.is_zero():
+                            del out[nm]
+                        else:
+                            out[nm] = s
                     break
                 if h < g:
                     break
         return Expression(self.ctx, out)
 
     def total_derivative(self, times: int = 1) -> "Expression":
-        """Apply the derivation sum_{i,n} u_i^{(n+1)} d/du_i^{(n)}."""
+        """Apply the derivation sum_{i,n} u_i^{(n+1)} d/du_i^{(n)}, one
+        ``mono_bump`` per factor of each monomial."""
         cur = self
         for _ in range(times):
             out: dict = {}
             for m, c in cur.terms.items():
                 for idx in range(len(m)):
                     nm = mono_bump(m, idx)
-                    nc = c.scale(m[idx][1])
+                    e = m[idx][1]
+                    nc = c if e == 1 else c.scale(e)
                     s = out.get(nm)
-                    s = nc if s is None else s + nc
-                    if s.is_zero():
-                        if nm in out:
-                            del out[nm]
+                    if s is None:
+                        out[nm] = nc
                     else:
-                        out[nm] = s
+                        s = s + nc
+                        if s.is_zero():
+                            del out[nm]
+                        else:
+                            out[nm] = s
             cur = Expression(cur.ctx, out)
         return cur
 

@@ -3,7 +3,8 @@
 Session options (--vars/--params or --config) fix the ambient algebra;
 subcommands expose the checkers, the variational calculus and the
 hierarchy generators.  Exit status: 0 on success or a passing check, 1 on
-a failing check or an unsolvable computation, 2 on usage or syntax errors.
+a failing check or an unsolvable computation (or when memory runs out), 2
+on usage or syntax errors.
 """
 
 from __future__ import annotations
@@ -120,7 +121,18 @@ def _emit_report(report, as_json: bool):
     sys.exit(0 if report.passed else 1)
 
 
-@click.group()
+class _Group(click.Group):
+    """The command group; a MemoryError anywhere below it ends the run
+    with a one-line error and exit status 1, not a traceback."""
+
+    def invoke(self, com):
+        try:
+            return super().invoke(com)
+        except MemoryError:
+            _fail("out of memory")
+
+
+@click.group(cls=_Group)
 @click.option("--vars", "vars_", default="u", help="comma-separated variable names")
 @click.option("--params", default="", help="comma-separated parameter names")
 @click.option("--config", default=None, type=click.Path(exists=True),

@@ -20,7 +20,7 @@ from .algebra import (
     Context,
     Expression,
     VectorExpr,
-    mono_set_exp,
+    _fill_succ,
     mono_weight,
     vec_dot,
     vec_is_zero,
@@ -98,6 +98,11 @@ def is_closed(F: VectorExpr) -> ClosednessReport:
 def antiderivative(f: Expression, i: int, n: int) -> Expression:
     """Termwise preimage of d/du_i^(n) for f of differential order <= (n, i).
 
+    Every monomial of f starts at or below (n, i), so the factor of
+    u_i^(n) is its first one or absent: the first factor's exponent e is
+    spliced to e + 1 (an int, or the interned ``_succ``), or (u_i^(n), 1)
+    is put in front.
+
     Raises LogRequired when a term carries exponent -1 in u_i^(n), and
     OrderViolation when f depends on a jet variable above (n, i).
     """
@@ -110,18 +115,20 @@ def antiderivative(f: Expression, i: int, n: int) -> Expression:
                 "argument depends on %s, above the integration variable %s"
                 % (ctx.gen_name(m[0][0]), ctx.gen_name(g))
             )
-        e = 0
-        for h, x in m:
-            if h == g:
-                e = x
-                break
-        if e == -1:
-            raise LogRequired(
-                "term %s needs a logarithm in %s"
-                % (Expression(ctx, {m: c}).render(), ctx.gen_name(g))
-            )
-        nm = mono_set_exp(m, g, e + 1)
-        out[nm] = c / _coeff_num(ctx, e + 1)
+        if not m or m[0][0] != g:
+            out[((g, 1),) + m] = c
+            continue
+        e = m[0][1]
+        if e.__class__ is int:
+            if e == -1:
+                raise LogRequired(
+                    "term %s needs a logarithm in %s"
+                    % (Expression(ctx, {m: c}).render(), ctx.gen_name(g))
+                )
+            up = e + 1
+        else:
+            up = e._succ or _fill_succ(e)
+        out[((g, up),) + m[1:]] = c / _coeff_num(ctx, up)
     return Expression(ctx, out)
 
 

@@ -1,6 +1,9 @@
 """Reference versions of library routines, kept as the definitions read.
 
-The first functions differentiate every slice from scratch; the library
+mono_bump, partial, total_derivative and antiderivative rebuild each
+monomial factor by factor and step exponents by Fraction arithmetic; the
+library splices tuple slices and reads the interned neighbours of an
+exponent.  The next functions differentiate every slice from scratch; the library
 computes the same values along one chain of derivatives (Horner form).
 The verifiers below evaluate orthogonality and involution separately, with
 a second verifier for the one-operator NLS chain, and gen_bracket carries
@@ -29,19 +32,123 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from pvakit.algebra import Context, vec_dot, vec_is_zero
+from pvakit.algebra import Context, Expression, _exp, vec_dot, vec_is_zero
 from pvakit.brackets import CheckFailure, CheckReport, functional_bracket
 from pvakit.brackets import check_pva as lib_check_pva
-from pvakit.errors import IndividualFailure, NotClosed
+from pvakit.errors import IndividualFailure, LogRequired, NotClosed, OrderViolation
 from pvakit.operators import BiLambdaPoly, LambdaPoly, MatrixDiffOp
 from pvakit.parsing import parse_operator
 from pvakit.varcalc import (
     ClosednessReport,
     LocalFunctional,
+    _coeff_num,
     _exactify_inductive,
     frechet,
     variational_derivative as vder,
 )
+
+
+def mono_set_exp(a, g, e):
+    """Return a with the exponent of g replaced by e (e may be 0)."""
+    e = _exp(e)
+    out = [(h, x) for h, x in a if h != g]
+    if e:
+        out.append((g, e))
+        out.sort(reverse=True)
+    return tuple(out)
+
+
+def mono_bump(a, idx):
+    """One product-rule step of the total derivative at position idx:
+    lower that generator's exponent by one and multiply by its derivative
+    generator (order + 1, same variable)."""
+    g, e = a[idx]
+    up = (g[0] + 1, g[1])
+    out = []
+    placed = False
+    for t in range(len(a)):
+        h, x = a[t]
+        if not placed:
+            if h == up:
+                placed = True
+                merged = x + 1
+                if merged:
+                    out.append((up, _exp(merged)))
+                continue
+            if h < up:
+                out.append((up, 1))
+                placed = True
+        if t == idx:
+            if e != 1:
+                out.append((g, _exp(e - 1)))
+        else:
+            out.append((h, x))
+    if not placed:
+        out.append((up, 1))
+    return tuple(out)
+
+
+def _accumulate(out, nm, nc):
+    s = out.get(nm)
+    s = nc if s is None else s + nc
+    if s.is_zero():
+        if nm in out:
+            del out[nm]
+    else:
+        out[nm] = s
+
+
+def partial(f, i, n):
+    """Partial derivative with respect to u_i^{(n)}, by mono_set_exp."""
+    g = (n, i)
+    out = {}
+    for m, c in f.terms.items():
+        for h, e in m:
+            if h == g:
+                _accumulate(out, mono_set_exp(m, g, e - 1), c.scale(e))
+                break
+            if h < g:
+                break
+    return Expression(f.ctx, out)
+
+
+def total_derivative(f, times=1):
+    """sum_{i,n} u_i^{(n+1)} d/du_i^{(n)}, one mono_bump per factor."""
+    cur = f
+    for _ in range(times):
+        out = {}
+        for m, c in cur.terms.items():
+            for idx in range(len(m)):
+                _accumulate(out, mono_bump(m, idx), c.scale(m[idx][1]))
+        cur = Expression(cur.ctx, out)
+    return cur
+
+
+def antiderivative(f, i, n):
+    """Termwise preimage of d/du_i^(n), the exponent of u_i^(n) found by a
+    scan of the whole monomial."""
+    ctx = f.ctx
+    g = (n, i)
+    out = {}
+    for m, c in f.terms.items():
+        if m and m[0][0] > g:
+            raise OrderViolation(
+                "argument depends on %s, above the integration variable %s"
+                % (ctx.gen_name(m[0][0]), ctx.gen_name(g))
+            )
+        e = 0
+        for h, x in m:
+            if h == g:
+                e = x
+                break
+        if e == -1:
+            raise LogRequired(
+                "term %s needs a logarithm in %s"
+                % (Expression(ctx, {m: c}).render(), ctx.gen_name(g))
+            )
+        nm = mono_set_exp(m, g, e + 1)
+        out[nm] = c / _coeff_num(ctx, e + 1)
+    return Expression(ctx, out)
 
 
 def variational_derivative(f):

@@ -297,6 +297,30 @@ def test_certified_deep_chain_fits_in_bounded_memory():
     assert all(flags[k] for k in flags if k != "closed") and all(flags["closed"])
 
 
+@pytest.mark.skipif(
+    resource is None or not sys.platform.startswith("linux"),
+    reason="RLIMIT_AS of a child process needs Linux",
+)
+def test_out_of_memory_is_a_one_line_error():
+    """A run that exhausts a 100 MB address space (the depth-50000 record
+    cannot be rendered as JSON in it) exits 1 with one error line."""
+    root = os.path.dirname(os.path.dirname(pvakit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    argv = ["lenard", "--op-h", "d^3", "--op-k", "d", "--seed", "1", "--depth", "50000",
+            "--json"]
+    r = subprocess.run(
+        [sys.executable, "-m", "pvakit.cli"] + argv,
+        capture_output=True, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (100 << 20, 100 << 20)),
+        timeout=300,
+    )
+    stderr = r.stderr.decode()
+    assert r.returncode == 1, stderr[-2000:]
+    assert "Traceback" not in stderr
+    assert stderr == "error: out of memory\n"
+
+
 def test_zero_depth_is_usage_error():
     _assert_usage_error(run("hierarchy", "kdv", "--depth", "0"))
 

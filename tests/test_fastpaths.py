@@ -1,4 +1,7 @@
-"""Differential properties: every chained fast path equals its slice-by-slice
+"""Differential properties: the spliced derivations (total derivative,
+partials, antiderivative) equal their factor-by-factor references in
+reference.py and step exponents through the interned neighbours, every
+chained fast path equals its slice-by-slice
 reference in reference.py, certificate-first closedness and exactify agree
 with the defect-first references, the symbol routines, nested brackets and
 structure checks agree with their one-loop-per-rule references (the
@@ -8,6 +11,8 @@ mirror identity the checks rely on), the lazy zero test agrees with the
 certified comparison, and rendered text parses back to what was
 rendered."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
@@ -15,6 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 from pvakit import (
     BiLambdaPoly,
     Context,
+    Expression,
     LambdaPoly,
     LocalFunctional,
     MatrixDiffOp,
@@ -31,6 +37,7 @@ from pvakit import (
     symplectic_triple_residual,
     variational_derivative,
 )
+from pvakit.algebra import _Exponent, _exp, _fill_pred, _fill_succ, mono_bump
 from pvakit.brackets import (
     nested_bracket_composed,
     nested_bracket_left,
@@ -39,6 +46,7 @@ from pvakit.brackets import (
 from pvakit.fields import Coefficient
 from pvakit.hierarchies import FAMILIES
 from pvakit.parsing import parse_operator
+from pvakit.varcalc import antiderivative
 
 import reference
 
@@ -95,6 +103,117 @@ def operators(draw, ctx):
 
 
 contexts = st.sampled_from(CTXS)
+
+
+STEP_EXPONENTS = (-2, -1, Fraction(-1, 2), Fraction(1, 2), 1, Fraction(3, 2), 2)
+
+
+@st.composite
+def stepped_expressions(draw, ctx):
+    """A sum of monomials with exponents in STEP_EXPONENTS, some holding
+    u_i^(n+1)^(-1) * u_i^(n)^e, where the bump of u_i^(n) raises the
+    exponent -1 to 0 (and with e = 1 also drops u_i^(n))."""
+    total = ctx.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        term = ctx.coeff_expr(draw(coefficients(ctx)))
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, ctx.nvars - 1))
+            n = draw(st.integers(0, 3))
+            term = term * ctx.gen(i, n) ** draw(st.sampled_from(STEP_EXPONENTS))
+        if draw(st.booleans()):
+            i = draw(st.integers(0, ctx.nvars - 1))
+            n = draw(st.integers(0, 2))
+            e = draw(st.sampled_from(STEP_EXPONENTS))
+            term = term * ctx.gen(i, n + 1) ** -1 * ctx.gen(i, n) ** e
+        total = total + term
+    return total
+
+
+def _canonical(m):
+    """Every exponent of m is an int or the interned _Exponent."""
+    return all(e.__class__ is int or e is _exp(Fraction(e)) for _, e in m)
+
+
+def _antiderivative_outcome(fn, f, i, n):
+    try:
+        return fn(f, i, n)
+    except PvakitError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_spliced_derivations(data):
+    """mono_bump, partial, total_derivative and antiderivative equal the
+    references that rebuild each monomial and step by Fraction arithmetic."""
+    ctx = data.draw(st.sampled_from(CTXS3))
+    f = data.draw(stepped_expressions(ctx))
+    for m in f.terms:
+        for idx in range(len(m)):
+            got = mono_bump(m, idx)
+            assert got == reference.mono_bump(m, idx)
+            assert _canonical(got)
+    for times in (1, 2):
+        got = f.total_derivative(times)
+        assert got == reference.total_derivative(f, times)
+        assert all(_canonical(m) for m in got.terms)
+    for i in range(ctx.nvars):
+        for n in range(5):
+            got = f.partial(i, n)
+            assert got == reference.partial(f, i, n)
+            assert all(_canonical(m) for m in got.terms)
+            got = _antiderivative_outcome(antiderivative, f, i, n)
+            assert got == _antiderivative_outcome(reference.antiderivative, f, i, n)
+            if isinstance(got, Expression):
+                assert all(_canonical(m) for m in got.terms)
+
+
+def test_bump_merges_to_zero_and_drops_unit_factor():
+    ctx = Context(("u",))
+    u, u1, u2, u3 = (ctx.gen(0, n) for n in range(4))
+    f = u1 ** -1 * u2
+    assert f.total_derivative() == reference.total_derivative(f)
+    assert f.total_derivative() == u3 / u1 - u2 ** 2 / u1 ** 2
+    g = u2 ** -1 * u1
+    assert g.total_derivative() == reference.total_derivative(g)
+    # the bump of u' meets u''^(-1): both factors vanish, leaving 1
+    assert g.total_derivative() == ctx.one() - u1 * u3 / u2 ** 2
+    assert mono_bump(next(iter(g.terms)), 1) == ()
+
+
+def test_neighbours_are_interned():
+    for x in (Fraction(-5, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(7, 2)):
+        e = _exp(x)
+        assert e.__class__ is _Exponent
+        p = e._pred or _fill_pred(e)
+        s = e._succ or _fill_succ(e)
+        assert p is _exp(x - 1) and e._pred is p and p._succ is e
+        assert s is _exp(x + 1) and e._succ is s and s._pred is e
+    ctx = Context(("u",))
+    half = Fraction(1, 2)
+    (m,) = (ctx.gen(0, 1) ** half * ctx.gen(0, 0) ** half).terms
+    (_, e0), (_, e1) = mono_bump(m, 1)
+    assert e0 is _exp(Fraction(3, 2)) and e1 is _exp(-half)
+    (m,) = (ctx.gen(0, 2) ** half).partial(0, 2).terms
+    assert m[0][1] is _exp(-half)
+    (m,) = antiderivative(ctx.gen(0, 2) ** half, 0, 2).terms
+    assert m[0][1] is _exp(Fraction(3, 2))
+
+
+def test_exponent_copy_and_pickle_round_trip():
+    for x in (Fraction(-1, 2), Fraction(3, 2), Fraction(2, 3)):
+        e = _exp(x)
+        _fill_pred(e), _fill_succ(e)
+        assert copy.copy(e) is e and copy.deepcopy(e) is e
+        back = pickle.loads(pickle.dumps(e))
+        assert back is e and back == x and hash(back) == hash(x)
+        assert repr(e) == repr(x) and str(e) == str(x)
+    ctx = Context(("u", "v"), ("c",))
+    f = ctx.parse("c*u'^(1/2)*v^(-3/2) + u''^(-1/2)")
+    (m,) = [m for m in f.terms if len(m) == 2]
+    assert pickle.loads(pickle.dumps(m)) == m
+    assert all(a is b for (_, a), (_, b) in zip(pickle.loads(pickle.dumps(m)), m))
+    assert copy.deepcopy(f.terms) == f.terms
 
 
 @settings(max_examples=80, deadline=None)

@@ -160,6 +160,25 @@ def test_failing_exact_pairs_are_read_not_evaluated(monkeypatch):
     assert _pairing_tests(bad, H, K, monkeypatch) == 2 * _triangle(len(steps))
 
 
+def test_involution_walk_follows_pair_order(monkeypatch):
+    """The involution walk visits its pairs in (m, n) order, the failing
+    exact pairs among the others, and stops at the first that fails.  On
+    the kdv record with _foreign_step at step 2 and F^1 perturbed as
+    _perturb_F perturbs its step, both skew triangles are evaluated and the
+    walk tests 17 functionals in all; a walk that took the failing exact
+    pairs first would stop before any bracket and test 12."""
+    rec, H, K = _family("kdv")
+    steps = list(rec.steps)
+    _foreign_step(steps)
+    s = steps[1]
+    steps[1] = replace(s, F=(s.F[0] + s.F[0].ctx.gen(0, 1),) + tuple(s.F[1:]))
+    bad = HierarchyRecord(rec.name, rec.kind, rec.params, steps)
+    ver = _flags(bad, H, K, verify_sequence)
+    assert ver == _flags(bad, H, K, reference.verify_sequence)
+    assert not ver["involution_H"] and not ver["involution_K"]
+    assert _pairing_tests(bad, H, K, monkeypatch) == 17
+
+
 def test_involution_fallback_reuses_variational_derivatives(monkeypatch):
     """On the kdv record broken by _perturb_F the fallback brackets read the
     dh of the gradient check: one variational derivative per density and
