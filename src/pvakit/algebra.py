@@ -145,11 +145,12 @@ def mono_pow(a: Monomial, k) -> Monomial:
 
 
 def mono_degree(a: Monomial):
-    """Total exponent sum (the eigenvalue of the exponent-sum grading)."""
-    d = Fraction(0)
+    """Total exponent sum (the eigenvalue of the exponent-sum grading):
+    an int when integral, else the interned exponent."""
+    d = 0
     for _, e in a:
         d += e
-    return _exp(d)
+    return d if d.__class__ is int else _exp(d)
 
 
 def mono_weight(a: Monomial):
@@ -434,6 +435,8 @@ class Expression:
                 base = base * base
                 n >>= 1
             return out
+        if not self.terms and k < 0:
+            raise NonMonomialDivisor("division by zero")
         if not self.is_monomial():
             raise NonMonomialDivisor(
                 "fractional or negative powers need a single-term base"
@@ -453,6 +456,8 @@ class Expression:
         if isinstance(other, _NUMBERS):
             return self.scale(Fraction(1) / rational(other))
         self._check_ctx(other)
+        if not other.terms:
+            raise NonMonomialDivisor("division by zero")
         if not other.is_monomial():
             raise NonMonomialDivisor("division is only defined by monomials")
         (m, c), = other.terms.items()

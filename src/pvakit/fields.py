@@ -4,33 +4,51 @@ A Coefficient takes one of two forms.
 
 * A plain rational (no parameter occurs) holds only ``const``: an ``int``
   when the value is integral, else a ``Fraction`` whose denominator is not
-  1.  ``+ - * scale neg ==`` on two plain rationals is one Python-number
-  operation plus one object; ``num``/``den`` are built only when something
-  asks for them.  Since ``int / int`` is a float in Python, every
-  reciprocal that can meet an ``int`` divides through ``Fraction``
+  1 (so never zero).  ``+ - * scale neg ==`` on two plain rationals is one Python-number
+  operation plus one object.  Since ``int / int`` is a float in Python,
+  every reciprocal that can meet an ``int`` divides through ``Fraction``
   (``_F1 / x``), and ``rational`` refuses floats at every entry point.
   The hot paths read the ``_numerator``/``_denominator`` slots of a
   ``Fraction`` directly; its public properties only wrap them.
-* A parametric coefficient holds a normalized quotient num/den of sparse
-  polynomials (maps exponent-tuple -> int or Fraction): numerator and
-  denominator coprime, denominator monic in its leading monomial
-  (tuple-lexicographic order), and at least one of them non-constant.
+* A parametric coefficient holds k * N / D.  k is a nonzero plain
+  rational.  N and D are sparse polynomials (maps exponent-tuple -> int)
+  with integer values, each primitive (its values have gcd 1) with a
+  positive leading coefficient (leading: at the largest exponent tuple),
+  and coprime.  D is None when it is 1, the common case; then N is not
+  constant.  This form is canonical, so ``==`` and ``hash`` compare
+  (k, N, D).
 
-Zero is the plain rational 0.  Everything is immutable.
+``scale`` and ``-`` change only k and share N and D.  A product over
+D = None is k1*k2 times N1*N2 and runs no gcd: by Gauss's lemma a product
+of primitive polynomials is primitive, and its leading coefficient is the
+product of the two positive leading coefficients.  A sum over D = None
+adds the two polynomials brought to one integer scale and pulls the
+integer content out with ``math.gcd``; when N1 is N2 (like terms
+q1*c + q2*c) it only adds k1 + k2.  A non-constant D is the rare path:
+the polynomial gcd and exact division run on integer polynomials
+(primitive pseudo-remainder sequence).
+
+``num`` and ``den`` are read-only views in the normalized form that the
+renderers and ``subst`` read: a denominator monic in its leading monomial,
+int or Fraction values.  Zero is the plain rational 0.  Everything is
+immutable.
 """
 
 from __future__ import annotations
 
 import numbers
 from fractions import Fraction
+from math import gcd
+from operator import add
 from typing import Union
 
 from .errors import NonRationalCoefficient
 
 Exps = tuple[int, ...]
-Poly = dict[Exps, Union[int, Fraction]]
+Poly = dict[Exps, Union[int, Fraction]]  # the num/den views
+IntPoly = dict[Exps, int]
+UniPoly = dict[int, IntPoly]  # univariate in one parameter, IntPoly coefficients
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 _ZEROS: dict[int, tuple] = {}
 
@@ -64,32 +82,43 @@ def rational(q):
     return q._numerator if q._denominator == 1 else q
 
 
-def _pconst(q: Fraction, nvars: int) -> Poly:
-    return {(0,) * nvars: q} if q else {}
+def _ratio(n: int, d: int):
+    """n / d as a plain rational, for ints n and d > 0."""
+    if d == 1:
+        return n
+    q = Fraction(n, d)
+    return q._numerator if q._denominator == 1 else q
 
 
-def _pis_const(a: Poly) -> bool:
-    return len(a) == 0 or (len(a) == 1 and not any(next(iter(a))))
+# -- integer polynomials --------------------------------------------------
 
 
-def _pconst_value(a: Poly) -> Fraction:
-    if not a:
-        return _F0
-    return next(iter(a.values()))
+def _is_const(p: IntPoly) -> bool:
+    """Whether the nonzero p is a constant; for a primitive p with a
+    positive leading coefficient, whether it is 1."""
+    return len(p) == 1 and not any(next(iter(p)))
 
 
-def _padd(a: Poly, b: Poly) -> Poly:
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    out = dict(a)
+def _primitive(p: IntPoly) -> tuple[int, IntPoly]:
+    """(c, p / c) for the nonzero p: c is the integer content of p, signed
+    so that p / c has a positive leading coefficient."""
+    c = gcd(*p.values())
+    if p[max(p)] < 0:
+        c = -c
+    if c == 1:
+        return 1, p
+    return c, {e: q // c for e, q in p.items()}
+
+
+def _lincomb(m: int, a: IntPoly, n: int, b: IntPoly) -> IntPoly:
+    """m*a + n*b."""
+    out = dict(a) if m == 1 else {e: m * q for e, q in a.items()}
     for e, q in b.items():
         s = out.get(e)
         if s is None:
-            out[e] = q
+            out[e] = n * q
         else:
-            s = s + q
+            s += n * q
             if s:
                 out[e] = s
             else:
@@ -97,51 +126,19 @@ def _padd(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def _pneg(a: Poly) -> Poly:
-    return {e: -q for e, q in a.items()}
-
-
-def _pscale(a: Poly, q: Fraction) -> Poly:
-    if not q:
-        return {}
-    return {e: c * q for e, c in a.items()}
-
-
-def _pmul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return {}
-    if _pis_const(a):
-        return _pscale(b, _pconst_value(a))
-    if _pis_const(b):
-        return _pscale(a, _pconst_value(b))
-    out: Poly = {}
+def _pmul(a: IntPoly, b: IntPoly) -> IntPoly:
+    out: IntPoly = {}
+    get = out.get
     for ea, qa in a.items():
         for eb, qb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            s = out.get(e)
-            s = qa * qb if s is None else s + qa * qb
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
+            e = tuple(map(add, ea, eb))
+            out[e] = get(e, 0) + qa * qb
+    if len(a) > 1 and len(b) > 1 and not all(out.values()):
+        return {e: q for e, q in out.items() if q}
     return out
 
 
-def _plead(a: Poly) -> Exps:
-    return max(a)
-
-
-def _pmonic(a: Poly) -> Poly:
-    """Scale so the leading coefficient is 1."""
-    if not a:
-        return a
-    lc = a[_plead(a)]
-    if lc == 1:
-        return a
-    return _pscale(a, _F1 / lc)
-
-
-def _pvars(a: Poly, b: Poly) -> list[int]:
+def _pvars(a: IntPoly, b: IntPoly) -> list[int]:
     used = set()
     for src in (a, b):
         for e in src:
@@ -151,36 +148,26 @@ def _pvars(a: Poly, b: Poly) -> list[int]:
     return sorted(used)
 
 
-def _to_univar(a: Poly, v: int) -> dict[int, Poly]:
-    """View a as a univariate polynomial in parameter v with Poly coefficients."""
-    out: dict[int, Poly] = {}
+def _to_univar(a: IntPoly, v: int) -> UniPoly:
+    """View a as a univariate polynomial in parameter v."""
+    out: UniPoly = {}
     for e, q in a.items():
-        d = e[v]
-        ered = e[:v] + (0,) + e[v + 1 :]
-        out.setdefault(d, {})[ered] = q
+        out.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1 :]] = q
     return out
 
 
-def _from_univar(u: dict[int, Poly], v: int) -> Poly:
-    out: Poly = {}
+def _from_univar(u: UniPoly, v: int) -> IntPoly:
+    out: IntPoly = {}
     for d, coeff in u.items():
         for e, q in coeff.items():
             out[e[:v] + (d,) + e[v + 1 :]] = q
     return out
 
 
-def _udegree(u: dict[int, Poly]) -> int:
-    return max(u)
-
-
-def _uscale(u: dict[int, Poly], s: Poly) -> dict[int, Poly]:
-    return {d: _pmul(c, s) for d, c in u.items()}
-
-
-def _usub(u: dict[int, Poly], w: dict[int, Poly]) -> dict[int, Poly]:
+def _usub(u: UniPoly, w: UniPoly) -> UniPoly:
     out = dict(u)
     for d, c in w.items():
-        s = _padd(out.get(d, {}), _pneg(c))
+        s = _lincomb(1, out[d], -1, c) if d in out else {e: -q for e, q in c.items()}
         if s:
             out[d] = s
         elif d in out:
@@ -188,134 +175,144 @@ def _usub(u: dict[int, Poly], w: dict[int, Poly]) -> dict[int, Poly]:
     return out
 
 
-def _ucontent(u: dict[int, Poly]) -> Poly:
-    g: Poly = {}
+def _ucontent(u: UniPoly) -> IntPoly:
+    """The gcd of the coefficients of u, primitive."""
+    g = None
     for c in u.values():
-        g = _pgcd(g, c)
-        if _pis_const(g) and g:
+        g = c if g is None else _pgcd(g, c)
+        if _is_const(g):
             break
-    return g if g else _pconst(_F1, 0)
+    return _primitive(g)[1]
 
 
-def _uprimitive(u: dict[int, Poly]) -> dict[int, Poly]:
+def _uprimitive(u: UniPoly) -> UniPoly:
+    """u divided by the gcd of its coefficients and by their integer content."""
     cont = _ucontent(u)
-    if _pis_const(cont):
-        return u
-    return {d: _pdiv_exact(c, cont) for d, c in u.items()}
+    if not _is_const(cont):
+        u = {d: _pdiv_exact(c, cont) for d, c in u.items()}
+    n = gcd(*(q for c in u.values() for q in c.values()))
+    if n != 1:
+        u = {d: {e: q // n for e, q in c.items()} for d, c in u.items()}
+    return u
 
 
-def _pseudo_rem(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:
-    da, db = _udegree(a), _udegree(b)
+def _pseudo_rem(a: UniPoly, b: UniPoly) -> UniPoly:
+    db = max(b)
     lb = b[db]
-    r = dict(a)
-    while r and _udegree(r) >= db:
-        dr = _udegree(r)
+    r = a
+    while r and max(r) >= db:
+        dr = max(r)
         lr = r[dr]
-        r = _uscale(r, lb)
-        shifted = {d + dr - db: _pmul(c, lr) for d, c in b.items()}
-        r = _usub(r, shifted)
+        r = {d: _pmul(c, lb) for d, c in r.items()}
+        r = _usub(r, {d + dr - db: _pmul(c, lr) for d, c in b.items()})
     return r
 
 
-def _pgcd(a: Poly, b: Poly) -> Poly:
-    """Gcd in QQ[p_1..p_k], normalized monic; gcd(0, b) = monic b."""
-    if not a:
-        return _pmonic(b)
-    if not b:
-        return _pmonic(a)
-    if _pis_const(a) or _pis_const(b):
-        return _pconst(_F1, len(next(iter(a))))
+def _pgcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Gcd of the nonzero a and b, primitive with a positive leading
+    coefficient."""
     nvars = len(next(iter(a)))
     # common monomial part
     mono = tuple(min(min(e[j] for e in a), min(e[j] for e in b)) for j in range(nvars))
+    if len(a) == 1 or len(b) == 1:
+        return {mono: 1}
     if any(mono):
         a = {tuple(x - m for x, m in zip(e, mono)): q for e, q in a.items()}
         b = {tuple(x - m for x, m in zip(e, mono)): q for e, q in b.items()}
-    if len(a) == 1 or len(b) == 1:
-        g: Poly = {mono: _F1}
-        return g
-    if a == b:
-        return _pmonic({tuple(x + m for x, m in zip(e, mono)): q for e, q in a.items()})
-    used = _pvars(a, b)
-    if not used:
-        return {mono: _F1}
-    v = used[-1]
+    v = _pvars(a, b)[-1]
     ua, ub = _to_univar(a, v), _to_univar(b, v)
-    if _udegree(ua) < _udegree(ub):
+    if max(ua) < max(ub):
         ua, ub = ub, ua
     cont = _pgcd(_ucontent(ua), _ucontent(ub))
     ua, ub = _uprimitive(ua), _uprimitive(ub)
     while ub:
         r = _pseudo_rem(ua, ub)
         ua, ub = ub, (_uprimitive(r) if r else {})
-    g = _pmul(_from_univar(ua, v), cont)
+    g = _primitive(_pmul(_from_univar(ua, v), cont))[1]
     if any(mono):
         g = {tuple(x + m for x, m in zip(e, mono)): q for e, q in g.items()}
-    return _pmonic(g)
+    return g
 
 
-def _pdiv_exact(a: Poly, b: Poly) -> Poly:
-    """Exact division a / b; b must divide a."""
-    if not a:
-        return {}
-    if _pis_const(b):
-        return _pscale(a, _F1 / _pconst_value(b))
-    used = _pvars(a, b)
-    v = used[-1]
+def _pdiv_exact(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Exact division a / b of nonzero integer polynomials; b must divide a."""
+    if _is_const(b):
+        (c,) = b.values()
+        if any(q % c for q in a.values()):
+            raise ArithmeticError("inexact polynomial division")
+        return {e: q // c for e, q in a.items()}
+    v = _pvars(a, b)[-1]
     ua, ub = _to_univar(a, v), _to_univar(b, v)
-    db = _udegree(ub)
+    db = max(ub)
     lb = ub[db]
-    quo: dict[int, Poly] = {}
+    quo: UniPoly = {}
     while ua:
-        da = _udegree(ua)
+        da = max(ua)
         if da < db:
             raise ArithmeticError("inexact polynomial division")
         qc = _pdiv_exact(ua[da], lb)
         quo[da - db] = qc
-        shifted = {d + da - db: _pmul(c, qc) for d, c in ub.items()}
-        ua = _usub(ua, shifted)
+        ua = _usub(ua, {d + da - db: _pmul(c, qc) for d, c in ub.items()})
     return _from_univar(quo, v)
+
+
+def _integral(p: Poly) -> tuple:
+    """(q, P) with p = q * P, for a polynomial p with rational values: q a
+    plain rational and P primitive with a positive leading coefficient;
+    (0, {}) for p = 0."""
+    if not p:
+        return 0, {}
+    m = 1
+    for q in p.values():
+        d = q.denominator
+        m = m * d // gcd(m, d)
+    c, P = _primitive({e: q.numerator * (m // q.denominator) for e, q in p.items()})
+    return _ratio(c, m), P
+
+
+def _quotient(k, S: IntPoly, T: IntPoly, nvars: int) -> "Coefficient":
+    """The coefficient k * S / T, for a nonzero plain rational k and integer
+    polynomials S and T != 0: the path with a non-constant denominator."""
+    if not S:
+        return _plain(0, nvars)
+    cs, S = _primitive(S)
+    ct, T = _primitive(T)
+    k = k * Fraction(cs, ct)
+    if k._denominator == 1:
+        k = k._numerator
+    if not _is_const(T) and not _is_const(S):
+        g = _pgcd(S, T)
+        if not _is_const(g):
+            S = _pdiv_exact(S, g)
+            T = _pdiv_exact(T, g)
+    if not _is_const(T):
+        return _parametric(k, S, T, nvars)
+    return _plain(k, nvars) if _is_const(S) else _parametric(k, S, None, nvars)
 
 
 class Coefficient:
     """An element of QQ(p_1, ..., p_k), kept in canonical reduced form.
 
     ``const`` is the value of a plain rational (int or Fraction) and None
-    for a parametric coefficient, whose polynomials live in ``_num`` and
-    ``_den`` (None for a plain rational); see the module docstring.
+    for a parametric coefficient k * N / D, held in ``_k``, ``_n`` and
+    ``_d`` (all None for a plain rational); see the module docstring.
+    ``Coefficient(num, den)`` builds num / den from two polynomials with
+    rational values.
     """
 
-    __slots__ = ("const", "nvars", "_num", "_den")
+    __slots__ = ("const", "nvars", "_k", "_n", "_d")
 
     def __init__(self, num: Poly, den: Poly):
         if not den:
             raise ZeroDivisionError("zero denominator in coefficient")
-        nvars = len(next(iter(den)))
-        if not num:
-            den = _pconst(_F1, nvars)
-        elif not _pis_const(den):
-            g = _pgcd(num, den)
-            if not _pis_const(g):
-                num = _pdiv_exact(num, g)
-                den = _pdiv_exact(den, g)
-        if num and not _pis_const(den):
-            lc = den[_plead(den)]
-            if lc != 1:
-                num = _pscale(num, _F1 / lc)
-                den = _pscale(den, _F1 / lc)
-        elif _pis_const(den):
-            c = _pconst_value(den)
-            if c != 1:
-                num = _pscale(num, _F1 / c)
-                den = _pconst(_F1, nvars)
-        self.nvars = nvars
-        if _pis_const(num) and _pis_const(den):
-            self.const = rational(_pconst_value(num))
-            self._num = self._den = None
-        else:
-            self.const = None
-            self._num = num
-            self._den = den
+        kn, N = _integral(num)
+        kd, D = _integral(den)
+        out = _quotient(_F1 * kn / kd, N, D, len(next(iter(den))))
+        self.const = out.const
+        self.nvars = out.nvars
+        self._k = out._k
+        self._n = out._n
+        self._d = out._d
 
     # -- constructors -------------------------------------------------
 
@@ -326,28 +323,44 @@ class Coefficient:
     @staticmethod
     def parameter(j: int, nvars: int) -> "Coefficient":
         e = tuple(1 if k == j else 0 for k in range(nvars))
-        return _parametric({e: 1}, {_zeros(nvars): 1}, nvars)
+        return _parametric(1, {e: 1}, None, nvars)
 
     # -- predicates ----------------------------------------------------
 
     @property
     def num(self) -> Poly:
-        n = self._num
-        if n is None:
+        """The numerator over the denominator ``den``, which is monic in
+        its leading monomial; int or Fraction values."""
+        k = self._k
+        if k is None:
             c = self.const
             return {_zeros(self.nvars): c} if c else {}
-        return n
+        d = self._d
+        if d is not None:
+            lc = d[max(d)]
+            if lc != 1:
+                k = _F1 * k / lc
+        out = {}
+        for e, q in self._n.items():
+            q = k * q
+            out[e] = q._numerator if q.__class__ is not int and q._denominator == 1 else q
+        return out
 
     @property
     def den(self) -> Poly:
-        d = self._den
-        return {_zeros(self.nvars): 1} if d is None else d
+        d = self._d
+        if d is None:
+            return {_zeros(self.nvars): 1}
+        lc = d[max(d)]
+        return dict(d) if lc == 1 else {e: _ratio(q, lc) for e, q in d.items()}
 
     def is_zero(self) -> bool:
-        return self.const == 0
+        c = self.const
+        return c.__class__ is int and not c
 
     def is_one(self) -> bool:
-        return self.const == 1
+        c = self.const
+        return c.__class__ is int and c == 1
 
     def as_fraction(self) -> Fraction:
         c = self.const
@@ -360,21 +373,67 @@ class Coefficient:
     def __add__(self, other: "Coefficient") -> "Coefficient":
         a = self.const
         b = other.const
-        if a is not None and b is not None:
-            c = a + b
-            if c.__class__ is not int and c._denominator == 1:
-                c = c._numerator
-            return _plain(c, self.nvars)
-        den = self.den
-        if den == other.den:
-            num = _padd(self.num, other.num)
-            if _pis_const(den):  # polynomials: no gcd
-                if _pis_const(num):
-                    return _plain(rational(_pconst_value(num)), self.nvars)
-                return _parametric(num, den, self.nvars)
-            return Coefficient(num, den)
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, den))
-        return Coefficient(num, _pmul(den, other.den))
+        nvars = self.nvars
+        if a is not None:
+            if b is not None:
+                c = a + b
+                if c.__class__ is not int and c._denominator == 1:
+                    c = c._numerator
+                return _plain(c, nvars)
+            if a.__class__ is int and not a:
+                return other
+            k1, n1, d1 = a, {_zeros(nvars): 1}, None
+        else:
+            k1, n1, d1 = self._k, self._n, self._d
+        if b is not None:
+            if b.__class__ is int and not b:
+                return self
+            k2, n2, d2 = b, {_zeros(nvars): 1}, None
+        else:
+            k2, n2, d2 = other._k, other._n, other._d
+        if d1 is None and d2 is None and (n1 is n2 or n1 == n2):
+            k = k1 + k2
+            if k.__class__ is not int and k._denominator == 1:
+                k = k._numerator
+            if k.__class__ is int and not k:
+                return _plain(0, nvars)
+            return _parametric(k, n1, None, nvars)
+        # k1 = g * m1 / den and k2 = g * m2 / den with integers m1, m2
+        if k1.__class__ is int:
+            if k2.__class__ is int:
+                m1, m2, den = k1, k2, 1
+            else:
+                den = k2._denominator
+                m1, m2 = k1 * den, k2._numerator
+        elif k2.__class__ is int:
+            den = k1._denominator
+            m1, m2 = k1._numerator, k2 * den
+        else:
+            b1, b2 = k1._denominator, k2._denominator
+            den = b1 // gcd(b1, b2) * b2
+            m1, m2 = k1._numerator * (den // b1), k2._numerator * (den // b2)
+        g = gcd(m1, m2)
+        if g != 1:
+            m1 //= g
+            m2 //= g
+        if d1 is None and d2 is None:
+            S = _lincomb(m1, n1, m2, n2)
+            if not S:
+                return _plain(0, nvars)
+            if _is_const(S):
+                (c,) = S.values()
+                return _plain(_ratio(g * c, den), nvars)
+            c, S = _primitive(S)
+            return _parametric(_ratio(g * c, den), S, None, nvars)
+        if d1 is None:
+            S, T = _lincomb(m1, _pmul(n1, d2), m2, n2), d2
+        elif d2 is None:
+            S, T = _lincomb(m1, n1, m2, _pmul(n2, d1)), d1
+        elif d1 == d2:
+            S, T = _lincomb(m1, n1, m2, n2), d1
+        else:
+            S, T = _lincomb(m1, _pmul(n1, d2), m2, _pmul(n2, d1)), _pmul(d1, d2)
+        return _quotient(_ratio(g, den), S, T, nvars)
 
     def __sub__(self, other: "Coefficient") -> "Coefficient":
         return self + (-other)
@@ -383,7 +442,7 @@ class Coefficient:
         c = self.const
         if c is not None:
             return _plain(-c, self.nvars)
-        return _parametric(_pneg(self._num), self._den, self.nvars)
+        return _parametric(-self._k, self._n, self._d, self.nvars)
 
     def __mul__(self, other: "Coefficient") -> "Coefficient":
         a = self.const
@@ -398,7 +457,15 @@ class Coefficient:
         b = other.const
         if b is not None:
             return self.scale(b)
-        return Coefficient(_pmul(self._num, other._num), _pmul(self._den, other._den))
+        k = self._k * other._k
+        if k.__class__ is not int and k._denominator == 1:
+            k = k._numerator
+        N = _pmul(self._n, other._n)
+        d1, d2 = self._d, other._d
+        if d1 is None and d2 is None:  # Gauss's lemma: N is primitive
+            return _parametric(k, N, None, self.nvars)
+        T = d2 if d1 is None else d1 if d2 is None else _pmul(d1, d2)
+        return _quotient(k, N, T, self.nvars)
 
     def __truediv__(self, other: "Coefficient") -> "Coefficient":
         b = other.const
@@ -406,7 +473,15 @@ class Coefficient:
             raise ZeroDivisionError("division by zero coefficient")
         if b is not None:
             return self.scale(_F1 / b)
-        return Coefficient(_pmul(self.num, other._den), _pmul(self.den, other._num))
+        k = _F1 / other._k
+        if k._denominator == 1:
+            k = k._numerator
+        n, d, nvars = other._n, other._d, other.nvars
+        if d is None:
+            inverse = _parametric(k, {_zeros(nvars): 1}, n, nvars)
+        else:
+            inverse = _parametric(k, d, None if _is_const(n) else n, nvars)
+        return self * inverse
 
     def scale(self, q) -> "Coefficient":
         c = self.const
@@ -422,9 +497,12 @@ class Coefficient:
             return _plain(c, self.nvars)
         if q.__class__ is not int and not isinstance(q, Fraction):
             q = rational(q)
-        if not q:
+        if not (q if q.__class__ is int else q._numerator):
             return _plain(0, self.nvars)
-        return _parametric(_pscale(self._num, q), self._den, self.nvars)
+        k = self._k * q
+        if k.__class__ is not int and k._denominator == 1:
+            k = k._numerator
+        return _parametric(k, self._n, self._d, self.nvars)
 
     def __pow__(self, k: int) -> "Coefficient":
         if k < 0:
@@ -444,15 +522,17 @@ class Coefficient:
             return c == other.const and self.nvars == other.nvars
         return (
             other.const is None
-            and self._num == other._num
-            and self._den == other._den
+            and self._k == other._k
+            and self._n == other._n
+            and self._d == other._d
         )
 
     def __hash__(self):
         c = self.const
         if c is not None:
             return hash(c)
-        return hash((frozenset(self._num.items()), frozenset(self._den.items())))
+        d = self._d
+        return hash((self._k, frozenset(self._n.items()), d and frozenset(d.items())))
 
     def subst(self, values) -> "Coefficient":
         """Set parameter j to values[j] wherever that is not None; the
@@ -476,15 +556,16 @@ class Coefficient:
     def render(self, names: tuple[str, ...]) -> str:
         if self.const is not None:
             return str(self.const)
-        num = _render_poly(self._num, names)
-        if _pis_const(self._den):
-            return num
-        den = _render_poly(self._den, names)
-        if len(self._num) > 1:
-            num = "(%s)" % num
-        if len(self._den) > 1 or not _is_atomic_poly(self._den):
-            den = "(%s)" % den
-        return "%s/%s" % (num, den)
+        num = self.num
+        text = _render_poly(num, names)
+        if self._d is None:
+            return text
+        den = self.den
+        if len(num) > 1:
+            text = "(%s)" % text
+        if len(den) > 1 or not _is_atomic_poly(den):
+            return "%s/(%s)" % (text, _render_poly(den, names))
+        return "%s/%s" % (text, _render_poly(den, names))
 
     def render_signed(self, names: tuple[str, ...]) -> tuple[bool, str]:
         """(sign is negative, text without that sign) for the coefficient
@@ -495,15 +576,13 @@ class Coefficient:
         c = self.const
         if c is not None:
             return c < 0, str(abs(c))
-        num = self._num
-        if not _pis_const(self._den):
+        if self._d is not None:
             return False, self.render(names)
-        if len(num) > 1:
-            return False, "(%s)" % _render_poly(num, names)
-        (q,) = num.values()
-        if q < 0:
-            return True, _render_poly(_pneg(num), names)
-        return False, _render_poly(num, names)
+        if len(self._n) > 1:
+            return False, "(%s)" % _render_poly(self.num, names)
+        if self._k < 0:
+            return True, _render_poly((-self).num, names)
+        return False, _render_poly(self.num, names)
 
     def __repr__(self):
         names = tuple("p%d" % j for j in range(self.nvars))
@@ -518,17 +597,18 @@ def _plain(q, nvars: int) -> Coefficient:
     out = _new(Coefficient)
     out.const = q
     out.nvars = nvars
-    out._num = out._den = None
+    out._k = out._n = out._d = None
     return out
 
 
-def _parametric(num: Poly, den: Poly, nvars: int) -> Coefficient:
-    """A parametric coefficient whose num/den is already normalized."""
+def _parametric(k, n: IntPoly, d, nvars: int) -> Coefficient:
+    """The parametric coefficient k * n / d, already in canonical form."""
     out = _new(Coefficient)
     out.const = None
     out.nvars = nvars
-    out._num = num
-    out._den = den
+    out._k = k
+    out._n = n
+    out._d = d
     return out
 
 

@@ -3,8 +3,10 @@
 mono_bump, partial, total_derivative and antiderivative rebuild each
 monomial factor by factor and step exponents by Fraction arithmetic; the
 library splices tuple slices and reads the interned neighbours of an
-exponent.  The next functions differentiate every slice from scratch; the library
-computes the same values along one chain of derivatives (Horner form).
+exponent.  mono_degree sums every exponent as a Fraction; the library sums
+int exponents as ints.  The next functions differentiate every slice anew;
+the library computes the same values along one chain of derivatives
+(Horner form).
 The verifiers below evaluate orthogonality and involution separately, with
 a second verifier for the one-operator NLS chain, and gen_bracket carries
 its own loop; the library reads every check from the nonzero pairings
@@ -46,6 +48,14 @@ from pvakit.varcalc import (
     frechet,
     variational_derivative as vder,
 )
+
+
+def mono_degree(a):
+    """Total exponent sum, summed from Fraction(0) and made canonical."""
+    d = Fraction(0)
+    for _, e in a:
+        d += e
+    return _exp(d)
 
 
 def mono_set_exp(a, g, e):

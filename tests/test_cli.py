@@ -80,6 +80,145 @@ def test_failing_jacobi_residual_writes_negative_terms_as_minus():
     assert "+ -" not in r.output
 
 
+# the exact text of parametric coefficients, non-constant denominators
+# included, as the CLI prints them in results and failure residuals
+PARAMETRIC_TEXTS = [
+    (
+        ('--params', 'c', 'bracket', '--op', "u' + 2*u*d + c*d^3", 'u^2', 'u'),
+        0,
+        "2*c*u*lam^3 + 6*c*u'*lam^2 + (6*c*u'' + 4*u^2)*lam + 2*c*u'''"
+        " + 6*u'*u\n",
+    ),
+    (
+        (
+            '--params', 'alpha,beta', 'bracket', '--op', 'alpha*d + beta*d^3',
+            '(alpha+beta)^(-1)*u^2', "u'",
+        ),
+        0,
+        "2*beta/(alpha + beta)*u*lam^4 + 8*beta/(alpha + beta)*u'*lam^3"
+        " + (12*beta/(alpha + beta)*u'' + 2*alpha/(alpha + beta)*u)*lam^2"
+        " + (8*beta/(alpha + beta)*u''' + 4*alpha/(alpha + beta)*u')*lam"
+        " + 2*beta/(alpha + beta)*u^(4) + 2*alpha/(alpha + beta)*u''\n",
+    ),
+    (
+        ('--params', 'c', 'vder', '(c+1)^(-1)*u^2'),
+        0,
+        '2/(c + 1)*u\n',
+    ),
+    (
+        ('--params', 'c', 'vder', '(c^2-1)/(c-1)*u^3'),
+        0,
+        '(3*c + 3)*u^2\n',
+    ),
+    (
+        ('--params', 'c', 'vder', "(8/3 - 8*c)*u^2*u'^2"),
+        0,
+        "(16*c - 16/3)*u''*u^2 + (16*c - 16/3)*u'^2*u\n",
+    ),
+    (
+        ('--params', 'c', 'frechet', "c*u''' + (c+1)^(-1)*u*u'"),
+        0,
+        "1/(c + 1)*u' + 1/(c + 1)*u*d + c*d^3\n",
+    ),
+    (
+        ('--params', 'c', 'frechet', '--adjoint', "c*u''' + (c+1)^(-1)*u*u'"),
+        0,
+        '-1/(c + 1)*u*d - c*d^3\n',
+    ),
+    (
+        ('--params', 'c', 'integrate', "(c+1)^(-1)*u*u' + c^2*u'*u''"),
+        0,
+        "1/2*c^2*u'^2 + 1/2/(c + 1)*u^2\n"
+        'const: 0\n',
+    ),
+    (
+        ('--params', 'alpha,beta', 'integrate', "alpha/(alpha-beta)*u^2*u'"),
+        0,
+        '1/3*alpha/(alpha - beta)*u^3\n'
+        'const: 0\n',
+    ),
+    (
+        (
+            '--params', 'alpha,beta', 'exactify', '--',
+            "(alpha^2 - beta^2)/(alpha+beta)*u''",
+        ),
+        0,
+        "(1/2*alpha - 1/2*beta)*u''*u\n",
+    ),
+    (
+        ('--params', 'c', 'check-symplectic', '--op', "(c-1)/(c+1)*d^2 + c*u'*d"),
+        1,
+        'fail\n'
+        "  skew: -c*u'' + (2*c - 2)/(c + 1)*d^2\n",
+    ),
+    (
+        ('--params', 'c', 'check-pva', '--json', '--op', "(8/3 - 8*c)*u*d^3 + u'*d"),
+        1,
+        '{\n'
+        '  "failures": [\n'
+        '    {\n'
+        '      "residual_text": "(8*c - 8/3)*u\'\'\' - u\'\' + (24*c - 8)*u\'\'*d'
+        ' + (24*c - 8)*u\'*d^2",\n'
+        '      "triple": null\n'
+        '    }\n'
+        '  ],\n'
+        '  "passed": false\n'
+        '}\n',
+    ),
+    (
+        (
+            '--params', 'c', 'check-pva', '--op',
+            "(c-1/3)*u*d^3 + 3/2*(c-1/3)*u'*d^2 + 3/2*(c-1/3)*u''*d + 1/2*(c-1/3)*u'''",
+        ),
+        1,
+        'fail\n'
+        "  jacobi at (1, 1, 1): (3/2*c^2 - c + 1/6)*u'*lam^5"
+        " + (15/4*c^2 - 5/2*c + 5/12)*u'*lam^4*mu"
+        " + (15/4*c^2 - 5/2*c + 5/12)*u''*lam^4"
+        " + (3/2*c^2 - c + 1/6)*u'*lam^3*mu^2"
+        " + (6*c^2 - 4*c + 2/3)*u''*lam^3*mu + (9/2*c^2 - 3*c + 1/2)*u'''*lam^3"
+        " + (-3/2*c^2 + c - 1/6)*u'*lam^2*mu^3"
+        " + (9/2*c^2 - 3*c + 1/2)*u'''*lam^2*mu"
+        ' + (3*c^2 - 2*c + 1/3)*u^(4)*lam^2'
+        " + (-15/4*c^2 + 5/2*c - 5/12)*u'*lam*mu^4"
+        " + (-6*c^2 + 4*c - 2/3)*u''*lam*mu^3"
+        " + (-9/2*c^2 + 3*c - 1/2)*u'''*lam*mu^2"
+        " + (3/4*c^2 - 1/2*c + 1/12)*u^(5)*lam + (-3/2*c^2 + c - 1/6)*u'*mu^5"
+        " + (-15/4*c^2 + 5/2*c - 5/12)*u''*mu^4"
+        " + (-9/2*c^2 + 3*c - 1/2)*u'''*mu^3 + (-3*c^2 + 2*c - 1/3)*u^(4)*mu^2"
+        ' + (-3/4*c^2 + 1/2*c - 1/12)*u^(5)*mu\n',
+    ),
+    (
+        (
+            '--vars', 'u,v', '--params', 'c', 'check-compat', '--op', 'd, 0; 0, d',
+            '--op', "(c+1)^(-1)*v' + 2/(c+1)*v*d, 0; 0, 0",
+        ),
+        1,
+        'fail\n'
+        '  jacobi at (1, 1, 2) for ops (1, 2): -1/(c + 1)*lam^2'
+        ' + 1/(c + 1)*mu^2\n'
+        '  jacobi at (1, 2, 1) for ops (1, 2): -2/(c + 1)*lam*mu'
+        ' - 1/(c + 1)*mu^2\n'
+        '  jacobi at (2, 1, 1) for ops (1, 2): 1/(c + 1)*lam^2'
+        ' + 2/(c + 1)*lam*mu\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, text", PARAMETRIC_TEXTS,
+                         ids=[str(i) for i in range(len(PARAMETRIC_TEXTS))])
+def test_parametric_coefficient_texts(argv, code, text):
+    r = run(*argv)
+    assert (r.exit_code, r.output) == (code, text)
+
+
+@pytest.mark.parametrize("expr", ["u/(2-2)", "u*1/0", "u^2/(c-c)", "0^(-1)*u", "(c-c)^(-1)*u"])
+def test_division_by_zero_is_named(expr):
+    r = run("--params", "c", "vder", expr)
+    assert r.exit_code == 2
+    assert "Error: division by zero" in r.output
+
+
 def test_check_commands_exit_codes():
     assert run("--params", "c", "check-pva", "--op", "u' + 2*u*d + c*d^3").exit_code == 0
     assert run("check-pva", "--op", "d^2").exit_code == 1

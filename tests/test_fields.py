@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 from decimal import Decimal
@@ -7,8 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pvakit import Context, HierarchySpec, MatrixDiffOp, NonRationalCoefficient
-from pvakit.algebra import _exp
+from pvakit import Context, HierarchySpec, MatrixDiffOp, NonRationalCoefficient, fields
+from pvakit.algebra import _exp, mono_degree
 from pvakit.fields import Coefficient, _pgcd, _pmul
 
 import reference
@@ -67,15 +68,17 @@ def test_denominator_monic():
 
 
 def test_gcd_multivariate():
-    c, t = {(1, 0): Fraction(1)}, {(0, 1): Fraction(1)}
-    one = {(0, 0): Fraction(1)}
+    c, t = {(1, 0): 1}, {(0, 1): 1}
+    one = {(0, 0): 1}
     # gcd((c+t)^2, (c+t)) = c+t up to normalization
-    s = {(1, 0): Fraction(1), (0, 1): Fraction(1)}
+    s = {(1, 0): 1, (0, 1): 1}
     s2 = _pmul(s, s)
     g = _pgcd(s2, s)
     assert g == s
     assert _pgcd(one, s) == one
     assert _pgcd(c, t) == one
+    # integer content and sign are normalized away: gcd(-2(c+t)^2, 3(c+t)(t-c)) = c+t
+    assert _pgcd({e: -2 * q for e, q in s2.items()}, _pmul({(1, 0): -3, (0, 1): 3}, s)) == s
 
 
 def test_field_axioms_random():
@@ -218,6 +221,82 @@ def test_kernel_has_no_floats(data, nvars):
     assert_exact(c.scale(data.draw(st.integers(-3, 3))))
 
 
+def assert_canonical(c):
+    """c is stored as its canonical k * N / D: k a nonzero plain rational, N
+    and D integer-valued, primitive, with positive leading coefficients and
+    coprime, D None for 1 and then N not constant."""
+    if c.const is not None:
+        assert c._k is None and c._n is None and c._d is None
+        return
+    k, N, D = c._k, c._n, c._d
+    assert type(k) is int and k or type(k) is Fraction and k.denominator != 1
+    for P in [N] if D is None else [N, D]:
+        assert P and all(type(q) is int and q for q in P.values())
+        assert math.gcd(*P.values()) == 1 and P[max(P)] > 0
+        assert all(len(e) == c.nvars for e in P)
+    unit = {(0,) * c.nvars: 1}
+    if D is None:
+        assert N != unit
+    else:
+        assert D != unit and _pgcd(N, D) == unit
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 3))
+def test_stored_form_is_canonical(data, nvars):
+    a, _ = data.draw(coefficient_pairs(nvars))
+    b, _ = data.draw(coefficient_pairs(nvars))
+    for c in (a, b, a + b, a - b, a * b, -a, a.scale(_rational_values(data.draw))):
+        assert_canonical(c)
+    if not b.is_zero():
+        assert_canonical(a / b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 3))
+def test_same_element_along_different_paths(data, nvars):
+    (a, _), (b, _), (c, _) = (data.draw(coefficient_pairs(nvars)) for _ in range(3))
+    pairs = [((a + b) * c, a * c + b * c), (a - a, C(0, nvars)), (a + b - b, a)]
+    if not b.is_zero():
+        pairs.append((a * (C(1, nvars) / b) * b, a))
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+
+
+def test_scale_and_negation_share_n_and_d():
+    c, t = P(0), P(1)
+    for x in (c.scale(Fraction(2, 3)) + t, (c + C(1)) / (t - C(2))):
+        for y in (x.scale(Fraction(-5, 7)), x.scale(3), -x):
+            assert y._n is x._n and y._d is x._d and y != x
+
+
+def _refuse(*args):
+    raise AssertionError("gcd called")
+
+
+def test_like_terms_add_their_k_over_the_shared_n(monkeypatch):
+    n = (P(0) * P(0) - P(1)).scale(Fraction(1, 3))
+    x, y = n.scale(Fraction(3, 4)), n.scale(-5)
+    monkeypatch.setattr(fields, "gcd", _refuse)  # a sum over one N runs no gcd
+    for total, k in ((x + y, Fraction(-17, 12)), (x + x, Fraction(1, 2)), (y - y, None)):
+        if k is None:
+            assert total.is_zero()
+        else:
+            assert total._n is n._n and total._k == k
+
+
+def test_products_over_denominator_one_run_no_gcd(monkeypatch):
+    c, t = P(0), P(1)
+    factors = [c + C(1), c.scale(Fraction(-2, 3)) + t, t * t - c.scale(3), C(Fraction(1, 2)) - c]
+    expected = [x.num for x in (factors[0] * factors[1], factors[1] * factors[2] * factors[3])]
+    monkeypatch.setattr(fields, "_pgcd", _refuse)
+    monkeypatch.setattr(fields, "gcd", _refuse)
+    products = [factors[0] * factors[1], factors[1] * factors[2] * factors[3]]
+    assert [x.num for x in products] == expected
+    for x in products:
+        assert_canonical(x)
+
+
 def test_plain_rationals_are_python_numbers():
     a, b = C(3, 0), C(Fraction(1, 2), 0)
     assert type(a.const) is int and type(b.const) is Fraction
@@ -290,6 +369,26 @@ def test_interned_exponents_act_as_fractions(raw):
     order = sorted(range(len(plain)), key=plain.__getitem__)
     assert order == sorted(range(len(interned)), key=interned.__getitem__)
     assert {m: i for i, m in enumerate(interned)} == {m: i for i, m in enumerate(plain)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(gens, st.one_of(st.integers(-4, 4), exponent_values).filter(bool)), max_size=5))
+def test_mono_degree_matches_reference(raw):
+    m = tuple(sorted(((g, _exp(Fraction(e))) for g, e in dict(raw).items()), reverse=True))
+    got = mono_degree(m)
+    assert got == reference.mono_degree(m)
+    assert (type(got) is int) == (Fraction(got).denominator == 1)
+
+
+def test_mono_degree_of_int_exponents_makes_no_fraction(monkeypatch):
+    calls = []
+    for name in ("__add__", "__radd__"):
+        original = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda a, b, f=original: calls.append(b) or f(a, b))
+    assert mono_degree((((1, 0), 3), ((0, 0), -1))) == 2
+    assert calls == []
+    assert mono_degree((((1, 0), _exp(Fraction(1, 2))), ((0, 0), 1))) == Fraction(3, 2)
+    assert calls
 
 
 def test_interned_exponents_hash_without_fraction_hash(monkeypatch):
