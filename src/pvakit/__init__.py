@@ -41,15 +41,11 @@ from .errors import (
 from .fields import Coefficient
 from .hierarchies import HierarchySpec, generate, golden_verify
 from .lenard import (
-    ChainPlan,
-    CnwHdPlan,
-    DerivativePlan,
     HierarchyRecord,
     HierarchyStep,
     Verification,
     lenard_extend,
     make_plan,
-    recursion_order1,
     verify_sequence,
 )
 from .operators import BiLambdaPoly, LambdaPoly, MatrixDiffOp

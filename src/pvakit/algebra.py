@@ -183,7 +183,8 @@ def mono_bump(a: Monomial, idx: int) -> Monomial:
     if e.__class__ is int:
         rest = a[idx + 1:] if e == 1 else ((g, e - 1),) + a[idx + 1:]
     else:
-        rest = ((g, e._pred or _fill_pred(e)),) + a[idx + 1:]
+        p = e._pred
+        rest = ((g, _fill_pred(e) if p is None else p),) + a[idx + 1:]
     if a[j][0] != up:
         return a[:j] + ((up, 1),) + a[j:idx] + rest
     x = a[j][1]
@@ -192,7 +193,7 @@ def mono_bump(a: Monomial, idx: int) -> Monomial:
             return a[:j] + a[j + 1:idx] + rest
         x += 1
     else:
-        x = x._succ or _fill_succ(x)
+        x = _fill_succ(x) if x._succ is None else x._succ
     return a[:j] + ((up, x),) + a[j + 1:idx] + rest
 
 
@@ -489,7 +490,10 @@ class Expression:
             for t, (h, e) in enumerate(m):
                 if h == g:
                     if e.__class__ is not int:
-                        nm = m[:t] + ((g, e._pred or _fill_pred(e)),) + m[t + 1:]
+                        p = e._pred
+                        if p is None:
+                            p = _fill_pred(e)
+                        nm = m[:t] + ((g, p),) + m[t + 1:]
                         c = c.scale(e)
                     elif e == 1:
                         nm = m[:t] + m[t + 1:]
@@ -520,7 +524,7 @@ class Expression:
                 for idx in range(len(m)):
                     nm = mono_bump(m, idx)
                     e = m[idx][1]
-                    nc = c if e == 1 else c.scale(e)
+                    nc = c if e.__class__ is int and e == 1 else c.scale(e)
                     s = out.get(nm)
                     if s is None:
                         out[nm] = nc

@@ -30,7 +30,7 @@ from .hierarchies import (
     generate,
     golden_verify,
 )
-from .lenard import lenard_extend, make_plan, verify_sequence
+from .lenard import lenard_extend, verify_sequence
 from .operators import MatrixDiffOp
 from .parsing import parse_expression, parse_operator
 from .varcalc import exactify, frechet, integrate_total, variational_derivative
@@ -235,10 +235,6 @@ def check_symplectic_cmd(ctx, op_text, as_json):
 @main.command("lenard")
 @click.option("--op-h", "h_text", required=True, help="recursion operator H")
 @click.option("--op-k", "k_text", required=True, help="solved operator K")
-@click.option("--plan", "plan_kind", default="derivative",
-              type=click.Choice(["derivative", "chain", "cnw_hd"]))
-@click.option("--chain", "chain_text", default=None,
-              help="';'-separated monomials for a chain plan")
 @click.option("--seed", "seed_texts", required=True, multiple=True,
               help="seed vector, components separated by ','")
 @click.option("--depth", default=3, show_default=True, type=click.IntRange(min=0))
@@ -246,22 +242,14 @@ def check_symplectic_cmd(ctx, op_text, as_json):
               type=click.Choice(["hamiltonian", "symplectic"]))
 @click.option("--json", "as_json", is_flag=True)
 @click.pass_obj
-def lenard_cmd(ctx, h_text, k_text, plan_kind, chain_text, seed_texts, depth,
-               kind, as_json):
-    """Extend seed vectors through K F^{n+1} = H F^n."""
+def lenard_cmd(ctx, h_text, k_text, seed_texts, depth, kind, as_json):
+    """Extend seed vectors through K F^{n+1} = H F^n, with the solver read
+    off K (a triangle of pivots m0 o d^r o m1 with monomials m0, m1)."""
     H = _parse_op(ctx, h_text)
     K = _parse_op(ctx, k_text)
-    monomials = None
-    if plan_kind == "chain" and not chain_text:
-        raise click.UsageError("--plan chain needs --chain")
-    if chain_text and plan_kind != "chain":
-        raise click.UsageError("--chain needs --plan chain")
-    if chain_text:
-        monomials = [_parse(ctx, t) for t in chain_text.split(";")]
     seeds = [_parse_vector(ctx, text.split(",")) for text in seed_texts]
     try:
-        plan = make_plan(K, plan_kind, monomials)
-        rec = lenard_extend(H, K, plan, seeds, depth, name="lenard", kind=kind)
+        rec = lenard_extend(H, K, seeds, depth, name="lenard", kind=kind)
         verify_sequence(H, K, rec)
     except PvakitError as exc:
         _fail(str(exc))

@@ -38,7 +38,8 @@ class NotClosed(PvakitError):
 
 
 class PlanMismatch(PvakitError):
-    """A structured solver plan does not reproduce the operator it solves."""
+    """The solved operator K is not a triangle of pivots m0 o d^r o m1 with
+    monomials m0 and m1, so no solver can be read off it."""
 
 
 class IndividualFailure(PvakitError):

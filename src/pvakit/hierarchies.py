@@ -1,12 +1,12 @@
 """The shipped integrable hierarchies, as one table.
 
 Each row of FAMILIES names the variables and parameters of one family, its
-operators H and K in the operator grammar, the solver plan for K, the seed
-vectors, the chain kind, the start index and the default depth, and the
-reference values.  generate parses a row in the context where every
-parameter is symbolic, substitutes the bound values (Expression.subst),
-runs the Lenard recursion and verifies the chain.  NLS keeps its coupled
-first-order recursion as code.
+operators H and K in the operator grammar, the seed vectors, the chain
+kind, the start index and the default depth, and the reference values.
+generate parses a row in the context where every parameter is symbolic,
+substitutes the bound values (Expression.subst), runs the Lenard
+recursion, whose solver is read off K, and verifies the chain.  NLS keeps
+its coupled first-order recursion as code.
 
 golden_verify compares a generated record against the reference values:
 exact equality for gradient vectors and flows, equality modulo total
@@ -30,7 +30,6 @@ from .lenard import (
     _attach_density,
     _invert_total,
     lenard_extend,
-    make_plan,
     verify_sequence,
 )
 from .operators import MatrixDiffOp
@@ -58,8 +57,6 @@ class Family:
     golden: object
     params: dict = field(default_factory=dict)
     shown: dict = field(default_factory=dict)
-    plan: str = "derivative"
-    chain: tuple = ()
     kind: str = "hamiltonian"
     start: int = 0
     golden_bindings: Optional[dict] = None
@@ -129,8 +126,6 @@ FAMILIES = {
     "hd": Family(
         ("u",), "alpha*d + beta*d^3", "u' + 2*u*d", (("u^(-1/2)",),), 2,
         params={"alpha": None, "beta": None},
-        plan="chain",
-        chain=("2*u^(1/2)", "u^(1/2)"),
         golden=(
             {
                 0: ("u^(-1/2)",),
@@ -190,7 +185,6 @@ FAMILIES = {
         (("0", "1"), ("v^(-1)", "-u*v^(-2)")), 2,
         params={"alpha": Fraction(1), "beta": None},
         shown={"beta": "c"},
-        plan="cnw_hd",
         golden_bindings={"alpha": Fraction(1), "beta": None},
         # the 1/v^2 and 1/v terms carry the sign forced by K F^2 = H F^1
         golden=(
@@ -289,8 +283,6 @@ FAMILIES = {
         "(3*u''^2*u'^(-4) - u'''*u'^(-3))*d - 3*u''*u'^(-3)*d^2 + u'^(-2)*d^3",
         "u'^(-2)*d - u''*u'^(-3)",
         (("u'",),), 1,
-        plan="chain",
-        chain=("u'^(-1)", "u'^(-1)"),
         kind="symplectic",
         golden=(
             {0: ("u'",), 1: ("u''' - 3/2*u''^2*u'^(-1)",)},
@@ -404,10 +396,9 @@ def generate(spec: HierarchySpec) -> HierarchyRecord:
     if fam.kind == "dirac":
         rec = HierarchyRecord(spec.name, fam.kind, params, _nls_steps(K, spec.depth))
     else:
-        plan = make_plan(K, fam.plan, [read.expr(t) for t in fam.chain])
         seeds = [read.vector(s) for s in fam.seeds]
         rec = lenard_extend(
-            H, K, plan, seeds, spec.depth, fam.start, spec.name, fam.kind, params
+            H, K, seeds, spec.depth, fam.start, spec.name, fam.kind, params
         )
     return verify_sequence(H, K, rec)
 

@@ -1,28 +1,30 @@
 """Recursion driver for bi-Hamiltonian and bi-symplectic chains.
 
-Extends a seed F^0 (, F^1) through K F^{n+1} = H F^n with a structured
-solver for K, fixes integration constants to zero, attaches conserved
-densities through the exactness algorithms, and verifies the produced
-chain (orthogonality, involution, closedness) from the set of nonzero
-pairings int F^m . op F^n of each operator.  By the Lenard lemma every
-pairing vanishes when H and K are skew-adjoint and the recursion holds,
-so such a chain is certified with empty sets and nothing evaluated;
-otherwise a skew operator is evaluated on the triangle m < n only.  A
-bracket of two densities is evaluated only where a density's variational
-derivative is not its step's gradient.  The verifier's state is linear in
-the depth plus the number of nonzero pairings.
+Extends a seed F^0 (, F^1) through K F^{n+1} = H F^n with a solver read
+off K: a triangle of pivots m0 o d^r o m1 with monomials m0 and m1, which
+every K of the paper's Lenard pairs is (d, u' + 2 u d, u'^(-2) d -
+u'' u'^(-3) and the two-variable wave operator).  It fixes integration
+constants to zero, attaches conserved densities through the exactness
+algorithms, and verifies the produced chain (orthogonality, involution,
+closedness) from the set of nonzero pairings int F^m . op F^n of each
+operator.  By the Lenard lemma every pairing vanishes when H and K are
+skew-adjoint and the recursion holds, so such a chain is certified with
+empty sets and nothing evaluated; otherwise a skew operator is evaluated
+on the triangle m < n only.  A bracket of two densities is evaluated only
+where a density's variational derivative is not its step's gradient.  The
+verifier's state is linear in the depth plus the number of nonzero
+pairings.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
-from .algebra import Context, Expression, VectorExpr, vec_dot, vec_is_zero
-from .errors import LogRequired, NonMonomialDivisor, NotClosed, NotExact, PlanMismatch
-from .operators import MatrixDiffOp
+from .algebra import Expression, VectorExpr, vec_dot
+from .errors import LogRequired, NotClosed, NotExact, PlanMismatch
+from .operators import MatrixDiffOp, _entry_apply, _entry_compose, _entry_norm
 from .varcalc import (
     LocalFunctional,
     exactify,
@@ -40,98 +42,100 @@ def _invert_total(f: Expression) -> Expression:
     return g
 
 
-class DerivativePlan:
-    """Solver for K = diag(d, ..., d): componentwise inversion of d."""
-
-    def __init__(self, ctx: Context, size: Optional[int] = None):
-        self.ctx = ctx
-        self.size = ctx.nvars if size is None else size
-
-    def operator(self) -> MatrixDiffOp:
-        return MatrixDiffOp.derivative(self.ctx, 1, self.size)
-
-    def solve(self, Y: VectorExpr) -> VectorExpr:
-        if len(Y) != self.size:
-            raise PlanMismatch("vector length does not match the plan")
-        return tuple(_invert_total(y) for y in Y)
-
-
-class ChainPlan:
-    """Solver for a scalar K = m_0 . d o m_1 o d o ... o m_r built from
-    invertible monomials."""
-
-    def __init__(self, ctx: Context, monomials):
-        if ctx.nvars != 1:
-            raise PlanMismatch("chain plans are single-variable")
-        self.ctx = ctx
-        self.monomials = list(monomials)
-        for m in self.monomials:
-            if not m.is_monomial():
-                raise PlanMismatch("chain factors must be monomials")
-        self.size = 1
-
-    def operator(self) -> MatrixDiffOp:
-        op = MatrixDiffOp.mult(self.ctx, self.monomials[-1])
-        d = MatrixDiffOp.derivative(self.ctx, 1, 1)
-        for m in reversed(self.monomials[:-1]):
-            op = MatrixDiffOp.mult(self.ctx, m).compose(d.compose(op))
-        return op
-
-    def solve(self, Y: VectorExpr) -> VectorExpr:
-        (cur,) = Y
-        for m in self.monomials[:-1]:
-            cur = _invert_total(cur / m)
-        return (cur / self.monomials[-1],)
+def _log_primitive(L: Expression) -> Optional[Expression]:
+    """The unit monomial m = prod_g g^sigma_g read off L as its
+    log-derivative d(m)/m = sum_g sigma_g g'/g: each term of L is a
+    rational sigma_g times two factors, the lower being g.  None when a
+    term is not of that shape; the caller checks m by composing back."""
+    ctx = L.ctx
+    m = ctx.one()
+    for mono, c in L.terms.items():
+        if c.const is None or len(mono) != 2:
+            return None
+        (n, i), _ = mono[1]
+        m = m * ctx.gen(i, n) ** c.const
+    return m
 
 
-class CnwHdPlan:
-    """Solver for the two-variable operator
-    [[u' + 2 u d, v d], [v' + v d, 0]]:
-    the second row is d(v X_1), so X_1 comes from the second component and
-    X_2 from the first."""
+def _factor(K: MatrixDiffOp, i: int, j: int):
+    """(m0, r, m1) with K_ij = m0 o d^r o m1 for monomials m0 and m1.
 
-    def __init__(self, ctx: Context):
-        if ctx.nvars != 2:
-            raise PlanMismatch("this plan needs exactly two variables")
-        self.ctx = ctx
-        self.size = 2
-
-    def operator(self) -> MatrixDiffOp:
-        ctx = self.ctx
-        u = ctx.gen(0, 0)
-        v = ctx.gen(1, 0)
-        return MatrixDiffOp(
-            ctx,
-            [
-                [[(0, u.total_derivative()), (1, u.scale(2))], [(1, v)]],
-                [[(0, v.total_derivative()), (1, v)], []],
-            ],
-        )
-
-    def solve(self, Y: VectorExpr) -> VectorExpr:
-        ctx = self.ctx
-        u = ctx.gen(0, 0)
-        v = ctx.gen(1, 0)
-        x1 = _invert_total(Y[1]) / v
-        rest = Y[0] - u.total_derivative() * x1 - u.scale(2) * x1.total_derivative()
-        x2 = _invert_total(rest / v)
-        return (x1, x2)
-
-
-def make_plan(K: MatrixDiffOp, kind: str, monomials=None):
-    """Build a solver plan and validate that it reproduces K."""
+    m0 m1 is the leading coefficient a_r and r m0 d(m1) the next one, so
+    d(m1)/m1 = a_{r-1} / (r a_r); the factors count only if they compose
+    back to the entry."""
     ctx = K.ctx
-    if kind == "derivative":
-        plan = DerivativePlan(ctx, K.nrows)
-    elif kind == "chain":
-        plan = ChainPlan(ctx, monomials)
-    elif kind == "cnw_hd":
-        plan = CnwHdPlan(ctx)
-    else:
-        raise PlanMismatch("unknown plan kind %r" % kind)
-    if plan.operator() != K:
-        raise PlanMismatch("plan does not compose out to the given operator")
-    return plan
+    entry = K.entry(i, j)
+    r, top = entry[-1]
+    if top.is_monomial():
+        below = dict(entry).get(r - 1, ctx.zero())
+        m1 = _log_primitive(below / top.scale(r)) if r else ctx.one()
+        if m1 is not None:
+            m0 = top / m1
+            if _entry_norm(_entry_compose(((r, m0),), ((0, m1),))) == entry:
+                return m0, r, m1
+    raise PlanMismatch(
+        "K entry (%d, %d) = %s is not m0 o d^r o m1 with monomials m0, m1"
+        % (i, j, K.render_entry(i, j))
+    )
+
+
+class _TrianglePlan:
+    """Solver for K X = Y along a triangle of pivots (i, j, m0, r, m1), in
+    solving order: K_ij is the one entry of row i in a column not solved
+    before it, and equals m0 o d^r o m1 (a monomial 1 is stored as None)."""
+
+    def __init__(self, K: MatrixDiffOp, pivots: list):
+        self.K = K
+        self.pivots = pivots
+
+    def solve(self, Y: VectorExpr) -> VectorExpr:
+        if len(Y) != self.K.nrows:
+            raise PlanMismatch("vector length does not match the plan")
+        X = [None] * self.K.ncols
+        for i, j, m0, r, m1 in self.pivots:
+            rest = Y[i]
+            for k, e in enumerate(self.K.entries[i]):
+                if e and k != j:
+                    rest = rest - _entry_apply(e, X[k])
+            if m0 is not None:
+                rest = rest / m0
+            for _ in range(r):
+                rest = _invert_total(rest)
+            X[j] = rest if m1 is None else rest / m1
+        return tuple(X)
+
+
+def make_plan(K: MatrixDiffOp) -> _TrianglePlan:
+    """Read a solver for K X = Y off K, or raise PlanMismatch.
+
+    Row by row, the first row with exactly one nonzero entry in a column
+    not yet solved gives the next pivot, which must factor as
+    m0 o d^r o m1 with monomials m0 and m1; X_j is then
+    m1^{-1} d^{-r}((Y_i - the row's solved entries applied) / m0), with
+    zero integration constants.
+    """
+    n = K.nrows
+    if K.ncols != n:
+        raise PlanMismatch("K is %d x %d, not square" % (n, K.ncols))
+    one = K.ctx.one()
+    solved: set = set()
+    pivots = []
+    while len(pivots) < n:
+        for i, row in enumerate(K.entries):
+            open_cols = [j for j, e in enumerate(row) if e and j not in solved]
+            if len(open_cols) == 1:
+                break
+        else:
+            raise PlanMismatch(
+                "K has no triangle: no row has exactly one nonzero entry in"
+                " the columns %s left unsolved"
+                % sorted(set(range(n)) - solved)
+            )
+        (j,) = open_cols
+        m0, r, m1 = _factor(K, i, j)
+        pivots.append((i, j, None if m0 == one else m0, r, None if m1 == one else m1))
+        solved.add(j)
+    return _TrianglePlan(K, pivots)
 
 
 @dataclass
@@ -217,7 +221,6 @@ def _attach_density(gradient: VectorExpr) -> Optional[LocalFunctional]:
 def lenard_extend(
     H: MatrixDiffOp,
     K: MatrixDiffOp,
-    plan,
     seeds,
     depth: int,
     start_index: int = 0,
@@ -227,11 +230,13 @@ def lenard_extend(
 ) -> HierarchyRecord:
     """Extend seed vectors to F^0 ... F^depth through K F^{n+1} = H F^n.
 
-    Seeds must already satisfy the recursion pairwise.  Kernel slack is
-    fixed by zero integration constants: the plans solve by monomial
-    division and d^{-1}, both homogeneous for the exponent-sum grading, so
-    a homogeneous step stays homogeneous without any projection.
+    The solver is read off K (make_plan).  Seeds must already satisfy the
+    recursion pairwise.  Kernel slack is fixed by zero integration
+    constants: the solver works by monomial division and d^{-1}, both
+    homogeneous for the exponent-sum grading, so a homogeneous step stays
+    homogeneous without any projection.
     """
+    plan = make_plan(K)
     seeds = [tuple(s) for s in seeds]
     for a, b in zip(seeds, seeds[1:]):
         if K.apply(b) != H.apply(a):
@@ -253,44 +258,6 @@ def lenard_extend(
         flow = H.apply(F) if kind == "hamiltonian" else F
         steps.append(HierarchyStep(n, F, h, flow))
     return HierarchyRecord(name, kind, params or {}, steps)
-
-
-def recursion_order1(
-    k: Expression, H: MatrixDiffOp, F0: Expression, depth: int
-) -> list[Expression]:
-    """Scalar partial-sum recursion for K = d(k) + 2 k d:
-
-        d(k F^0 F^{n+1}) = 1/2 sum_{m<=n} F^{n-m} H F^m
-                           - 1/2 sum_{1<=m<=n} d(k F^{n+1-m} F^m),
-
-    solved with zero integration constants; the seed must satisfy
-    K F^0 = 0 and k F^0 must be an invertible monomial."""
-    ctx = k.ctx
-    if ctx.nvars != 1:
-        raise PlanMismatch("this recursion is single-variable")
-    K = MatrixDiffOp.single(
-        ctx, [(0, k.total_derivative()), (1, k.scale(2))]
-    )
-    if not vec_is_zero(K.apply((F0,))):
-        raise ValueError("seed is not in the kernel of d(k) + 2 k d")
-    divisor = k * F0
-    if not divisor.is_monomial():
-        raise NonMonomialDivisor("k times the seed must be a monomial")
-    chain = [F0]
-    images = [H.apply((F0,))[0]]
-    for n in range(depth):
-        rhs = ctx.zero()
-        for m in range(n + 1):
-            rhs = rhs + chain[n - m] * images[m]
-        rhs = rhs.scale(Fraction(1, 2))
-        inner = ctx.zero()
-        for m in range(1, n + 1):
-            inner = inner + k * chain[n + 1 - m] * chain[m]
-        rhs = rhs - inner.scale(Fraction(1, 2)).total_derivative()
-        nxt = _invert_total(rhs) / divisor
-        chain.append(nxt)
-        images.append(H.apply((nxt,))[0])
-    return chain
 
 
 def verify_sequence(

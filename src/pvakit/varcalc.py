@@ -127,7 +127,7 @@ def antiderivative(f: Expression, i: int, n: int) -> Expression:
                 )
             up = e + 1
         else:
-            up = e._succ or _fill_succ(e)
+            up = _fill_succ(e) if e._succ is None else e._succ
         out[((g, up),) + m[1:]] = c / _coeff_num(ctx, up)
     return Expression(ctx, out)
 

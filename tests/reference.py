@@ -24,6 +24,8 @@ check_symplectic evaluate every triple; the library reads one-variable
 symbols at lambda + mu and builds each triple with i > j from its mirror.
 check_compatible mixes the operators with fresh parameters t1, t2, ...;
 the library checks every pairwise sum in the operators' own context.
+The three solver plans take their kind, and a chain its monomials, from
+the caller; the library reads one triangle of pivots m0 o d^r o m1 off K.
 Coefficient, at the end, keeps every value as two polynomial dicts with
 Fraction values; the library keeps a plain rational as one int or Fraction.
 test_fastpaths.py, test_fields.py and test_verify_reference.py pin each
@@ -37,7 +39,14 @@ from math import comb
 from pvakit.algebra import Context, Expression, _exp, vec_dot, vec_is_zero
 from pvakit.brackets import CheckFailure, CheckReport, functional_bracket
 from pvakit.brackets import check_pva as lib_check_pva
-from pvakit.errors import IndividualFailure, LogRequired, NotClosed, OrderViolation
+from pvakit.errors import (
+    IndividualFailure,
+    LogRequired,
+    NotClosed,
+    NotExact,
+    OrderViolation,
+    PlanMismatch,
+)
 from pvakit.operators import BiLambdaPoly, LambdaPoly, MatrixDiffOp
 from pvakit.parsing import parse_operator
 from pvakit.varcalc import (
@@ -46,6 +55,7 @@ from pvakit.varcalc import (
     _coeff_num,
     _exactify_inductive,
     frechet,
+    integrate_total,
     variational_derivative as vder,
 )
 
@@ -572,6 +582,113 @@ def verify_nls(rec, J):
     ver.closed = [is_closed(F).closed for F in Fs]
     ver.gradients = all(s.h is None or vder(s.h.rep) == tuple(s.F) for s in steps)
     return rec
+
+
+# -- solver plans for K F^{n+1} = H F^n, one class per shape of K ---------
+#
+# The library reads one triangular solver off K; here the caller names the
+# plan kind and, for a chain, its monomials.  ChainPlan takes a 1 x 1
+# operator over any context.
+
+
+def _invert_total(f):
+    """d^{-1} with zero integration constant; the constant part must vanish."""
+    g, c = integrate_total(f)
+    if not c.is_zero():
+        raise NotExact("constant obstruction %r in a derivative inversion" % c)
+    return g
+
+
+class DerivativePlan:
+    """Solver for K = diag(d, ..., d): componentwise inversion of d."""
+
+    def __init__(self, ctx, size=None):
+        self.ctx = ctx
+        self.size = ctx.nvars if size is None else size
+
+    def operator(self):
+        return MatrixDiffOp.derivative(self.ctx, 1, self.size)
+
+    def solve(self, Y):
+        if len(Y) != self.size:
+            raise PlanMismatch("vector length does not match the plan")
+        return tuple(_invert_total(y) for y in Y)
+
+
+class ChainPlan:
+    """Solver for a scalar K = m_0 . d o m_1 o d o ... o m_r built from
+    invertible monomials."""
+
+    def __init__(self, ctx, monomials):
+        self.ctx = ctx
+        self.monomials = list(monomials)
+        for m in self.monomials:
+            if not m.is_monomial():
+                raise PlanMismatch("chain factors must be monomials")
+        self.size = 1
+
+    def operator(self):
+        op = MatrixDiffOp.mult(self.ctx, self.monomials[-1])
+        d = MatrixDiffOp.derivative(self.ctx, 1, 1)
+        for m in reversed(self.monomials[:-1]):
+            op = MatrixDiffOp.mult(self.ctx, m).compose(d.compose(op))
+        return op
+
+    def solve(self, Y):
+        (cur,) = Y
+        for m in self.monomials[:-1]:
+            cur = _invert_total(cur / m)
+        return (cur / self.monomials[-1],)
+
+
+class CnwHdPlan:
+    """Solver for the two-variable operator
+    [[u' + 2 u d, v d], [v' + v d, 0]]:
+    the second row is d(v X_1), so X_1 comes from the second component and
+    X_2 from the first."""
+
+    def __init__(self, ctx):
+        if ctx.nvars != 2:
+            raise PlanMismatch("this plan needs exactly two variables")
+        self.ctx = ctx
+        self.size = 2
+
+    def operator(self):
+        ctx = self.ctx
+        u = ctx.gen(0, 0)
+        v = ctx.gen(1, 0)
+        return MatrixDiffOp(
+            ctx,
+            [
+                [[(0, u.total_derivative()), (1, u.scale(2))], [(1, v)]],
+                [[(0, v.total_derivative()), (1, v)], []],
+            ],
+        )
+
+    def solve(self, Y):
+        ctx = self.ctx
+        u = ctx.gen(0, 0)
+        v = ctx.gen(1, 0)
+        x1 = _invert_total(Y[1]) / v
+        rest = Y[0] - u.total_derivative() * x1 - u.scale(2) * x1.total_derivative()
+        x2 = _invert_total(rest / v)
+        return (x1, x2)
+
+
+def make_plan(K, kind, monomials=None):
+    """Build a solver plan and validate that it reproduces K."""
+    ctx = K.ctx
+    if kind == "derivative":
+        plan = DerivativePlan(ctx, K.nrows)
+    elif kind == "chain":
+        plan = ChainPlan(ctx, monomials)
+    elif kind == "cnw_hd":
+        plan = CnwHdPlan(ctx)
+    else:
+        raise PlanMismatch("unknown plan kind %r" % kind)
+    if plan.operator() != K:
+        raise PlanMismatch("plan does not compose out to the given operator")
+    return plan
 
 
 # -- the dict-based coefficient field ---------------------------------------

@@ -353,11 +353,24 @@ def test_chain_plan_without_chain_is_usage_error():
     )
 
 
-def test_chain_without_chain_plan_is_usage_error():
-    r = run("lenard", "--op-h", "d^3", "--op-k", "d", "--chain", "u^2", "--seed", "1",
-            "--depth", "2")
-    _assert_usage_error(r)
-    assert "--chain needs --plan chain" in r.output
+def test_lenard_without_a_solver_is_one_line_error():
+    """K = d o u o d has no triangle of pivots m0 o d^r o m1."""
+    r = run("lenard", "--op-h", "d^3", "--op-k", "u*d^2 + u'*d", "--seed", "1")
+    assert r.exit_code == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: K entry (0, 0) = u'*d + u*d^2 is not")
+    assert r.stderr.count("\n") == 1
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+
+
+def test_lenard_reads_the_chain_solver_off_k():
+    """HD's K = u' + 2 u d is solved as 2 u^(1/2) o d o u^(1/2)."""
+    r = run("--params", "alpha,beta", "lenard", "--op-h", "alpha*d + beta*d^3",
+            "--op-k", "u' + 2*u*d", "--seed", "u^(-1/2)", "--depth", "2")
+    assert r.exit_code == 0, r.output
+    assert r.stdout.splitlines()[2] == (
+        "F^1 = (-1/4*beta*u''*u^(-5/2) + 5/16*beta*u'^2*u^(-7/2) + 1/4*alpha*u^(-3/2))"
+    )
 
 
 def test_session_without_variables_is_usage_error():
@@ -554,8 +567,8 @@ def _argvs(draw):
         ["check-pva", "--op", "op"], ["check-symplectic", "--json", "--op", "op"],
         ["check-compat", "--op", "op", "--op", "op"],
         ["lenard", "--op-h", "op", "--op-k", "op", "--seed", "vec", "--depth", "1"],
-        ["lenard", "--op-h", "op", "--op-k", "op", "--plan", "chain", "--chain", "e",
-         "--seed", "vec", "--depth", "1", "--kind", "symplectic"],
+        ["lenard", "--op-h", "op", "--op-k", "op", "--seed", "vec", "--depth", "1",
+         "--kind", "symplectic"],
         ["hierarchy", "kn", "--depth", "1", "--verify"],
         ["hierarchy", "kdv", "--param", "c=1/2", "--depth", "1", "--verify"],
         ["hierarchy", "nls", "--param", "c", "--depth", "1"],

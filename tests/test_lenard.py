@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -5,12 +6,11 @@ import pytest
 from pvakit import (
     Context,
     MatrixDiffOp,
-    NonMonomialDivisor,
     NotExact,
     PlanMismatch,
     lenard_extend,
     make_plan,
-    recursion_order1,
+    parse_operator,
     verify_sequence,
 )
 from pvakit.lenard import HierarchyRecord, HierarchyStep
@@ -18,23 +18,40 @@ from pvakit.lenard import HierarchyRecord, HierarchyStep
 from conftest import kdv_pair
 
 
-def test_make_plan_validates(ctx1):
+def test_make_plan_validates(ctx1, ctx1c):
     u = ctx1.gen(0)
-    K = MatrixDiffOp.single(ctx1, [(0, u.total_derivative()), (1, u.scale(2))])
     half = Fraction(1, 2)
-    plan = make_plan(K, "chain", [(u ** half).scale(2), u ** half])
-    assert plan.operator() == K
-    with pytest.raises(PlanMismatch):
-        make_plan(K, "derivative")
-    with pytest.raises(PlanMismatch):
-        make_plan(K, "chain", [u ** half, u ** half])
-    with pytest.raises(PlanMismatch):
-        make_plan(K, "chain", [u + ctx1.one(), u])
+    K = MatrixDiffOp.single(ctx1, [(0, u.total_derivative()), (1, u.scale(2))])
+    plan = make_plan(K)
+    # u' + 2 u d = 2 u^(1/2) o d o u^(1/2)
+    assert plan.pivots == [(0, 0, (u ** half).scale(2), 1, u ** half)]
+    # a constant inner factor folds into m0: d o c o d = c d^2
+    c = ctx1c.param("c")
+    K = MatrixDiffOp.single(ctx1c, [(2, c)])
+    assert make_plan(K).pivots == [(0, 0, c, 2, None)]
+
+
+@pytest.mark.parametrize(
+    "vars_, text, message",
+    [
+        ("u", "d, d", "K is 1 x 2, not square"),
+        ("u,v", "d, d; d, d", "K has no triangle"),
+        ("u", "(u + 1)*d", "K entry (0, 0) = (u + 1)*d is not"),
+        ("u", "u*d^2 + u'*d", "K entry (0, 0) = u'*d + u*d^2 is not"),
+        ("u,v", "v*d, u*d; u*d^2 + u'*d, 0", "K entry (1, 0) = u'*d + u*d^2 is not"),
+    ],
+)
+def test_make_plan_rejects(vars_, text, message):
+    """No triangle of pivots m0 o d^r o m1: K not square, no row with a
+    single unsolved entry, a leading coefficient that is not a monomial,
+    and d o u o d, whose inner factor is not constant."""
+    with pytest.raises(PlanMismatch, match=re.escape(message)):
+        make_plan(parse_operator(text, Context(vars_.split(","))))
 
 
 def test_derivative_plan_solutions(ctx1):
     K = MatrixDiffOp.derivative(ctx1)
-    plan = make_plan(K, "derivative")
+    plan = make_plan(K)
     u = ctx1.gen(0)
     X = plan.solve((u * ctx1.gen(0, 1),))
     assert X == ((u ** 2).scale(Fraction(1, 2)),)
@@ -44,9 +61,8 @@ def test_derivative_plan_solutions(ctx1):
 
 def test_chain_plan_solves_square_root_factorization(ctx1):
     u = ctx1.gen(0)
-    half = Fraction(1, 2)
     K = MatrixDiffOp.single(ctx1, [(0, u.total_derivative()), (1, u.scale(2))])
-    plan = make_plan(K, "chain", [(u ** half).scale(2), u ** half])
+    plan = make_plan(K)
     Y = K.apply((u ** Fraction(-5, 2),))
     X = plan.solve(Y)
     assert X == (u ** Fraction(-5, 2),)
@@ -54,8 +70,7 @@ def test_chain_plan_solves_square_root_factorization(ctx1):
 
 def test_kdv_extension_values(ctx1c):
     H, K = kdv_pair(ctx1c)
-    plan = make_plan(K, "derivative")
-    rec = lenard_extend(H, K, plan, [(ctx1c.one(),)], 3, name="kdv")
+    rec = lenard_extend(H, K, [(ctx1c.one(),)], 3, name="kdv")
     assert rec.step(1).F == (ctx1c.gen(0),)
     assert rec.step(2).F == (ctx1c.parse("3/2*u^2 + c*u''"),)
     assert rec.step(3).F == (
@@ -71,25 +86,19 @@ def test_kdv_extension_values(ctx1c):
 
 def test_seed_validation(ctx1c):
     H, K = kdv_pair(ctx1c)
-    plan = make_plan(K, "derivative")
     with pytest.raises(NotExact):
-        lenard_extend(H, K, plan, [(ctx1c.one(),), (ctx1c.one(),)], 3)
-
-
-def test_recursion_order1_matches_extension(ctx1c):
-    H, K = kdv_pair(ctx1c)
-    chain = recursion_order1(ctx1c.num(1, 2), H, ctx1c.one(), 4)
-    plan = make_plan(K, "derivative")
-    rec = lenard_extend(H, K, plan, [(ctx1c.one(),)], 4)
-    for n in range(5):
-        assert (chain[n],) == tuple(rec.step(n).F)
+        lenard_extend(H, K, [(ctx1c.one(),), (ctx1c.one(),)], 3)
 
 
 def test_recursion_order1_hd_values():
+    """HD's K = u' + 2 u d, solved as 2 u^(1/2) o d o u^(1/2), against the
+    closed forms of the first two steps."""
     ctx = Context(("u",), ("alpha", "beta"))
     u = ctx.gen(0)
     H = MatrixDiffOp.single(ctx, [(1, ctx.param("alpha")), (3, ctx.param("beta"))])
-    chain = recursion_order1(u, H, u ** Fraction(-1, 2), 2)
+    K = MatrixDiffOp.single(ctx, [(0, u.total_derivative()), (1, u.scale(2))])
+    rec = lenard_extend(H, K, [(u ** Fraction(-1, 2),)], 2)
+    chain = [s.F[0] for s in rec.steps]
     q = Fraction
     upow = lambda e: u ** q(e)
     want1 = ctx.param("alpha") * upow(q(-3, 2)).scale(q(1, 4)) + ctx.param("beta") * (
@@ -106,19 +115,9 @@ def test_recursion_order1_hd_values():
     assert chain[2] == want2
 
 
-def test_recursion_order1_preconditions(ctx1):
-    u = ctx1.gen(0)
-    H = MatrixDiffOp.derivative(ctx1, 3)
-    with pytest.raises(ValueError):
-        recursion_order1(ctx1.num(1, 2), H, u, 2)  # seed not in the kernel
-    with pytest.raises(NonMonomialDivisor):
-        recursion_order1(u + ctx1.one(), H, ctx1.zero(), 1)
-
-
 def test_verify_detects_corruption(ctx1c):
     H, K = kdv_pair(ctx1c)
-    plan = make_plan(K, "derivative")
-    rec = lenard_extend(H, K, plan, [(ctx1c.one(),)], 3)
+    rec = lenard_extend(H, K, [(ctx1c.one(),)], 3)
     bad_steps = [
         HierarchyStep(s.n, s.F if s.n != 2 else (s.F[0] + ctx1c.gen(0, 1),), s.h, s.flow)
         for s in rec.steps
@@ -140,8 +139,7 @@ def test_verify_empty_record(ctx1c):
 def test_linear_chain_with_offset_start(ctx1):
     H = MatrixDiffOp.derivative(ctx1, 3)
     K = MatrixDiffOp.derivative(ctx1)
-    plan = make_plan(K, "derivative")
-    rec = lenard_extend(H, K, plan, [(ctx1.gen(0),)], 4, start_index=1)
+    rec = lenard_extend(H, K, [(ctx1.gen(0),)], 4, start_index=1)
     assert [s.n for s in rec.steps] == [1, 2, 3, 4]
     for s in rec.steps:
         assert s.F == (ctx1.gen(0, 2 * (s.n - 1)),)
@@ -149,8 +147,7 @@ def test_linear_chain_with_offset_start(ctx1):
 
 def test_record_json_shape(ctx1c):
     H, K = kdv_pair(ctx1c)
-    plan = make_plan(K, "derivative")
-    rec = verify_sequence(H, K, lenard_extend(H, K, plan, [(ctx1c.one(),)], 2, name="kdv"))
+    rec = verify_sequence(H, K, lenard_extend(H, K, [(ctx1c.one(),)], 2, name="kdv"))
     data = rec.to_json()
     assert set(data) == {"name", "kind", "params", "steps", "verification"}
     assert set(data["steps"][0]) == {"n", "F", "h", "flow"}
@@ -167,6 +164,6 @@ def test_record_json_shape(ctx1c):
 
 def test_solve_K_function(ctx1):
     K = MatrixDiffOp.derivative(ctx1)
-    plan = make_plan(K, "derivative")
+    plan = make_plan(K)
     u = ctx1.gen(0)
     assert plan.solve((u * ctx1.gen(0, 1),)) == ((u ** 2).scale(Fraction(1, 2)),)

@@ -18,7 +18,6 @@ from pvakit import (
     LogRequired,
     lenard,
     lenard_extend,
-    make_plan,
     parse_operator,
     verify_sequence,
 )
@@ -217,8 +216,7 @@ def _lenard_record(h_text, seed, depth, kind="hamiltonian"):
     builds it, with its operators."""
     ctx = Context(("u",))
     H, K = parse_operator(h_text, ctx), parse_operator("d", ctx)
-    plan = make_plan(K, "derivative")
-    rec = lenard_extend(H, K, plan, [(ctx.parse(seed),)], depth, kind=kind)
+    rec = lenard_extend(H, K, [(ctx.parse(seed),)], depth, kind=kind)
     return rec, H, K
 
 
