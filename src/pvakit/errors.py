@@ -57,5 +57,6 @@ class ParseError(PvakitError):
     """Syntax error in the text grammar, with position information."""
 
     def __init__(self, message, pos):
+        self.message = message
         self.pos = pos
         super().__init__("%s (at position %d)" % (message, pos))

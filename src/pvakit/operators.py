@@ -127,10 +127,6 @@ class MatrixDiffOp:
         size = ctx.nvars if size is None else size
         return MatrixDiffOp(ctx, [[[] for _ in range(size)] for _ in range(size)])
 
-    @staticmethod
-    def mult(ctx: Context, f: Expression) -> "MatrixDiffOp":
-        return MatrixDiffOp(ctx, [[f]])
-
     # -- shape -----------------------------------------------------------
 
     @property

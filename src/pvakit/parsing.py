@@ -1,16 +1,18 @@
-"""Text grammar for expressions and differential operators.
+"""Text grammar for differential operators and expressions.
 
-Expressions: generators are variable names with primes (u, u', u''') or a
+An operator entry is a sum of terms coeff*d^k, d the total derivative,
+with all d factors rightmost; an expression is an operator entry without
+d.  Generators are variable names with primes (u, u', u''') or a
 parenthesized derivative marker u^(k) for k >= 4; integer powers are bare
 (u^2) while fractional or negative exponents are parenthesized (u^(-1/2));
 products and quotients use * and /, with division only by monomials.
-Operator entries extend the grammar with the symbol d for the total
-derivative, written coeff*d^k with all d factors rightmost; matrix
-operators separate entries with ',' and rows with ';'.
+Matrix operators separate entries with ',' and rows with ';'.  Error
+positions count from the start of the given text.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .algebra import Context, Expression
@@ -77,28 +79,55 @@ class _Tokens:
 
 
 class _Parser:
+    """Parses (coefficient, d-power) pairs; an expression is a pair with
+    d-power 0.  With `with_d` the name d is the total derivative, parsed as
+    (1, 1); once a d factor appears, only further d factors may follow in
+    the same product."""
+
     def __init__(self, text: str, ctx: Context, with_d: bool = False):
         self.toks = _Tokens(text)
         self.ctx = ctx
         self.depth = 0
-        self.with_d = with_d and "d" not in ctx.var_names and "d" not in ctx.params
+        self.with_d = with_d
+        if with_d and ("d" in ctx.var_names or "d" in ctx.params):
+            raise ParseError("the operator symbol d collides with a name", 0)
 
-    # expression := term (('+'|'-') term)*
+    # entry := term (('+'|'-') term)*, its terms kept apart
+    def entry(self):
+        items = [self.term()]
+        while self.toks.peek()[0] in ("+", "-"):
+            op = self.toks.next()[0]
+            coeff, power = self.term()
+            items.append((-coeff if op == "-" else coeff, power))
+        return items
+
+    # expression := term (('+'|'-') term)*, summed, so without d
     def expression(self):
         value = self.term()
         while self.toks.peek()[0] in ("+", "-"):
-            op = self.toks.next()[0]
+            op, _, pos = self.toks.next()
             rhs = self.term()
-            value = self._add(value, rhs, op == "-")
+            if value[1] or rhs[1]:
+                raise ParseError("d may not appear inside a parenthesized sum", pos)
+            value = (value[0] - rhs[0] if op == "-" else value[0] + rhs[0], 0)
         return value
 
     def term(self):
-        value = self.factor()
+        ea, pa = self.factor()
         while self.toks.peek()[0] in ("*", "/"):
             op, _, pos = self.toks.next()
-            rhs = self.factor()
-            value = self._mul(value, rhs, op == "/", pos)
-        return value
+            eb, pb = self.factor()
+            if op == "/":
+                if pb:
+                    raise ParseError("cannot divide by d", pos)
+                if pa:
+                    raise ParseError("d factors must come last", pos)
+                ea = _arith(operator.truediv, ea, eb, pos)
+            else:
+                if pa and not pb and not (eb == self.ctx.one()):
+                    raise ParseError("coefficients must precede d factors", pos)
+                ea, pa = _arith(operator.mul, ea, eb, pos), pa + pb
+        return ea, pa
 
     def factor(self):
         # every unary sign and every parenthesized group nests one factor
@@ -108,20 +137,26 @@ class _Parser:
             raise ParseError("nested too deeply", tok[2])
         if tok[0] in ("+", "-"):
             self.toks.next()
-            inner = self.factor()
-            value = inner if tok[0] == "+" else self._neg(inner)
+            value = self.factor()
+            if tok[0] == "-":
+                value = (-value[0], value[1])
         else:
             value = self.power()
         self.depth -= 1
         return value
 
     def power(self):
-        base = self.atom()
+        ea, pa = self.atom()
         while self.toks.peek()[0] == "^":
             pos = self.toks.next()[2]
             e = self._exponent()
-            base = self._pow(base, e, pos)
-        return base
+            if pa:
+                if e.denominator != 1 or e < 0:
+                    raise ParseError("d powers must be nonnegative integers", pos)
+                pa *= int(e)
+            else:
+                ea = _arith(operator.pow, ea, e, pos)
+        return ea, pa
 
     def _exponent(self) -> Fraction:
         tok = self.toks.peek()
@@ -149,7 +184,7 @@ class _Parser:
     def atom(self):
         tok = self.toks.next()
         if tok[0] == "num":
-            return self._num(tok[1])
+            return self.ctx.num(tok[1]), 0
         if tok[0] == "(":
             inner = self.expression()
             self.toks.expect(")")
@@ -161,16 +196,16 @@ class _Parser:
     def _name_atom(self, tok):
         name = tok[1]
         if self.with_d and name == "d":
-            return self._d_atom()
+            return self.ctx.one(), 1
         if name in self.ctx.var_names:
             order = 0
             if self.toks.peek()[0] == "prime":
                 order = self.toks.next()[1]
             elif self._peek_derivative_marker() is not None:
                 order = self._take_derivative_marker()
-            return self._gen(name, order)
+            return self.ctx.gen(name, order), 0
         if name in self.ctx.params:
-            return self._param(name)
+            return self.ctx.param(name), 0
         raise ParseError("unknown name %r" % name, tok[2])
 
     def _peek_derivative_marker(self):
@@ -193,42 +228,6 @@ class _Parser:
         self.toks.next()  # )
         return k
 
-    # hooks overridden by the operator parser -----------------------------
-
-    def _num(self, value):
-        return self.ctx.num(value)
-
-    def _gen(self, name, order):
-        return self.ctx.gen(name, order)
-
-    def _param(self, name):
-        return self.ctx.param(name)
-
-    def _add(self, a, b, subtract):
-        return a - b if subtract else a + b
-
-    def _neg(self, a):
-        return -a
-
-    def _mul(self, a, b, divide, pos):
-        try:
-            return a / b if divide else a * b
-        except NonMonomialDivisor:
-            raise
-        except Exception as exc:
-            raise ParseError(str(exc), pos) from None
-
-    def _pow(self, a, e, pos):
-        try:
-            return a ** e
-        except NonMonomialDivisor:
-            raise
-        except Exception as exc:
-            raise ParseError(str(exc), pos) from None
-
-    def _d_atom(self):
-        raise ParseError("d is not allowed here", self.toks.peek()[2])
-
     def finish(self, value):
         tok = self.toks.peek()
         if tok[0] != "end":
@@ -236,116 +235,62 @@ class _Parser:
         return value
 
 
+def _arith(op, a, b, pos):
+    """op(a, b); its errors, bar a non-monomial divisor, become ParseErrors
+    at pos."""
+    try:
+        return op(a, b)
+    except NonMonomialDivisor:
+        raise
+    except Exception as exc:
+        raise ParseError(str(exc), pos) from None
+
+
 def parse_expression(text: str, ctx: Context) -> Expression:
     p = _Parser(text, ctx)
-    return p.finish(p.expression())
-
-
-class _OpParser(_Parser):
-    """Parses operator entries as pairs (expression, d-power).
-
-    Values are (Expression, int) with the integer the total derivative
-    power; once a d factor appears, only further d factors may follow in
-    the same product.
-    """
-
-    def __init__(self, text: str, ctx: Context):
-        super().__init__(text, ctx, with_d=True)
-        if not self.with_d:
-            raise ParseError("the operator symbol d collides with a name", 0)
-
-    def _num(self, value):
-        return (self.ctx.num(value), 0)
-
-    def _gen(self, name, order):
-        return (self.ctx.gen(name, order), 0)
-
-    def _param(self, name):
-        return (self.ctx.param(name), 0)
-
-    def _d_atom(self):
-        return (self.ctx.one(), 1)
-
-    def _add(self, a, b, subtract):
-        # only reachable inside parenthesized coefficient groups
-        if a[1] or b[1]:
-            raise ParseError("d may not appear inside a parenthesized sum", 0)
-        return (a[0] - b[0] if subtract else a[0] + b[0], 0)
-
-    def _neg(self, a):
-        return (-a[0], a[1])
-
-    def _mul(self, a, b, divide, pos):
-        ea, pa = a
-        eb, pb = b
-        if divide:
-            if pb:
-                raise ParseError("cannot divide by d", pos)
-            if pa:
-                raise ParseError("d factors must come last", pos)
-            return (super()._mul(ea, eb, True, pos), pa)
-        if pa and not pb and not (eb == self.ctx.one()):
-            raise ParseError("coefficients must precede d factors", pos)
-        return (ea * eb, pa + pb)
-
-    def _pow(self, a, e, pos):
-        ea, pa = a
-        if pa:
-            if e.denominator != 1 or e < 0:
-                raise ParseError("d powers must be nonnegative integers", pos)
-            return (ea, pa * int(e))
-        return (super()._pow(ea, e, pos), 0)
-
-    def entry(self):
-        items = []
-        value = self.term()
-        items.append(value)
-        while self.toks.peek()[0] in ("+", "-"):
-            op = self.toks.next()[0]
-            value = self.term()
-            if op == "-":
-                value = (-value[0], value[1])
-            items.append(value)
-        return items
+    return p.finish(p.expression())[0]
 
 
 def parse_operator_entry(text: str, ctx: Context) -> list[tuple[int, Expression]]:
-    p = _OpParser(text, ctx)
-    items = p.entry()
-    p.finish(None)
-    return [(power, coeff) for coeff, power in items]
+    p = _Parser(text, ctx, with_d=True)
+    return [(power, coeff) for coeff, power in p.finish(p.entry())]
 
 
-def _split_top(text: str, sep: str) -> list[str]:
+def _split_top(text: str, sep: str, offset: int = 0) -> list[tuple[int, str]]:
+    """The parts of text between top-level separators, each with its
+    position in a text in which text itself starts at offset."""
     parts = []
     depth = 0
-    cur = []
-    for ch in text:
+    start = 0
+    for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
+        elif ch == sep and depth == 0:
+            parts.append((offset + start, text[start:i]))
+            start = i + 1
+    parts.append((offset + start, text[start:]))
     return parts
 
 
 def parse_operator(text: str, ctx: Context) -> MatrixDiffOp:
     """Matrix operator: rows separated by ';', entries by ','; a lone '0'
-    entry is the zero operator."""
+    entry is the zero operator.  Error positions count from the start of
+    text."""
     rows = []
-    for row_text in _split_top(text, ";"):
+    for row_start, row_text in _split_top(text, ";"):
         row = []
-        for entry_text in _split_top(row_text, ","):
-            entry_text = entry_text.strip()
-            if entry_text in ("0", ""):
+        for start, entry_text in _split_top(row_text, ",", row_start):
+            stripped = entry_text.strip()
+            if stripped in ("0", ""):
                 row.append([])
-            else:
-                row.append(parse_operator_entry(entry_text, ctx))
+                continue
+            try:
+                row.append(parse_operator_entry(stripped, ctx))
+            except ParseError as exc:
+                start += len(entry_text) - len(entry_text.lstrip())
+                raise ParseError(exc.message, start + exc.pos) from None
         rows.append(row)
     if len({len(row) for row in rows}) > 1:
         raise ParseError("rows of the operator matrix differ in length", 0)

@@ -628,10 +628,10 @@ class ChainPlan:
         self.size = 1
 
     def operator(self):
-        op = MatrixDiffOp.mult(self.ctx, self.monomials[-1])
+        op = MatrixDiffOp(self.ctx, [[self.monomials[-1]]])
         d = MatrixDiffOp.derivative(self.ctx, 1, 1)
         for m in reversed(self.monomials[:-1]):
-            op = MatrixDiffOp.mult(self.ctx, m).compose(d.compose(op))
+            op = MatrixDiffOp(self.ctx, [[m]]).compose(d.compose(op))
         return op
 
     def solve(self, Y):

@@ -249,7 +249,7 @@ def test_criterion_9_structure_checks():
     ):
         assert check_symplectic(S).passed
     d = MatrixDiffOp.derivative(ctx)
-    inv = MatrixDiffOp.mult(ctx, up ** -1)
+    inv = MatrixDiffOp(ctx, [[up ** -1]])
     sokolov = two_form_from_potential(((up ** -1).scale(Fraction(-1, 2)),))
     assert sokolov == inv.compose(d).compose(inv)
     assert check_symplectic(sokolov).passed

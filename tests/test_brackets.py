@@ -214,7 +214,7 @@ def test_sokolov_dorfman_two_forms(ctx1):
     up = ctx1.gen(0, 1)
     half = Fraction(1, 2)
     d = MatrixDiffOp.derivative(ctx1)
-    inv = MatrixDiffOp.mult(ctx1, up ** -1)
+    inv = MatrixDiffOp(ctx1, [[up ** -1]])
     S = two_form_from_potential(((up ** -1).scale(-half),))
     assert S == inv.compose(d).compose(inv)
     assert check_symplectic(S).passed

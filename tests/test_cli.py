@@ -346,11 +346,12 @@ def test_zero_exponent_denominator_is_usage_error():
     _assert_usage_error(run("vder", "u^(1/0)"))
 
 
-def test_chain_plan_without_chain_is_usage_error():
-    _assert_usage_error(
-        run("lenard", "--op-h", "u' + 2*u*d", "--op-k", "d", "--plan", "chain",
-            "--seed", "1")
-    )
+@pytest.mark.parametrize("option", [["--plan", "chain"], ["--chain", "e"]])
+def test_removed_plan_and_chain_options_are_usage_errors(option):
+    """The solver is read off K, so lenard has no --plan and no --chain."""
+    r = run("lenard", "--op-h", "u' + 2*u*d", "--op-k", "d", "--seed", "1", *option)
+    _assert_usage_error(r)
+    assert "No such option" in r.output and option[0] in r.output
 
 
 def test_lenard_without_a_solver_is_one_line_error():

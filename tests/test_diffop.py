@@ -44,7 +44,7 @@ def test_compose(ctx1):
     assert d.compose(d) == MatrixDiffOp.derivative(ctx1, 2)
     half = Fraction(1, 2)
     left = MatrixDiffOp.single(ctx1, [(1, (u ** half).scale(2))])
-    right = MatrixDiffOp.mult(ctx1, u ** half)
+    right = MatrixDiffOp(ctx1, [[u ** half]])
     K = left.compose(right)
     assert K == MatrixDiffOp.single(ctx1, [(0, u.total_derivative()), (1, u.scale(2))])
 

@@ -160,10 +160,3 @@ def test_record_json_shape(ctx1c):
         "closed",
     }
     assert rec.json_text() == rec.json_text()
-
-
-def test_solve_K_function(ctx1):
-    K = MatrixDiffOp.derivative(ctx1)
-    plan = make_plan(K)
-    u = ctx1.gen(0)
-    assert plan.solve((u * ctx1.gen(0, 1),)) == ((u ** 2).scale(Fraction(1, 2)),)

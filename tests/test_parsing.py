@@ -52,6 +52,15 @@ def test_errors_carry_position(ctx1):
         ctx1.parse("u ^ x")
     with pytest.raises(ParseError):
         ctx1.parse("u) ")
+    # positions count from the start of the whole text: the '+' joining a
+    # sum that holds d, and an entry of a matrix operator
+    with pytest.raises(ParseError) as exc:
+        parse_operator("(u + d)*d", ctx1)
+    assert exc.value.pos == 3
+    with pytest.raises(ParseError) as exc:
+        parse_operator("d, 0; 0,  v*q", Context(("u", "v")))
+    assert exc.value.pos == 12
+    assert str(exc.value) == "unknown name 'q' (at position 12)"
 
 
 def test_round_trip_random():

@@ -59,7 +59,7 @@ def test_frechet_examples(ctx1):
     D = frechet(F)
     assert D == MatrixDiffOp.single(ctx1, [(1, (up ** -2).scale(Fraction(1, 2)))])
     defect = D - frechet(F, adjoint=True)
-    inv = MatrixDiffOp.mult(ctx1, up ** -1)
+    inv = MatrixDiffOp(ctx1, [[up ** -1]])
     assert defect == inv.compose(MatrixDiffOp.derivative(ctx1)).compose(inv)
     # exact vectors have self-adjoint first variation
     G = variational_derivative(ctx1.gen(0) * ctx1.gen(0, 2))
