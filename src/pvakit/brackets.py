@@ -14,7 +14,6 @@ residual witnesses per generator triple.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Optional, Sequence, Union
@@ -172,9 +171,6 @@ class CheckReport:
             "passed": self.passed,
             "failures": [f.to_json() for f in self.failures],
         }
-
-    def json_text(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
 def _gen_bracket(H: MatrixDiffOp, i: int, x: Expression) -> LambdaPoly:

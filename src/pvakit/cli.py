@@ -9,6 +9,7 @@ on usage or syntax errors.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -73,6 +74,15 @@ def _echo(text: str, err: bool = False):
     click.echo(text, file=click.get_text_stream("stderr" if err else "stdout"))
 
 
+def _echo_json(record):
+    """record.to_json() on stdout in pieces: no whole string, no flush per line."""
+    out = click.get_text_stream("stdout")
+    text = json.JSONEncoder(indent=2, sort_keys=True).iterencode(record.to_json())
+    while piece := "".join(itertools.islice(text, 4096)):
+        out.write(piece)
+    print(file=out, flush=True)
+
+
 def _fail(message: str):
     _echo("error: %s" % message, err=True)
     sys.exit(1)
@@ -108,7 +118,7 @@ def _parse_op(ctx: Context, text: str) -> MatrixDiffOp:
 
 def _emit_report(report, as_json: bool):
     if as_json:
-        _echo(report.json_text())
+        _echo_json(report)
     elif report.passed:
         _echo("pass")
     else:
@@ -254,7 +264,7 @@ def lenard_cmd(ctx, h_text, k_text, seed_texts, depth, kind, as_json):
     except PvakitError as exc:
         _fail(str(exc))
     if as_json:
-        _echo(rec.json_text())
+        _echo_json(rec)
     else:
         for s in rec.steps:
             _echo("F^%d = (%s)" % (s.n, ", ".join(x.render() for x in s.F)))
@@ -296,7 +306,7 @@ def hierarchy_cmd(name, param_texts, depth, do_verify, as_json):
         _fail(str(exc))
     ok = rec.verification.passed()
     if as_json:
-        _echo(rec.json_text())
+        _echo_json(rec)
     else:
         for s in rec.steps:
             _echo("F^%d = (%s)" % (s.n, ", ".join(x.render() for x in s.F)))

@@ -18,7 +18,6 @@ pairings.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -206,9 +205,6 @@ class HierarchyRecord:
             "steps": [s.to_json() for s in self.steps],
             "verification": self.verification.to_json(),
         }
-
-    def json_text(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
 def _attach_density(gradient: VectorExpr) -> Optional[LocalFunctional]:

@@ -1,13 +1,14 @@
 """Text grammar for differential operators and expressions.
 
-An operator entry is a sum of terms coeff*d^k, d the total derivative,
-with all d factors rightmost; an expression is an operator entry without
-d.  Generators are variable names with primes (u, u', u''') or a
+An operator entry is an element of the ring of scalar differential
+operators: d is the total derivative, * composes (d*u = u*d + u') and ^k
+composes k times.  An expression is an operator entry without d.
+Generators are variable names with primes (u, u', u''') or a
 parenthesized derivative marker u^(k) for k >= 4; integer powers are bare
 (u^2) while fractional or negative exponents are parenthesized (u^(-1/2));
-products and quotients use * and /, with division only by monomials.
-Matrix operators separate entries with ',' and rows with ';'.  Error
-positions count from the start of the given text.
+products and quotients use * and /, with division only of a d-free factor
+by a monomial.  Matrix operators separate entries with ',' and rows with
+';'.  Error positions count from the start of the given text.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from .algebra import Context, Expression
 from .errors import NonMonomialDivisor, ParseError
-from .operators import MatrixDiffOp
+from .operators import Entry, MatrixDiffOp, _entry_compose, _entry_norm
 
 _OPS = set("+-*/^()")
 # nesting of unary signs and parentheses, well inside the recursion limit
@@ -79,55 +80,44 @@ class _Tokens:
 
 
 class _Parser:
-    """Parses (coefficient, d-power) pairs; an expression is a pair with
-    d-power 0.  With `with_d` the name d is the total derivative, parsed as
-    (1, 1); once a d factor appears, only further d factors may follow in
-    the same product."""
+    """Parses operator entries.  A value is a normalized operators.Entry, or
+    an Expression while made of d-free operands only, so d-free text runs on
+    Expression arithmetic alone.  With `with_d`, d is the total derivative."""
 
     def __init__(self, text: str, ctx: Context, with_d: bool = False):
         self.toks = _Tokens(text)
         self.ctx = ctx
         self.depth = 0
         self.with_d = with_d
+        self.one = ctx.one()  # the coefficient of a d atom, compared by identity
         if with_d and ("d" in ctx.var_names or "d" in ctx.params):
             raise ParseError("the operator symbol d collides with a name", 0)
 
-    # entry := term (('+'|'-') term)*, its terms kept apart
-    def entry(self):
-        items = [self.term()]
+    # sum := term (('+'|'-') term)*
+    def sum(self):
+        terms = [self.term()]
         while self.toks.peek()[0] in ("+", "-"):
             op = self.toks.next()[0]
-            coeff, power = self.term()
-            items.append((-coeff if op == "-" else coeff, power))
-        return items
-
-    # expression := term (('+'|'-') term)*, summed, so without d
-    def expression(self):
-        value = self.term()
-        while self.toks.peek()[0] in ("+", "-"):
-            op, _, pos = self.toks.next()
             rhs = self.term()
-            if value[1] or rhs[1]:
-                raise ParseError("d may not appear inside a parenthesized sum", pos)
-            value = (value[0] - rhs[0] if op == "-" else value[0] + rhs[0], 0)
-        return value
+            terms.append(_neg(rhs) if op == "-" else rhs)
+        if len(terms) == 1 or all(isinstance(t, Expression) for t in terms):
+            return sum(terms[1:], terms[0])
+        return _entry_norm(item for t in terms for item in _entry(t))
 
     def term(self):
-        ea, pa = self.factor()
+        value = self.factor()
         while self.toks.peek()[0] in ("*", "/"):
             op, _, pos = self.toks.next()
-            eb, pb = self.factor()
-            if op == "/":
-                if pb:
-                    raise ParseError("cannot divide by d", pos)
-                if pa:
-                    raise ParseError("d factors must come last", pos)
-                ea = _arith(operator.truediv, ea, eb, pos)
+            rhs = self.factor()
+            if op == "*":
+                value = _compose(value, rhs, pos)
+            elif not isinstance(rhs, Expression):
+                raise ParseError("cannot divide by d", pos)
+            elif not isinstance(value, Expression):
+                raise ParseError("only a d-free factor may be divided", pos)
             else:
-                if pa and not pb and not (eb == self.ctx.one()):
-                    raise ParseError("coefficients must precede d factors", pos)
-                ea, pa = _arith(operator.mul, ea, eb, pos), pa + pb
-        return ea, pa
+                value = _arith(operator.truediv, value, rhs, pos)
+        return value
 
     def factor(self):
         # every unary sign and every parenthesized group nests one factor
@@ -139,24 +129,32 @@ class _Parser:
             self.toks.next()
             value = self.factor()
             if tok[0] == "-":
-                value = (-value[0], value[1])
+                value = _neg(value)
         else:
             value = self.power()
         self.depth -= 1
         return value
 
     def power(self):
-        ea, pa = self.atom()
+        value = self.atom()
         while self.toks.peek()[0] == "^":
             pos = self.toks.next()[2]
             e = self._exponent()
-            if pa:
-                if e.denominator != 1 or e < 0:
-                    raise ParseError("d powers must be nonnegative integers", pos)
-                pa *= int(e)
-            else:
-                ea = _arith(operator.pow, ea, e, pos)
-        return ea, pa
+            if isinstance(value, Expression):
+                value = _arith(operator.pow, value, e, pos)
+                continue
+            if e.denominator != 1 or e < 0:
+                raise ParseError("d powers must be nonnegative integers", pos)
+            k = int(e)
+            if k and len(value) == 1 and value[0][1] is self.one:
+                value = ((value[0][0] * k, value[0][1]),)  # (d^p)^k = d^(p*k)
+                continue
+            # value o value^(k-1): each step differentiates only to value's order
+            out = self.one
+            for _ in range(k):
+                out = _compose(value, out, pos)
+            value = out
+        return value
 
     def _exponent(self) -> Fraction:
         tok = self.toks.peek()
@@ -184,9 +182,9 @@ class _Parser:
     def atom(self):
         tok = self.toks.next()
         if tok[0] == "num":
-            return self.ctx.num(tok[1]), 0
+            return self.ctx.num(tok[1])
         if tok[0] == "(":
-            inner = self.expression()
+            inner = self.sum()
             self.toks.expect(")")
             return inner
         if tok[0] == "name":
@@ -196,37 +194,18 @@ class _Parser:
     def _name_atom(self, tok):
         name = tok[1]
         if self.with_d and name == "d":
-            return self.ctx.one(), 1
+            return ((1, self.one),)
         if name in self.ctx.var_names:
-            order = 0
             if self.toks.peek()[0] == "prime":
-                order = self.toks.next()[1]
-            elif self._peek_derivative_marker() is not None:
-                order = self._take_derivative_marker()
-            return self.ctx.gen(name, order), 0
+                return self.ctx.gen(name, self.toks.next()[1])
+            t0, t1, t2, t3 = (self.toks.peek(k) for k in range(4))
+            if (t0[0], t1[0], t2[0], t3[0]) != ("^", "(", "num", ")") or t2[1] < 4:
+                return self.ctx.gen(name, 0)
+            self.toks.pos += 4  # the derivative marker u^(k)
+            return self.ctx.gen(name, t2[1])
         if name in self.ctx.params:
-            return self.ctx.param(name), 0
+            return self.ctx.param(name)
         raise ParseError("unknown name %r" % name, tok[2])
-
-    def _peek_derivative_marker(self):
-        """u^(k) with bare integer k >= 4 directly after a variable."""
-        t0, t1, t2, t3 = (self.toks.peek(k) for k in range(4))
-        if (
-            t0[0] == "^"
-            and t1[0] == "("
-            and t2[0] == "num"
-            and t2[1] >= 4
-            and t3[0] == ")"
-        ):
-            return t2[1]
-        return None
-
-    def _take_derivative_marker(self) -> int:
-        self.toks.next()  # ^
-        self.toks.next()  # (
-        k = self.toks.next()[1]
-        self.toks.next()  # )
-        return k
 
     def finish(self, value):
         tok = self.toks.peek()
@@ -235,12 +214,30 @@ class _Parser:
         return value
 
 
+def _entry(value) -> Entry:
+    """value as (power, coeff) items; a d-free value multiplies."""
+    return ((0, value),) if isinstance(value, Expression) else value
+
+
+def _compose(a, b, pos):
+    if not isinstance(a, Expression):
+        return _entry_norm(_entry_compose(a, _entry(b)))
+    if isinstance(b, Expression):
+        return _arith(operator.mul, a, b, pos)
+    # a function times an operator: nonzero factors have nonzero products
+    return tuple((p, a * c) for p, c in b) if not a.is_zero() else ()
+
+
+def _neg(value):
+    return -value if isinstance(value, Expression) else tuple((p, -a) for p, a in value)
+
+
 def _arith(op, a, b, pos):
-    """op(a, b); its errors, bar a non-monomial divisor, become ParseErrors
-    at pos."""
+    """op(a, b); its errors, bar a non-monomial divisor and running out of
+    memory, become ParseErrors at pos."""
     try:
         return op(a, b)
-    except NonMonomialDivisor:
+    except (NonMonomialDivisor, MemoryError):
         raise
     except Exception as exc:
         raise ParseError(str(exc), pos) from None
@@ -248,12 +245,13 @@ def _arith(op, a, b, pos):
 
 def parse_expression(text: str, ctx: Context) -> Expression:
     p = _Parser(text, ctx)
-    return p.finish(p.expression())[0]
+    return p.finish(p.sum())
 
 
-def parse_operator_entry(text: str, ctx: Context) -> list[tuple[int, Expression]]:
+def parse_operator_entry(text: str, ctx: Context) -> Entry:
     p = _Parser(text, ctx, with_d=True)
-    return [(power, coeff) for coeff, power in p.finish(p.entry())]
+    value = p.finish(p.sum())
+    return value if isinstance(value, tuple) else _entry_norm([(0, value)])
 
 
 def _split_top(text: str, sep: str, offset: int = 0) -> list[tuple[int, str]]:
@@ -292,6 +290,6 @@ def parse_operator(text: str, ctx: Context) -> MatrixDiffOp:
                 start += len(entry_text) - len(entry_text.lstrip())
                 raise ParseError(exc.message, start + exc.pos) from None
         rows.append(row)
-    if len({len(row) for row in rows}) > 1:
-        raise ParseError("rows of the operator matrix differ in length", 0)
+        if len(row) != len(rows[0]):
+            raise ParseError("rows of the operator matrix differ in length", row_start)
     return MatrixDiffOp(ctx, rows)

@@ -61,7 +61,7 @@ def test_criterion_1_kdv_golden():
     t0 = time.monotonic()
     spec = HierarchySpec("kdv", depth=3)
     report = golden_verify(spec)
-    assert report.passed, report.json_text()
+    assert report.passed, report.to_json()
     rec = generate(spec)
     ctx = rec.steps[0].F[0].ctx
     # the classical equation and the next one up sit at H F^1 and H F^2

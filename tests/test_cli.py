@@ -314,6 +314,19 @@ def test_lenard_cmd():
     assert "F^2 = (c*u'' + 3/2*u^2)" in r.output
 
 
+def test_lenard_json_pieces_join_to_the_dumps_text():
+    """--json writes the record in pieces of 4096 encoder chunks; a depth-400
+    record spans three of them and prints exactly its json.dumps text."""
+    argv = ["lenard", "--op-h", "d^3", "--op-k", "d", "--seed", "1", "--depth", "400"]
+    ctx = pvakit.Context(("u",))
+    H, K = pvakit.parse_operator("d^3", ctx), pvakit.parse_operator("d", ctx)
+    rec = pvakit.lenard_extend(H, K, [(ctx.one(),)], 400, name="lenard")
+    pvakit.verify_sequence(H, K, rec)
+    r = run(*argv, "--json")
+    assert r.exit_code == 0
+    assert r.output == json.dumps(rec.to_json(), indent=2, sort_keys=True) + "\n"
+
+
 def test_config_file(tmp_path):
     cfg = tmp_path / "session.json"
     cfg.write_text(json.dumps({"variables": ["u", "v"], "parameters": ["c"]}))
@@ -455,13 +468,13 @@ def test_certified_deep_chain_fits_in_bounded_memory():
     reason="RLIMIT_AS of a child process needs Linux",
 )
 def test_out_of_memory_is_a_one_line_error():
-    """A run that exhausts a 100 MB address space (the depth-50000 record
-    cannot be rendered as JSON in it) exits 1 with one error line."""
+    """A run that exhausts a 100 MB address space exits 1 with one error
+    line: the product has 160,801 terms with coefficients of hundreds of
+    digits, and its variational derivative does not fit in 400 MB."""
     root = os.path.dirname(os.path.dirname(pvakit.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    argv = ["lenard", "--op-h", "d^3", "--op-k", "d", "--seed", "1", "--depth", "50000",
-            "--json"]
+    argv = ["vder", "(1 + u)^400*(1 + u')^400"]
     r = subprocess.run(
         [sys.executable, "-m", "pvakit.cli"] + argv,
         capture_output=True, env=env,

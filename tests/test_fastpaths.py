@@ -8,14 +8,14 @@ structure checks agree with their one-loop-per-rule references (the
 two-variable read-off at lambda + mu with the iterated shift and the
 binomial spread, and both triple residuals of a skew operator satisfy the
 mirror identity the checks rely on), the lazy zero test agrees with the
-certified comparison, and rendered text parses back to what was
-rendered."""
+certified comparison, rendered text parses back to what was rendered,
+and parsed operator products are compositions."""
 
 import copy
 import pickle
 from fractions import Fraction
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pvakit import (
     BiLambdaPoly,
@@ -510,6 +510,33 @@ def test_render_entry_parses_back(data):
     ctx = data.draw(contexts)
     op = MatrixDiffOp(ctx, [[data.draw(entries(ctx, fractions_of_c=True))]])
     assert parse_operator(op.render_entry(0, 0), ctx).entry(0, 0) == op.entry(0, 0)
+
+
+@st.composite
+def entry_texts(draw, ctx):
+    return MatrixDiffOp(ctx, [[draw(entries(ctx, fractions_of_c=True))]]).render_entry(0, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(entry_texts(CTXS[1]), entry_texts(CTXS[1]), st.integers(0, 3))
+@example("2*d", "2*d", 2)
+@example("u*d", "d", 2)
+@example("d", "u*d", 1)
+@example("d", "2*d", 0)
+def test_parsed_products_are_compositions(a, b, k):
+    """Parsed (A)*(B), (A)^k, (A) - (B) and -(A) equal compose, repeated
+    compose, - and scale(-1) of the parsed parts.  The examples hold the
+    texts that parsed wrong when a product multiplied coefficients and
+    d-powers apart: (2*d)^2, (u*d)^2, d*(u*d), d*(2*d) and (u*d)*d."""
+    ctx = CTXS[1]
+    A, B = parse_operator(a, ctx), parse_operator(b, ctx)
+    power = MatrixDiffOp.identity(ctx, 1)
+    for _ in range(k):
+        power = power.compose(A)
+    assert parse_operator("(%s)*(%s)" % (a, b), ctx) == A.compose(B)
+    assert parse_operator("(%s)^%d" % (a, k), ctx) == power
+    assert parse_operator("(%s) - (%s)" % (a, b), ctx) == A - B
+    assert parse_operator("-(%s)" % a, ctx) == A.scale(-1)
 
 
 def test_render_keeps_parentheses_of_sums(ctx1c):

@@ -12,7 +12,7 @@ from pvakit.varcalc import variational_derivative
 @pytest.mark.parametrize("name", list(FAMILIES))
 def test_golden_all(name):
     report = golden_verify(HierarchySpec(name))
-    assert report.passed, report.json_text()
+    assert report.passed, report.to_json()
 
 
 def _rank(rows):
@@ -126,10 +126,10 @@ def test_nls_structure_is_polynomial():
 
 
 def test_record_json_deterministic():
-    a = generate(HierarchySpec("kdv", depth=2)).json_text()
-    b = generate(HierarchySpec("kdv", depth=2)).json_text()
+    a = generate(HierarchySpec("kdv", depth=2)).to_json()
+    b = generate(HierarchySpec("kdv", depth=2)).to_json()
     assert a == b
-    data = json.loads(a)
+    data = json.loads(json.dumps(a))
     assert data["name"] == "kdv"
     assert data["params"] == {"c": "c"}
     assert [s["n"] for s in data["steps"]] == [0, 1, 2]

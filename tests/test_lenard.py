@@ -1,3 +1,4 @@
+import json
 import re
 from fractions import Fraction
 
@@ -159,4 +160,4 @@ def test_record_json_shape(ctx1c):
         "gradients",
         "closed",
     }
-    assert rec.json_text() == rec.json_text()
+    assert json.loads(json.dumps(data)) == data

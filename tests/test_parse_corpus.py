@@ -56,6 +56,7 @@ _FIXED = [
     "u^(-1)*u'^(1/2)*v''", "c*c - c^2", "(u + 1)^2", "(u - u)^(-1)",
     "-(-(-u))", "(" * 60 + "u" + ")" * 60, "-" * 120 + "u", "u" + "^2" * 4,
     "u'''''''", "u^(12)", "u^(3)", "d^(4)", "alpha*u", "u_1 + u",
+    "(2*d)^2", "d*(u*d)", "d*(2*d)", "(u*d)*d", "d, 0; d",
 ]
 
 _ATOMS = [

@@ -5,6 +5,7 @@ import pytest
 
 from pvakit import (
     Context,
+    Expression,
     MatrixDiffOp,
     NonMonomialDivisor,
     ParseError,
@@ -52,15 +53,32 @@ def test_errors_carry_position(ctx1):
         ctx1.parse("u ^ x")
     with pytest.raises(ParseError):
         ctx1.parse("u) ")
-    # positions count from the start of the whole text: the '+' joining a
-    # sum that holds d, and an entry of a matrix operator
+    # positions count from the start of the whole text: the '/' dividing
+    # a factor that holds d, an entry of a matrix operator, and the start
+    # of the first row whose length differs from the first row's
     with pytest.raises(ParseError) as exc:
-        parse_operator("(u + d)*d", ctx1)
+        parse_operator("u*d/v", Context(("u", "v")))
     assert exc.value.pos == 3
+    assert str(exc.value) == "only a d-free factor may be divided (at position 3)"
     with pytest.raises(ParseError) as exc:
         parse_operator("d, 0; 0,  v*q", Context(("u", "v")))
     assert exc.value.pos == 12
     assert str(exc.value) == "unknown name 'q' (at position 12)"
+    with pytest.raises(ParseError) as exc:
+        parse_operator("d, 0; d", Context(("u", "v")))
+    assert str(exc.value) == "rows of the operator matrix differ in length (at position 5)"
+    with pytest.raises(ParseError) as exc:
+        parse_operator("d; d, d; d", Context(("u", "v")))
+    assert exc.value.pos == 2
+
+
+def test_running_out_of_memory_is_not_a_parse_error(ctx1, monkeypatch):
+    def exhausted(a, b):
+        raise MemoryError
+
+    monkeypatch.setattr(Expression, "__mul__", exhausted)
+    with pytest.raises(MemoryError):
+        ctx1.parse("u*u")
 
 
 def test_round_trip_random():
@@ -96,13 +114,29 @@ def test_operator_matrix(ctx2):
 
 def test_operator_grammar_rejections(ctx1):
     with pytest.raises(ParseError):
-        parse_operator("d*u", ctx1)  # coefficient after d
-    with pytest.raises(ParseError):
         parse_operator("u/d", ctx1)
     with pytest.raises(ParseError):
         parse_operator("d^(1/2)", ctx1)
+    with pytest.raises(ParseError) as exc:
+        parse_operator("(u*d)^(1/2)", ctx1)
+    assert exc.value.pos == 5
     with pytest.raises(ParseError):
-        parse_operator("(u + d)*d", ctx1)
+        parse_operator("u*d/u", ctx1)
+
+
+def test_operator_products_compose(ctx1):
+    """* composes and ^k composes k times, wherever d stands."""
+    def op(text):
+        return parse_operator(text, ctx1).render()
+
+    assert op("d*u") == "u' + u*d"
+    assert op("(u + d)*d") == "u*d + d^2"
+    assert op("(2*d)^2") == "4*d^2"
+    assert op("(u*d)^2") == "u'*u*d + u^2*d^2"
+    assert op("d*(u*d)") == "u'*d + u*d^2"
+    assert op("d*(2*d)") == "2*d^2"
+    assert op("(u*d)*d") == "u*d^2"
+    assert op("d^0") == op("(u*d)^0") == "1"
 
 
 def test_parenthesized_coefficients(ctx1c):
