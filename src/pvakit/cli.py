@@ -133,13 +133,18 @@ def _emit_report(report, as_json: bool):
 
 class _Group(click.Group):
     """The command group; a MemoryError anywhere below it ends the run
-    with a one-line error and exit status 1, not a traceback."""
+    with a one-line error and exit status 1, not a traceback, and so does
+    a result with a number past the interpreter's digit limit."""
 
     def invoke(self, com):
         try:
             return super().invoke(com)
         except MemoryError:
             _fail("out of memory")
+        except ValueError as exc:
+            if "integer string conversion" not in str(exc):
+                raise
+            _fail(str(exc).partition(";")[0])
 
 
 @click.group(cls=_Group)

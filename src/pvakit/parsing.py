@@ -35,11 +35,15 @@ class _Tokens:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if ch.isdecimal():
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
-                self.items.append(("num", int(text[i:j]), i))
+                try:
+                    self.items.append(("num", int(text[i:j]), i))
+                except ValueError:  # past the interpreter's digit limit
+                    message = "integer literal too long (%d digits)" % (j - i)
+                    raise ParseError(message, i) from None
                 i = j
                 continue
             if ch.isalpha() or ch == "_":

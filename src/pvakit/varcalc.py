@@ -142,8 +142,9 @@ def _descend(f: Expression):
     At top pair (n, i) the slice d(f)/du_i^(n) is integrated in u_i^(n-1)
     and the resulting total derivative subtracted.  Returns (g, rest,
     stall) with f = d(g) + rest: rest is constant when stall is None, and
-    otherwise stall is the LogRequired or NotExact error that stopped the
-    descent and rest is what was left at that point.
+    otherwise stall is the error that stopped the descent (LogRequired,
+    NotExact, or for f not exact OrderViolation: a slice above u_i^(n-1),
+    as of u'^2) and rest is what was left there.
     """
     g = f.ctx.zero()
     cur = f
@@ -160,37 +161,47 @@ def _descend(f: Expression):
             return g, cur, NotExact("depends on undifferentiated variables only")
         try:
             piece = antiderivative(cur.partial(i, n), i, n - 1)
-        except LogRequired as exc:
+        except (LogRequired, OrderViolation) as exc:
             return g, cur, exc
         g = g + piece
         cur = cur - piece.total_derivative()
 
 
-def integrate_total(f: Expression):
-    """Write f = d(g) + const, or raise NotExact / LogRequired."""
-    if not vec_is_zero(variational_derivative(f)):
-        raise NotExact("nonzero variational derivative, not a total derivative")
-    g, rest, stall = _descend(f)
-    if stall is not None:
-        raise stall
-    return g, rest.constant_coefficient()
+def _zero_mod_derivatives(f: Expression):
+    """(g, c, stall) with f = c modulo total derivatives, or None when
+    delta f != 0: the one zero test, int f = 0 exactly when c = 0.
 
-
-def _constant_mod_derivatives(f: Expression) -> Coefficient:
-    """The constant c with f = d(g) + c, for f with zero variational
-    derivative.
-
-    The total derivative raises the weight sum_k n_k e_k of a monomial by
-    exactly one, so only the weight-zero part of f can trade constants with
-    d(g), through terms of weight -1 in g: d(u/u') = 1 - u u''/u'^2.  When
-    that part is a bare constant it is c; otherwise c is what the descent
-    leaves of it (where it stalls on a logarithm, what is left there).
+    The descent runs first.  When it runs through, f = d(g) + c exactly,
+    and g certifies int f = 0 iff c = 0, without delta: d(h) is never a
+    nonzero constant, as it holds the derivative of h's top variable.  On
+    a stall delta f decides exactness, and a constant term proves nothing:
+    constants trade with weight -1 terms, d(u/u') = 1 - u u''/u'^2.  As d
+    raises the weight sum_k n_k e_k of a monomial by one, only the
+    weight-zero part of f can trade; c is that part when it is a bare
+    constant, and otherwise what its own descent leaves of it.
     """
+    g, rest, stall = _descend(f)
+    if stall is None:
+        return g, rest.constant_coefficient(), None
+    if not vec_is_zero(variational_derivative(f)):
+        return None
     zero_weight = {m: c for m, c in f.terms.items() if mono_weight(m) == 0}
     if all(m == ONE_MONO for m in zero_weight):
-        return f.constant_coefficient()
+        return g, f.constant_coefficient(), stall
     _, rest, _ = _descend(Expression(f.ctx, zero_weight))
-    return rest.constant_coefficient()
+    return g, rest.constant_coefficient(), stall
+
+
+def integrate_total(f: Expression):
+    """Write f = d(g) + const, or raise NotExact / LogRequired; delta f is
+    computed only when the descent, which runs first, stalls."""
+    z = _zero_mod_derivatives(f)
+    if z is None:
+        raise NotExact("nonzero variational derivative, not a total derivative")
+    g, c, stall = z
+    if stall is not None:
+        raise stall
+    return g, c
 
 
 def _scaling_potential(F: VectorExpr) -> Optional[Expression]:
@@ -295,30 +306,25 @@ class LocalFunctional:
         return self.rep.ctx
 
     def compare(self, other: "LocalFunctional") -> FunctionalComparison:
-        """Equality in V / dV together with its certificate: for equal
-        functionals, an antiderivative g of the difference (strict), or
-        strict False when g would need a logarithm.  Raises NotExact when
-        the functionals are equal but the descent stalls short of g."""
-        d = self.rep - other.rep
-        if not vec_is_zero(variational_derivative(d)):
+        """Equality in V / dV with its certificate, descent first and delta
+        only on a stall: for equal functionals, an antiderivative g of the
+        difference (strict), or strict False when g would need a logarithm.
+        Raises NotExact when they are equal but the descent stalls short of g."""
+        z = _zero_mod_derivatives(self.rep - other.rep)
+        if z is None or not z[1].is_zero():
             return FunctionalComparison(False)
-        g, rest, stall = _descend(d)
+        g, _, stall = z
         if stall is None:
-            if rest.is_zero():
-                return FunctionalComparison(True, True, g)
-            return FunctionalComparison(False)
-        if not _constant_mod_derivatives(d).is_zero():
-            return FunctionalComparison(False)
+            return FunctionalComparison(True, True, g)
         if isinstance(stall, LogRequired):
             return FunctionalComparison(True, False, None)
         raise stall
 
     def is_zero(self) -> bool:
-        """Zero in V / dV: zero variational derivative and no constant
-        left modulo total derivatives; no antiderivative is built."""
-        if not vec_is_zero(variational_derivative(self.rep)):
-            return False
-        return _constant_mod_derivatives(self.rep).is_zero()
+        """Zero in V / dV: the descent runs first, and when it runs through
+        its constant decides; delta runs only when it stalls."""
+        z = _zero_mod_derivatives(self.rep)
+        return z is not None and z[1].is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, LocalFunctional):

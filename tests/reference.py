@@ -26,6 +26,9 @@ check_compatible mixes the operators with fresh parameters t1, t2, ...;
 the library checks every pairwise sum in the operators' own context.
 The three solver plans take their kind, and a chain its monomials, from
 the caller; the library reads one triangle of pivots m0 o d^r o m1 off K.
+functional_is_zero, functional_compare and integrate_total compute the
+variational derivative first and descend only when it vanishes; the
+library descends first and computes it only when the descent stalls.
 Coefficient, at the end, keeps every value as two polynomial dicts with
 Fraction values; the library keeps a plain rational as one int or Fraction.
 test_fastpaths.py, test_fields.py and test_verify_reference.py pin each
@@ -36,7 +39,15 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from pvakit.algebra import Context, Expression, _exp, vec_dot, vec_is_zero
+from pvakit.algebra import (
+    ONE_MONO,
+    Context,
+    Expression,
+    _exp,
+    mono_weight,
+    vec_dot,
+    vec_is_zero,
+)
 from pvakit.brackets import CheckFailure, CheckReport, functional_bracket
 from pvakit.brackets import check_pva as lib_check_pva
 from pvakit.errors import (
@@ -51,11 +62,10 @@ from pvakit.operators import BiLambdaPoly, LambdaPoly, MatrixDiffOp
 from pvakit.parsing import parse_operator
 from pvakit.varcalc import (
     ClosednessReport,
-    LocalFunctional,
+    FunctionalComparison,
     _coeff_num,
     _exactify_inductive,
     frechet,
-    integrate_total,
     variational_derivative as vder,
 )
 
@@ -510,6 +520,80 @@ def exactify(F):
     return _exactify_inductive(F)
 
 
+# -- zero tests modulo total derivatives, variational derivative first ---
+
+
+def _descend(f):
+    """f = d(g) + rest down the order-then-index filtration: (g, rest,
+    stall), rest constant when stall is None; an OrderViolation of the
+    antiderivative propagates."""
+    g = f.ctx.zero()
+    cur = f
+    prev = None
+    while True:
+        top = cur.diff_order()
+        if top is None:
+            return g, cur, None
+        if prev is not None and top >= prev:
+            return g, cur, NotExact("no descent at %s" % (top,))
+        prev = top
+        n, i = top
+        if n == 0:
+            return g, cur, NotExact("depends on undifferentiated variables only")
+        try:
+            piece = antiderivative(cur.partial(i, n), i, n - 1)
+        except LogRequired as exc:
+            return g, cur, exc
+        g = g + piece
+        cur = cur - piece.total_derivative()
+
+
+def integrate_total(f):
+    """f = d(g) + const, after a nonzero variational derivative is refused."""
+    if not vec_is_zero(vder(f)):
+        raise NotExact("nonzero variational derivative, not a total derivative")
+    g, rest, stall = _descend(f)
+    if stall is not None:
+        raise stall
+    return g, rest.constant_coefficient()
+
+
+def _constant_mod_derivatives(f):
+    """The constant c with f = d(g) + c for f with zero variational
+    derivative, read off the weight-zero part of f."""
+    zero_weight = {m: c for m, c in f.terms.items() if mono_weight(m) == 0}
+    if all(m == ONE_MONO for m in zero_weight):
+        return f.constant_coefficient()
+    _, rest, _ = _descend(Expression(f.ctx, zero_weight))
+    return rest.constant_coefficient()
+
+
+def functional_compare(a, b):
+    """LocalFunctional(a).compare(LocalFunctional(b)), variational
+    derivative first."""
+    d = a - b
+    if not vec_is_zero(vder(d)):
+        return FunctionalComparison(False)
+    g, rest, stall = _descend(d)
+    if stall is None:
+        if rest.is_zero():
+            return FunctionalComparison(True, True, g)
+        return FunctionalComparison(False)
+    if not _constant_mod_derivatives(d).is_zero():
+        return FunctionalComparison(False)
+    if isinstance(stall, LogRequired):
+        return FunctionalComparison(True, False, None)
+    raise stall
+
+
+def functional_is_zero(f):
+    """LocalFunctional(f).is_zero(): zero variational derivative and no
+    constant left modulo total derivatives."""
+    if not vec_is_zero(vder(f)):
+        return False
+    return _constant_mod_derivatives(f).is_zero()
+
+
 def verify_sequence(H, K, record):
     """Verification flags of a Hamiltonian or symplectic chain, every
     pairing and every bracket evaluated on its own."""
@@ -528,7 +612,7 @@ def verify_sequence(H, K, record):
     for m in range(len(Fs)):
         for n in range(len(Fs)):
             for image in (HF[n], KF[n]):
-                if not LocalFunctional(vec_dot(Fs[m], image)).is_zero():
+                if not functional_is_zero(vec_dot(Fs[m], image)):
                     ortho = False
     ver.orthogonality = ortho
     gradients = [F if record.kind == "hamiltonian" else KFn for F, KFn in zip(Fs, KF)]
@@ -541,19 +625,19 @@ def verify_sequence(H, K, record):
     if record.kind == "hamiltonian":
         hs = [s.h for s in steps if s.h is not None]
         ver.involution_h = all(
-            functional_bracket(H, a, b).is_zero() for a in hs for b in hs
+            functional_is_zero(functional_bracket(H, a, b).rep) for a in hs for b in hs
         )
         ver.involution_k = all(
-            functional_bracket(K, a, b).is_zero() for a in hs for b in hs
+            functional_is_zero(functional_bracket(K, a, b).rep) for a in hs for b in hs
         )
     else:
         ver.involution_h = all(
-            LocalFunctional(vec_dot(Fs[m], HF[n])).is_zero()
+            functional_is_zero(vec_dot(Fs[m], HF[n]))
             for m in range(len(Fs))
             for n in range(len(Fs))
         )
         ver.involution_k = all(
-            LocalFunctional(vec_dot(Fs[m], KF[n])).is_zero()
+            functional_is_zero(vec_dot(Fs[m], KF[n]))
             for m in range(len(Fs))
             for n in range(len(Fs))
         )
@@ -571,12 +655,14 @@ def verify_nls(rec, J):
         for m in range(len(steps) - 1)
     )
     ver.orthogonality = all(
-        LocalFunctional(vec_dot(Fs[m], JF[n])).is_zero()
+        functional_is_zero(vec_dot(Fs[m], JF[n]))
         for m in range(len(Fs))
         for n in range(len(Fs))
     )
     hs = [s.h for s in steps if s.h is not None]
-    inv = all(functional_bracket(J, a, b).is_zero() for a in hs for b in hs)
+    inv = all(
+        functional_is_zero(functional_bracket(J, a, b).rep) for a in hs for b in hs
+    )
     ver.involution_h = inv
     ver.involution_k = inv
     ver.closed = [is_closed(F).closed for F in Fs]

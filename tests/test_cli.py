@@ -487,6 +487,25 @@ def test_out_of_memory_is_a_one_line_error():
     assert stderr == "error: out of memory\n"
 
 
+def test_numbers_past_the_digit_limit_are_one_line_errors():
+    """A result with a 6,021-digit coefficient cannot be printed, and a
+    5,000-digit literal cannot be read: exit 1 with one error line, and a
+    parse error at the literal.  Neither raises the interpreter's limit."""
+    r = run("vder", "2^20000*u")
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+    assert r.stderr == (
+        "error: Exceeds the limit (4300 digits) for integer string conversion\n"
+    )
+    for text, pos in (("9" * 5000 + "*u", 0), ("u + " + "9" * 5000, 4)):
+        r = run("vder", text)
+        _assert_usage_error(r)
+        assert r.stderr.splitlines()[-1] == (
+            "Error: integer literal too long (5000 digits) (at position %d)" % pos
+        )
+    assert sys.get_int_max_str_digits() == 4300
+    _assert_usage_error(run("vder", "2\u00b2*u"))
+
+
 def test_zero_depth_is_usage_error():
     _assert_usage_error(run("hierarchy", "kdv", "--depth", "0"))
 

@@ -15,6 +15,7 @@ import copy
 import pickle
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from pvakit import (
@@ -31,6 +32,7 @@ from pvakit import (
     check_symplectic,
     euler_operator,
     exactify,
+    integrate_total,
     is_closed,
     jacobi_triple_residual,
     lambda_bracket,
@@ -494,6 +496,75 @@ def test_lazy_zero_test_agrees_with_compare(data):
     assert lazy == certified.equal
     if certified.strict:
         assert certified.antiderivative.total_derivative() == d
+
+
+def _zero_tests(f, h, is_zero, compare, integrate):
+    """The outcomes of the zero test of f, of the comparison of f + h with
+    h, and of the integration of f, each a value or what it raised."""
+    return (
+        _outcome(is_zero, f),
+        _outcome(lambda d: compare(d + h, h), f),
+        _outcome(integrate, f),
+    )
+
+
+def _agree_with_reference(f, h):
+    got = _zero_tests(
+        f,
+        h,
+        lambda f: LocalFunctional(f).is_zero(),
+        lambda a, b: LocalFunctional(a).compare(LocalFunctional(b)),
+        integrate_total,
+    )
+    want = _zero_tests(
+        f,
+        h,
+        reference.functional_is_zero,
+        reference.functional_compare,
+        reference.integrate_total,
+    )
+    assert got == want
+
+
+# a log stall, slices nonlinear in the top derivative (OrderViolation),
+# an undifferentiated stall, d(u/u') with its constant 1, 1 - d(u/u'),
+# and a log stall beside d(u/u')
+STALLS = (
+    "0",
+    "u'/u",
+    "u''/u'",
+    "u'^2",
+    "u'*v'",
+    "u",
+    "1 - u*u''/u'^2",
+    "u*u''/u'^2",
+    "c*u^2*u'' + u'^(1/2) + 1 - u*u''/u'^2",
+    "u'/u + 1 - u*u''/u'^2",
+)
+
+
+@pytest.mark.parametrize("text", STALLS)
+def test_zero_tests_match_reference_on_stalls(text):
+    ctx = CTXS[1]
+    f = ctx.parse(text)
+    _agree_with_reference(f, ctx.zero())
+    _agree_with_reference(f, ctx.parse("u^2*v'"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_descent_first_zero_tests_match_reference(data):
+    """f = stall + d(g) + q + noise, each part optional: the descent-first
+    is_zero, compare and integrate_total give the delta-first values, or
+    raise the same error with the same message."""
+    ctx = data.draw(contexts)
+    f = ctx.parse(data.draw(st.sampled_from(STALLS)).replace("v", ctx.var_names[-1]))
+    if data.draw(st.booleans()):
+        f = f + data.draw(expressions(ctx, 2)).total_derivative()
+    f = f + data.draw(st.sampled_from([ctx.zero(), ctx.one(), ctx.param("c")]))
+    if data.draw(st.booleans()):
+        f = f + data.draw(expressions(ctx, 1))
+    _agree_with_reference(f, data.draw(expressions(ctx, 2)))
 
 
 @settings(max_examples=80, deadline=None)

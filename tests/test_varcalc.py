@@ -21,6 +21,7 @@ from pvakit import (
 )
 from pvakit.algebra import vec_is_zero
 from pvakit.operators import MatrixDiffOp
+from pvakit.varcalc import FunctionalComparison
 
 from conftest import rand_expr
 
@@ -207,6 +208,28 @@ def test_functional_equality_when_derivative_has_constant_term(ctx1c):
     assert not LocalFunctional(rest).is_zero()
     assert not LocalFunctional(rest).compare(LocalFunctional(ctx1c.zero())).equal
     assert LocalFunctional(rest) == LocalFunctional(ctx1c.one())
+
+
+def test_zero_tests_on_a_slice_nonlinear_in_the_top_derivative(ctx2):
+    # the slice 2u' of u'^2 (and u' of u'v') depends on a variable above
+    # the one it would be integrated in: the descent stalls, delta decides
+    u, v = ctx2.gen(0), ctx2.gen(1)
+    for f in (u.total_derivative() ** 2, u.total_derivative() * v.total_derivative()):
+        assert not LocalFunctional(f).is_zero()
+        assert LocalFunctional(f).compare(LocalFunctional(ctx2.zero())).equal is False
+        with pytest.raises(NotExact) as err:
+            integrate_total(f)
+        assert str(err.value) == "nonzero variational derivative, not a total derivative"
+
+
+def test_compare_across_a_traded_constant(ctx1c):
+    # d(u/u') = 1 - u*u''/u'^2: the descent finds u/u' itself
+    f = ctx1c.parse("c*u^2*u'' + u'^(1/2)")
+    g = ctx1c.gen(0) / ctx1c.gen(0, 1)
+    cmp = LocalFunctional(f + g.total_derivative()).compare(LocalFunctional(f))
+    assert cmp == FunctionalComparison(True, True, g)
+    g2, c = integrate_total(g.total_derivative())
+    assert g2 == g and c.is_zero()
 
 
 def test_closedness_of_exact_vectors(ctx2):
