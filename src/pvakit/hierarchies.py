@@ -5,8 +5,9 @@ operators H and K in the operator grammar, the seed vectors, the chain
 kind, the start index and the default depth, and the reference values.
 generate parses a row in the context where every parameter is symbolic,
 substitutes the bound values (Expression.subst), runs the Lenard
-recursion, whose solver is read off K, and verifies the chain.  NLS keeps
-its coupled first-order recursion as code.
+recursion, whose solver is read off K, and verifies the chain.  The one
+"dirac" row, NLS, is the Dirac structure L_{H,K} = {(H P, K P)} paired
+with the graph of J = (0, -1; 1, 0), and its solver is read off J o K.
 
 golden_verify compares a generated record against the reference values:
 exact equality for gradient vectors and flows, equality modulo total
@@ -24,14 +25,7 @@ from .algebra import Context
 from .brackets import CheckFailure, CheckReport
 from .errors import PvakitError
 from .fields import rational
-from .lenard import (
-    HierarchyRecord,
-    HierarchyStep,
-    _attach_density,
-    _invert_total,
-    lenard_extend,
-    verify_sequence,
-)
+from .lenard import HierarchyRecord, lenard_extend, verify_sequence
 from .operators import MatrixDiffOp
 from .parsing import parse_operator
 from .varcalc import LocalFunctional
@@ -41,12 +35,17 @@ from .varcalc import LocalFunctional
 class Family:
     """One shipped hierarchy.
 
-    ``params`` maps each parameter to its default (None: symbolic);
-    ``shown`` renames a symbolic parameter in the record's context, and a
-    binding may use that name in place of the parameter's own.  ``golden``
-    is the reference values as text, three dicts step -> F, h and flow,
-    or a function (ctx, depth) -> the same dicts of expressions; they hold
-    for every binding unless ``golden_bindings`` pins one.
+    ``kind`` is "hamiltonian" (K F^{n+1} = H F^n, gradients F^n),
+    "symplectic" (gradients K F^n) or "dirac": the seeds are P_0, P_1, ...
+    with (J o K) P_{n+1} = H P_n, which pairs L_{H,K} with the graph of
+    J = (0, -1; 1, 0), and each step records the gradient K P_n and the
+    flow H P_n.  ``params`` maps each parameter to its default (None:
+    symbolic); ``shown`` renames a symbolic parameter in the record's
+    context, and a binding may use that name in place of the parameter's
+    own.  ``golden`` is the reference values as text, three dicts
+    step -> F, h and flow, or a function (ctx, depth) -> the same dicts of
+    expressions; they hold for every binding unless ``golden_bindings``
+    pins one.
     """
 
     variables: tuple
@@ -89,8 +88,6 @@ def _golden_linear(ctx: Context, depth: int):
         h[step] = (ctx.gen(0, n) ** 2).scale(Fraction((-1) ** n, 2))
     return F, h, {}
 
-
-_NLS_J = "0, -1; 1, 0"
 
 FAMILIES = {
     "kdv": Family(
@@ -222,7 +219,8 @@ FAMILIES = {
         ),
     ),
     "nls": Family(
-        ("u", "v"), _NLS_J, _NLS_J, (), 4, kind="dirac",
+        ("u", "v"), "d*v^(-1), -4*v; d*u^(-1), d*u^(-1)*d + 4*u",
+        "v^(-1), 0; u^(-1), u^(-1)*d", (("0", "1/4"),), 4, kind="dirac",
         golden=(
             {
                 0: ("0", "0"),
@@ -319,13 +317,13 @@ class HierarchySpec:
                     % ("/".join(by_shown), "/".join(fam.params))
                 )
             params = {by_shown.get(k, k): v for k, v in params.items()}
-        allowed = tuple(fam.params)
-        for key in params:
-            if key not in allowed:
-                raise PvakitError(
-                    "hierarchy %s takes parameters %s" % (self.name, allowed)
-                )
-        full = {k: params.get(k, fam.params[k]) for k in allowed}
+        if params.keys() - fam.params.keys():
+            names = ", ".join(fam.params)
+            raise PvakitError(
+                "hierarchy %s takes %s"
+                % (self.name, "parameters " + names if names else "no parameters")
+            )
+        full = {k: params.get(k, v) for k, v in fam.params.items()}
         full = {
             k: (v if v is None else Fraction(rational(v))) for k, v in full.items()
         }
@@ -333,6 +331,11 @@ class HierarchySpec:
         if depth < 1:
             raise PvakitError("depth must be at least 1")
         return HierarchySpec(self.name, full, depth)
+
+
+def _bindings_text(params: dict) -> str:
+    """Bindings as --param takes them: NAME if symbolic, else NAME=VALUE."""
+    return ", ".join(k if v is None else "%s=%s" % (k, v) for k, v in params.items())
 
 
 def _params_json(params: dict) -> dict:
@@ -361,45 +364,15 @@ class _Binding:
         return parse_operator(text, self.full).subst(self.ctx, self.values)
 
 
-def _nls_steps(J: MatrixDiffOp, depth: int) -> list:
-    """Coupled first-order recursion for the two generating functions
-    (f_n, g_n), zero integration constants:
-
-        f_{n+1}    = v d((f_n + d g_n)/u) + 4 u v g_n,
-        d g_{n+1}  = -u d(f_n/v) - v d((f_n + d g_n)/u),
-
-    from (f_0, g_0) = (0, 1/4); gradients are F^n = (f_n/v, (f_n + d g_n)/u)
-    and flows are J F^{n+1}."""
-    ctx = J.ctx
-    u, v = ctx.gen(0), ctx.gen(1)
-    fs = [ctx.zero()]
-    gs = [ctx.num(1, 4)]
-    for _ in range(depth + 1):
-        fn, gn = fs[-1], gs[-1]
-        mixed = ((fn + gn.total_derivative()) / u).total_derivative()
-        fs.append(v * mixed + (u * v * gn).scale(4))
-        gs.append(_invert_total(-(u * (fn / v).total_derivative()) - v * mixed))
-    Fs = [(f / v, (f + g.total_derivative()) / u) for f, g in zip(fs, gs)]
-    return [
-        HierarchyStep(n, Fs[n], _attach_density(Fs[n]), J.apply(Fs[n + 1]))
-        for n in range(depth + 1)
-    ]
-
-
 def generate(spec: HierarchySpec) -> HierarchyRecord:
     spec = spec.normalized()
     fam = FAMILIES[spec.name]
     read = _Binding(fam, spec.params)
     H = read.operator(fam.H)
     K = read.operator(fam.K)
+    seeds = [read.vector(s) for s in fam.seeds]
     params = _params_json(spec.params)
-    if fam.kind == "dirac":
-        rec = HierarchyRecord(spec.name, fam.kind, params, _nls_steps(K, spec.depth))
-    else:
-        seeds = [read.vector(s) for s in fam.seeds]
-        rec = lenard_extend(
-            H, K, seeds, spec.depth, fam.start, spec.name, fam.kind, params
-        )
+    rec = lenard_extend(H, K, seeds, spec.depth, fam.start, spec.name, fam.kind, params)
     return verify_sequence(H, K, rec)
 
 
@@ -409,7 +382,8 @@ def check_golden_bindings(spec: HierarchySpec) -> None:
     want = FAMILIES[spec.name].golden_bindings
     if want is not None and spec.params != want:
         raise PvakitError(
-            "no reference values for %s with bindings %s" % (spec.name, spec.params)
+            "no reference values for %s with bindings %s"
+            % (spec.name, _bindings_text(spec.params))
         )
 
 

@@ -1,19 +1,19 @@
-"""Recursion driver for bi-Hamiltonian and bi-symplectic chains.
+"""Recursion driver for bi-Hamiltonian, bi-symplectic and Dirac chains.
 
 Extends a seed F^0 (, F^1) through K F^{n+1} = H F^n with a solver read
-off K: a triangle of pivots m0 o d^r o m1 with monomials m0 and m1, which
-every K of the paper's Lenard pairs is (d, u' + 2 u d, u'^(-2) d -
-u'' u'^(-3) and the two-variable wave operator).  It fixes integration
-constants to zero, attaches conserved densities through the exactness
-algorithms, and verifies the produced chain (orthogonality, involution,
-closedness) from the set of nonzero pairings int F^m . op F^n of each
-operator.  By the Lenard lemma every pairing vanishes when H and K are
-skew-adjoint and the recursion holds, so such a chain is certified with
-empty sets and nothing evaluated; otherwise a skew operator is evaluated
-on the triangle m < n only.  A bracket of two densities is evaluated only
-where a density's variational derivative is not its step's gradient.  The
-verifier's state is linear in the depth plus the number of nonzero
-pairings.
+off K (off J o K for a Dirac chain, see lenard_extend): a triangle of
+pivots m0 o d^r o m1 with monomials m0 and m1, which every K of the
+paper's Lenard pairs is (d, u' + 2 u d, u'^(-2) d - u'' u'^(-3) and the
+two-variable wave operator).  It fixes integration constants to zero,
+attaches conserved densities through the exactness algorithms, and
+verifies the produced chain (orthogonality, involution, closedness) from
+the set of nonzero pairings int F^m . op F^n of each operator.  By the
+Lenard lemma every pairing vanishes when H and K are skew-adjoint and the
+recursion holds, so such a chain is certified with empty sets and nothing
+evaluated; otherwise a skew operator is evaluated on the triangle m < n
+only.  A bracket of two densities is evaluated only where a density's
+variational derivative is not its step's gradient.  The verifier's state
+is linear in the depth plus the number of nonzero pairings.
 """
 
 from __future__ import annotations
@@ -214,6 +214,13 @@ def _attach_density(gradient: VectorExpr) -> Optional[LocalFunctional]:
         return None
 
 
+def _dirac_J(ctx) -> MatrixDiffOp:
+    """J = (0, -1; 1, 0), whose graph is the Dirac structure that a dirac
+    chain pairs with L_{H,K}; it is isotropic since J is skew."""
+    one, zero = ctx.one(), ctx.zero()
+    return MatrixDiffOp(ctx, [[zero, -one], [one, zero]])
+
+
 def lenard_extend(
     H: MatrixDiffOp,
     K: MatrixDiffOp,
@@ -230,29 +237,36 @@ def lenard_extend(
     recursion pairwise.  Kernel slack is fixed by zero integration
     constants: the solver works by monomial division and d^{-1}, both
     homogeneous for the exponent-sum grading, so a homogeneous step stays
-    homogeneous without any projection.
+    homogeneous without any projection.  The flows reuse the images H F^n
+    that the solver reads.
+
+    A "dirac" chain pairs the Dirac structure L_{H,K} = {(H P, K P)},
+    isotropic when K^* H + H^* K = 0, with the graph of J (_dirac_J): each
+    P_n gives the flow H P_n and the gradient F^n = K P_n, and
+    (H P_n, K P_{n+1}) lies on the graph, H P_n = J F^{n+1}.  So the seeds
+    P_0, P_1, ... extend through (J o K) P_{n+1} = H P_n, with the solver
+    read off J o K.
     """
-    plan = make_plan(K)
-    seeds = [tuple(s) for s in seeds]
-    for a, b in zip(seeds, seeds[1:]):
-        if K.apply(b) != H.apply(a):
+    plan = make_plan(_dirac_J(K.ctx).compose(K) if kind == "dirac" else K)
+    chain = [tuple(s) for s in seeds]
+    HF = [H.apply(F) for F in chain[:-1]]
+    for F, image in zip(chain[1:], HF):
+        if plan.K.apply(F) != image:
             raise NotExact("seed vectors do not satisfy the recursion")
-    chain = list(seeds)
     while len(chain) <= depth - start_index:
+        HF.append(H.apply(chain[-1]))
         try:
-            nxt = plan.solve(H.apply(chain[-1]))
+            chain.append(plan.solve(HF[-1]))
         except (NotExact, LogRequired) as exc:
             raise type(exc)(
                 "step %d: %s" % (start_index + len(chain), exc)
             ) from exc
-        chain.append(nxt)
+    flows = chain if kind == "symplectic" else HF + [H.apply(F) for F in chain[-1:]]
     steps = []
-    for offset, F in enumerate(chain):
-        n = start_index + offset
+    for n, (F, flow) in enumerate(zip(chain, flows), start_index):
         gradient = F if kind == "hamiltonian" else K.apply(F)
         h = _attach_density(gradient)
-        flow = H.apply(F) if kind == "hamiltonian" else F
-        steps.append(HierarchyStep(n, F, h, flow))
+        steps.append(HierarchyStep(n, gradient if kind == "dirac" else F, h, flow))
     return HierarchyRecord(name, kind, params or {}, steps)
 
 
@@ -300,15 +314,16 @@ def verify_sequence(
     pairing enters the set with its mirror; a non-skew operator gets all
     N^2 pairings.
 
-    A "dirac" chain (NLS) has the one operator J = K, with flow_n =
-    J F^{n+1} in place of the recursion, so the lemma does not apply and J
-    gets its skew triangle; H is not read.
+    A "dirac" chain (NLS) pairs L_{H,K} with the graph of J (_dirac_J),
+    and J is its one operator: the chain check is flow_n = J F^{n+1}, the
+    lemma does not apply since the record keeps no P_n, and J gets its
+    skew triangle; H and K give only the context.
     """
     steps = record.steps
     ver = record.verification
     kind = record.kind
     Fs = [s.F for s in steps]
-    ops = (K,) if kind == "dirac" else (H, K)
+    ops = (_dirac_J(K.ctx),) if kind == "dirac" else (H, K)
     images = [[op.apply(F) for F in Fs] for op in ops]
     KF = images[-1]
     targets = [s.flow for s in steps] if kind == "dirac" else images[0]

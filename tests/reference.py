@@ -11,9 +11,11 @@ The verifiers below evaluate orthogonality and involution separately, with
 a second verifier for the one-operator NLS chain, and gen_bracket carries
 its own loop; the library reads every check from the nonzero pairings
 of each operator and shares one loop between the generator bracket and
-lambda_bracket.  is_closed always builds the defect operator, and exactify
-decides closedness by it before it looks for a potential; the library
-first certifies closedness by delta of the scaling potential.  The symbol
+lambda_bracket.  _nls_steps writes out the coupled NLS recursion; the
+library runs the NLS Dirac pair (H, K) through lenard_extend.  is_closed
+always builds the defect operator, and exactify decides closedness by it
+before it looks for a potential; the library first certifies closedness
+by delta of the scaling potential.  The symbol
 routines below carry their own binomial loops, and the nested brackets
 and structure checks one loop per slot; the library runs symbols on the
 operator-entry routines and shares one lift, one slice loop and one
@@ -31,8 +33,8 @@ variational derivative first and descend only when it vanishes; the
 library descends first and computes it only when the descent stalls.
 Coefficient, at the end, keeps every value as two polynomial dicts with
 Fraction values; the library keeps a plain rational as one int or Fraction.
-test_fastpaths.py, test_fields.py and test_verify_reference.py pin each
-pair together.
+test_fastpaths.py, test_fields.py, test_hierarchies.py and
+test_verify_reference.py pin each pair together.
 """
 
 from fractions import Fraction
@@ -58,6 +60,7 @@ from pvakit.errors import (
     OrderViolation,
     PlanMismatch,
 )
+from pvakit.lenard import HierarchyStep, _attach_density
 from pvakit.operators import BiLambdaPoly, LambdaPoly, MatrixDiffOp
 from pvakit.parsing import parse_operator
 from pvakit.varcalc import (
@@ -668,6 +671,31 @@ def verify_nls(rec, J):
     ver.closed = [is_closed(F).closed for F in Fs]
     ver.gradients = all(s.h is None or vder(s.h.rep) == tuple(s.F) for s in steps)
     return rec
+
+
+def _nls_steps(J: MatrixDiffOp, depth: int) -> list:
+    """Coupled first-order recursion for the two generating functions
+    (f_n, g_n), zero integration constants:
+
+        f_{n+1}    = v d((f_n + d g_n)/u) + 4 u v g_n,
+        d g_{n+1}  = -u d(f_n/v) - v d((f_n + d g_n)/u),
+
+    from (f_0, g_0) = (0, 1/4); gradients are F^n = (f_n/v, (f_n + d g_n)/u)
+    and flows are J F^{n+1}."""
+    ctx = J.ctx
+    u, v = ctx.gen(0), ctx.gen(1)
+    fs = [ctx.zero()]
+    gs = [ctx.num(1, 4)]
+    for _ in range(depth + 1):
+        fn, gn = fs[-1], gs[-1]
+        mixed = ((fn + gn.total_derivative()) / u).total_derivative()
+        fs.append(v * mixed + (u * v * gn).scale(4))
+        gs.append(_invert_total(-(u * (fn / v).total_derivative()) - v * mixed))
+    Fs = [(f / v, (f + g.total_derivative()) / u) for f, g in zip(fs, gs)]
+    return [
+        HierarchyStep(n, Fs[n], _attach_density(Fs[n]), J.apply(Fs[n + 1]))
+        for n in range(depth + 1)
+    ]
 
 
 # -- solver plans for K F^{n+1} = H F^n, one class per shape of K ---------

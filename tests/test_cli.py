@@ -377,6 +377,23 @@ def test_lenard_without_a_solver_is_one_line_error():
     assert r.exception is None or isinstance(r.exception, SystemExit)
 
 
+@pytest.mark.parametrize("argv, last", [
+    (["--op-h", "d", "--op-k", "d", "--seed", "u", "--seed", "u^2"],
+     "error: seed vectors do not satisfy the recursion"),
+    (["--op-h", "1", "--op-k", "d", "--seed", "u'*u^(-1)", "--depth", "1"],
+     "error: step 1: term u^(-1) needs a logarithm in u"),
+    (["--op-h", "1", "--op-k", "d", "--seed", "u'^2", "--depth", "1"],
+     "error: step 1: nonzero variational derivative, not a total derivative"),
+])
+def test_unsolvable_lenard_chain_is_one_line_error(argv, last):
+    """Seeds off the recursion, and a step whose d^{-1} needs a logarithm
+    or does not exist, name the step."""
+    r = run("lenard", *argv)
+    assert r.exit_code == 1
+    assert r.stdout == ""
+    assert r.stderr.splitlines()[-1] == last
+
+
 def test_lenard_reads_the_chain_solver_off_k():
     """HD's K = u' + 2 u d is solved as 2 u^(1/2) o d o u^(1/2)."""
     r = run("--params", "alpha,beta", "lenard", "--op-h", "alpha*d + beta*d^3",
@@ -537,6 +554,21 @@ def test_config_names_must_be_lists(tmp_path):
     for data in ({"variables": "uv"}, {"parameters": "c"}, {"variables": None}):
         cfg.write_text(json.dumps(data))
         _assert_usage_error(run("--config", str(cfg), "vder", "u"))
+
+
+@pytest.mark.parametrize("argv, last", [
+    (["nls", "--param", "c"], "Error: hierarchy nls takes no parameters"),
+    (["kdv", "--param", "x"], "Error: hierarchy kdv takes parameters c"),
+    (["hd", "--param", "x=1"], "Error: hierarchy hd takes parameters alpha, beta"),
+    (["cnw_hd", "--param", "alpha=2", "--verify"],
+     "Error: no reference values for cnw_hd with bindings alpha=2, beta"),
+    (["cnw_hd", "--param", "alpha=1/2", "--param", "beta=-3", "--verify"],
+     "Error: no reference values for cnw_hd with bindings alpha=1/2, beta=-3"),
+])
+def test_hierarchy_parameter_errors_use_param_syntax(argv, last):
+    r = run("hierarchy", *argv)
+    _assert_usage_error(r)
+    assert r.stderr.splitlines()[-1] == last
 
 
 def test_verify_without_reference_values_fails_before_generating():

@@ -3,10 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from pvakit import PvakitError, functional_equal
+from pvakit import PvakitError, functional_equal, parse_operator
 from pvakit.algebra import vec_is_zero
-from pvakit.hierarchies import FAMILIES, HierarchySpec, generate, golden_verify
+from pvakit.hierarchies import (
+    FAMILIES,
+    HierarchySpec,
+    _Binding,
+    generate,
+    golden_verify,
+)
+from pvakit.lenard import _dirac_J
 from pvakit.varcalc import variational_derivative
+
+import reference
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
@@ -123,6 +132,32 @@ def test_nls_structure_is_polynomial():
             assert f.is_polynomial() or f.is_zero()
         if s.h is not None:
             assert variational_derivative(s.h.rep) == tuple(s.F)
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_nls_pair_matches_coupled_recursion(depth):
+    """The Dirac pair run through lenard_extend gives the gradients, flows
+    and densities of the coupled recursion for (f_n, g_n)."""
+    rec = generate(HierarchySpec("nls", depth=depth))
+    J = parse_operator("0, -1; 1, 0", rec.steps[0].F[0].ctx)
+    want = reference._nls_steps(J, depth)
+    assert [s.n for s in rec.steps] == [s.n for s in want]
+    for got, ref in zip(rec.steps, want):
+        assert got.F == ref.F
+        assert got.flow == ref.flow
+        assert got.h == ref.h
+
+
+def test_nls_pair_is_isotropic():
+    """J is skew, so its graph is isotropic, and K^* H + H^* K = 0 makes
+    L_{H,K} isotropic."""
+    fam = FAMILIES["nls"]
+    read = _Binding(fam, {})
+    H, K = read.operator(fam.H), read.operator(fam.K)
+    J = _dirac_J(read.ctx)
+    assert J == parse_operator("0, -1; 1, 0", read.ctx)
+    assert (J.adjoint() + J).is_zero()
+    assert (K.adjoint().compose(H) + H.adjoint().compose(K)).is_zero()
 
 
 def test_record_json_deterministic():

@@ -14,6 +14,7 @@ from pvakit import (
     parse_operator,
     verify_sequence,
 )
+from pvakit.hierarchies import FAMILIES, _Binding
 from pvakit.lenard import HierarchyRecord, HierarchyStep
 
 from conftest import kdv_pair
@@ -89,6 +90,21 @@ def test_seed_validation(ctx1c):
     H, K = kdv_pair(ctx1c)
     with pytest.raises(NotExact):
         lenard_extend(H, K, [(ctx1c.one(),), (ctx1c.one(),)], 3)
+
+
+def test_dirac_seed_validation():
+    """NLS seeds must satisfy H P_0 = (J o K) P_1: P_1 = (u v, 0) does, and
+    a repeated P_0 does not."""
+    fam = FAMILIES["nls"]
+    read = _Binding(fam, {})
+    H, K = read.operator(fam.H), read.operator(fam.K)
+    P0 = read.vector(fam.seeds[0])
+    P1 = read.vector(("u*v", "0"))
+    one = lenard_extend(H, K, [P0], 3, kind="dirac")
+    two = lenard_extend(H, K, [P0, P1], 3, kind="dirac")
+    assert [s.F for s in two.steps] == [s.F for s in one.steps]
+    with pytest.raises(NotExact, match="^seed vectors do not satisfy the recursion$"):
+        lenard_extend(H, K, [P0, P0], 3, kind="dirac")
 
 
 def test_recursion_order1_hd_values():

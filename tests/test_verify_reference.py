@@ -37,10 +37,11 @@ def _family(name, params=None, depth=None):
 
 
 def _flags(rec, H, K, verify):
-    """Verification.to_json() of a fresh copy of rec, filled by verify."""
+    """Verification.to_json() of a fresh copy of rec, filled by verify; the
+    reference verifies an NLS record with J = (0, -1; 1, 0)."""
     copy = HierarchyRecord(rec.name, rec.kind, rec.params, list(rec.steps))
     if verify is reference.verify_sequence and rec.kind == "dirac":
-        reference.verify_nls(copy, K)
+        reference.verify_nls(copy, parse_operator("0, -1; 1, 0", K.ctx))
     else:
         verify(H, K, copy)
     return copy.verification.to_json()
@@ -127,7 +128,8 @@ def _triangle(N):
 @pytest.mark.parametrize("name", ["kdv", "pkdv", "nls"])
 def test_each_pairing_evaluated_once(name, monkeypatch):
     """A sound chain of skew H and K is certified by the Lenard lemma, so
-    no pairing is evaluated; NLS has no recursion, and its skew J is
+    no pairing is evaluated; the NLS record keeps the gradients K P_n but
+    not P_n, so the lemma does not reach its one skew operator J, which is
     evaluated on the triangle m < n only."""
     rec, H, K = _family(name)
     want = _triangle(len(rec.steps)) if rec.kind == "dirac" else 0
