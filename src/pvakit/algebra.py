@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import NonMonomialDivisor, NonRationalExponent
-from .fields import Coefficient, rational
+from .fields import Coefficient, _norm, rational, render_signed
 
 Gen = tuple[int, int]  # (derivative order n, variable index i), both >= 0
 Monomial = tuple[tuple[Gen, Union[int, Fraction]], ...]  # sorted by Gen, descending
@@ -23,6 +23,8 @@ ONE_MONO: Monomial = ()
 # numbers that Expression arithmetic turns into constants; ``rational``
 # refuses the floats among them
 _NUMBERS = (int, Fraction, float)
+_COEFFICIENTS = _NUMBERS + (Coefficient,)
+_F1 = Fraction(1)
 
 
 class _Exponent(Fraction):
@@ -200,7 +202,7 @@ def mono_bump(a: Monomial, idx: int) -> Monomial:
 class Context:
     """Ambient algebra: variable names and coefficient parameters."""
 
-    __slots__ = ("var_names", "params", "_one_coeff", "_zero")
+    __slots__ = ("var_names", "params", "_zero")
 
     def __init__(self, var_names=("u",), params=()):
         var_names = tuple(var_names)
@@ -209,7 +211,6 @@ class Context:
             raise ValueError("variable and parameter names must be distinct")
         self.var_names = var_names
         self.params = params
-        self._one_coeff = Coefficient.from_fraction(1, len(params))
         self._zero = None
 
     @property
@@ -240,15 +241,14 @@ class Context:
         return self.num(1)
 
     def num(self, p, q=1) -> "Expression":
-        value = rational(p) if q == 1 else Fraction(rational(p), rational(q))
+        value = rational(p) if q == 1 else _norm(Fraction(rational(p), rational(q)))
         if not value:
             return self.zero()
-        return Expression(
-            self, {ONE_MONO: Coefficient.from_fraction(value, len(self.params))}
-        )
+        return Expression(self, {ONE_MONO: value})
 
-    def coeff_expr(self, c: Coefficient) -> "Expression":
-        if c.is_zero():
+    def coeff_expr(self, c) -> "Expression":
+        """The constant c, a plain rational or a Coefficient."""
+        if not c:
             return self.zero()
         return Expression(self, {ONE_MONO: c})
 
@@ -258,7 +258,7 @@ class Context:
         if not 0 <= i < self.nvars:
             raise ValueError("variable index out of range")
         mono: Monomial = (((order, i), 1),)
-        return Expression(self, {mono: self._one_coeff})
+        return Expression(self, {mono: 1})
 
     def param(self, name) -> "Expression":
         j = name if isinstance(name, int) else self.params.index(name)
@@ -315,9 +315,10 @@ class Expression:
     def is_constant(self) -> bool:
         return all(m == ONE_MONO for m in self.terms)
 
-    def constant_coefficient(self) -> Coefficient:
-        c = self.terms.get(ONE_MONO)
-        return c if c is not None else Coefficient.from_fraction(0, len(self.ctx.params))
+    def constant_coefficient(self):
+        """The constant term: a plain rational, or a Coefficient when a
+        parameter occurs."""
+        return self.terms.get(ONE_MONO, 0)
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -368,11 +369,11 @@ class Expression:
             if s is None:
                 out[m] = c
             else:
-                s = s + c
-                if s.is_zero():
-                    del out[m]
-                else:
+                s = _norm(s + c)
+                if s:
                     out[m] = s
+                else:
+                    del out[m]
         return Expression(self.ctx, out)
 
     __radd__ = __add__
@@ -389,10 +390,8 @@ class Expression:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, _NUMBERS):
+        if isinstance(other, _COEFFICIENTS):
             return self.scale(other)
-        if isinstance(other, Coefficient):
-            return self.scale_coeff(other)
         self._check_ctx(other)
         if not self.terms or not other.terms:
             return self.ctx.zero()
@@ -400,29 +399,23 @@ class Expression:
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = mono_mul(ma, mb)
-                c = ca * cb
                 s = out.get(m)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    if m in out:
-                        del out[m]
-                else:
+                s = _norm(ca * cb if s is None else s + ca * cb)
+                if s:
                     out[m] = s
+                elif m in out:
+                    del out[m]
         return Expression(self.ctx, out)
 
     __rmul__ = __mul__
 
     def scale(self, q) -> "Expression":
-        if q.__class__ is not int:
+        """q times self, for a number or a Coefficient q."""
+        if q.__class__ is not int and q.__class__ is not Coefficient:
             q = rational(q)
         if not q:
             return self.ctx.zero()
-        return Expression(self.ctx, {m: c.scale(q) for m, c in self.terms.items()})
-
-    def scale_coeff(self, c: Coefficient) -> "Expression":
-        if c.is_zero():
-            return self.ctx.zero()
-        return Expression(self.ctx, {m: cc * c for m, cc in self.terms.items()})
+        return Expression(self.ctx, {m: _norm(c * q) for m, c in self.terms.items()})
 
     def __pow__(self, k):
         k = _exp_arg(k)
@@ -443,14 +436,12 @@ class Expression:
                 "fractional or negative powers need a single-term base"
             )
         (m, c), = self.terms.items()
-        if not c.is_one():
+        if c != 1:
             if k.denominator != 1:
                 raise NonMonomialDivisor(
                     "fractional powers need a unit monomial base"
                 )
-            c = c ** int(k)
-        else:
-            c = Coefficient.from_fraction(1, len(self.ctx.params))
+            c = _norm((_F1 / c) ** int(-k))  # k < 0; int ** k would be a float
         return Expression(self.ctx, {mono_pow(m, k): c})
 
     def __truediv__(self, other):
@@ -462,11 +453,7 @@ class Expression:
         if not other.is_monomial():
             raise NonMonomialDivisor("division is only defined by monomials")
         (m, c), = other.terms.items()
-        inv = Expression(
-            self.ctx,
-            {mono_pow(m, -1): Coefficient.from_fraction(1, len(self.ctx.params)) / c},
-        )
-        return self * inv
+        return self * Expression(self.ctx, {mono_pow(m, -1): _norm(_F1 / c)})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -494,21 +481,21 @@ class Expression:
                         if p is None:
                             p = _fill_pred(e)
                         nm = m[:t] + ((g, p),) + m[t + 1:]
-                        c = c.scale(e)
+                        c = _norm(c * e)
                     elif e == 1:
                         nm = m[:t] + m[t + 1:]
                     else:
                         nm = m[:t] + ((g, e - 1),) + m[t + 1:]
-                        c = c.scale(e)
+                        c = _norm(c * e)
                     s = out.get(nm)
                     if s is None:
                         out[nm] = c
                     else:
-                        s = s + c
-                        if s.is_zero():
-                            del out[nm]
-                        else:
+                        s = _norm(s + c)
+                        if s:
                             out[nm] = s
+                        else:
+                            del out[nm]
                     break
                 if h < g:
                     break
@@ -524,16 +511,16 @@ class Expression:
                 for idx in range(len(m)):
                     nm = mono_bump(m, idx)
                     e = m[idx][1]
-                    nc = c if e.__class__ is int and e == 1 else c.scale(e)
+                    nc = c if e.__class__ is int and e == 1 else _norm(c * e)
                     s = out.get(nm)
                     if s is None:
                         out[nm] = nc
                     else:
-                        s = s + nc
-                        if s.is_zero():
-                            del out[nm]
-                        else:
+                        s = _norm(s + nc)
+                        if s:
                             out[nm] = s
+                        else:
+                            del out[nm]
             cur = Expression(cur.ctx, out)
         return cur
 
@@ -542,8 +529,9 @@ class Expression:
         the parameters left symbolic, in their order (names may differ)."""
         out = {}
         for m, c in self.terms.items():
-            c = c.subst(values)
-            if not c.is_zero():
+            if c.__class__ is Coefficient:
+                c = c.subst(values)
+            if c:
                 out[m] = c
         return Expression(ctx, out)
 
@@ -572,13 +560,13 @@ def _render_exponent(e) -> str:
     return "^(%s)" % e
 
 
-def _render_term(ctx: Context, m: Monomial, c: Coefficient) -> tuple[str, bool]:
+def _render_term(ctx: Context, m: Monomial, c) -> tuple[str, bool]:
     """Render one term; returns (text without sign, sign-is-negative)."""
     factors = []
     for g, e in m:
         name = ctx.gen_name(g)
         factors.append(name if e == 1 else name + _render_exponent(e))
-    negative, ctext = c.render_signed(ctx.params)
+    negative, ctext = render_signed(c, ctx.params)
     if ctext == "1" and factors:
         return "*".join(factors), negative
     return "*".join([ctext] + factors), negative

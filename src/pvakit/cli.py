@@ -24,6 +24,7 @@ from .brackets import (
     lambda_bracket,
 )
 from .errors import IndividualFailure, PvakitError
+from .fields import render
 from .hierarchies import (
     FAMILIES,
     HierarchySpec,
@@ -179,7 +180,7 @@ def integrate(ctx, expr):
     except PvakitError as exc:
         _fail(str(exc))
     _echo(g.render())
-    _echo("const: %s" % c.render(ctx.params))
+    _echo("const: %s" % render(c, ctx.params))
 
 
 @main.command("exactify")

@@ -1,22 +1,24 @@
 """Exact arithmetic in the field QQ(p_1, ..., p_k) of rational functions.
 
-A Coefficient takes one of two forms.
+A coefficient takes one of two forms.
 
-* A plain rational (no parameter occurs) holds only ``const``: an ``int``
+* A plain rational (no parameter occurs) is a Python number: an ``int``
   when the value is integral, else a ``Fraction`` whose denominator is not
-  1 (so never zero).  ``+ - * scale neg ==`` on two plain rationals is one Python-number
-  operation plus one object.  Since ``int / int`` is a float in Python,
-  every reciprocal that can meet an ``int`` divides through ``Fraction``
-  (``_F1 / x``), and ``rational`` refuses floats at every entry point.
-  The hot paths read the ``_numerator``/``_denominator`` slots of a
-  ``Fraction`` directly; its public properties only wrap them.
-* A parametric coefficient holds k * N / D.  k is a nonzero plain
-  rational.  N and D are sparse polynomials (maps exponent-tuple -> int)
-  with integer values, each primitive (its values have gcd 1) with a
+  1.  ``_norm`` turns an integral Fraction into its int.  Since
+  ``int / int`` is a float in Python, every division that can meet two
+  ints goes through ``Fraction``, and ``rational`` refuses floats at every
+  entry point.  The hot paths read the ``_numerator``/``_denominator``
+  slots of a ``Fraction`` directly; its public properties only wrap them.
+* A Coefficient, when a parameter occurs, holds k * N / D.  k is a nonzero
+  plain rational.  N and D are sparse polynomials (maps exponent-tuple ->
+  int) with integer values, each primitive (its values have gcd 1) with a
   positive leading coefficient (leading: at the largest exponent tuple),
   and coprime.  D is None when it is 1, the common case; then N is not
   constant.  This form is canonical, so ``==`` and ``hash`` compare
-  (k, N, D).
+  (k, N, D), and a Coefficient never equals a number.  It meets a number
+  through ``__radd__``, ``__rsub__``, ``__rmul__`` and ``__rtruediv__``,
+  and every operation whose result holds no parameter returns a plain
+  rational.
 
 ``scale`` and ``-`` change only k and share N and D.  A product over
 D = None is k1*k2 times N1*N2 and runs no gcd: by Gauss's lemma a product
@@ -28,10 +30,10 @@ q1*c + q2*c) it only adds k1 + k2.  A non-constant D is the rare path:
 the polynomial gcd and exact division run on integer polynomials
 (primitive pseudo-remainder sequence).
 
-``num`` and ``den`` are read-only views in the normalized form that the
-renderers and ``subst`` read: a denominator monic in its leading monomial,
-int or Fraction values.  Zero is the plain rational 0.  Everything is
-immutable.
+``num`` and ``den`` are read-only views in the normalized form that
+``render`` and ``subst`` read: a denominator monic in its leading
+monomial, int or Fraction values.  ``render`` and ``render_signed`` also
+take a plain rational.  Everything is immutable.
 """
 
 from __future__ import annotations
@@ -82,12 +84,15 @@ def rational(q):
     return q._numerator if q._denominator == 1 else q
 
 
+def _norm(q):
+    """The plain rational q with an integral Fraction made its int; any
+    other value unchanged."""
+    return q._numerator if q.__class__ is Fraction and q._denominator == 1 else q
+
+
 def _ratio(n: int, d: int):
     """n / d as a plain rational, for ints n and d > 0."""
-    if d == 1:
-        return n
-    q = Fraction(n, d)
-    return q._numerator if q._denominator == 1 else q
+    return n if d == 1 else _norm(Fraction(n, d))
 
 
 # -- integer polynomials --------------------------------------------------
@@ -270,16 +275,14 @@ def _integral(p: Poly) -> tuple:
     return _ratio(c, m), P
 
 
-def _quotient(k, S: IntPoly, T: IntPoly, nvars: int) -> "Coefficient":
+def _quotient(k, S: IntPoly, T: IntPoly, nvars: int):
     """The coefficient k * S / T, for a nonzero plain rational k and integer
     polynomials S and T != 0: the path with a non-constant denominator."""
     if not S:
-        return _plain(0, nvars)
+        return 0
     cs, S = _primitive(S)
     ct, T = _primitive(T)
-    k = k * Fraction(cs, ct)
-    if k._denominator == 1:
-        k = k._numerator
+    k = _norm(k * Fraction(cs, ct))
     if not _is_const(T) and not _is_const(S):
         g = _pgcd(S, T)
         if not _is_const(g):
@@ -287,64 +290,45 @@ def _quotient(k, S: IntPoly, T: IntPoly, nvars: int) -> "Coefficient":
             T = _pdiv_exact(T, g)
     if not _is_const(T):
         return _parametric(k, S, T, nvars)
-    return _plain(k, nvars) if _is_const(S) else _parametric(k, S, None, nvars)
+    return k if _is_const(S) else _parametric(k, S, None, nvars)
+
+
+def _over(num: Poly, den: Poly):
+    """num / den for two polynomials with rational values."""
+    if not den:
+        raise ZeroDivisionError("zero denominator in coefficient")
+    kn, N = _integral(num)
+    kd, D = _integral(den)
+    return _quotient(_F1 * kn / kd, N, D, len(next(iter(den))))
 
 
 class Coefficient:
-    """An element of QQ(p_1, ..., p_k), kept in canonical reduced form.
-
-    ``const`` is the value of a plain rational (int or Fraction) and None
-    for a parametric coefficient k * N / D, held in ``_k``, ``_n`` and
-    ``_d`` (all None for a plain rational); see the module docstring.
-    ``Coefficient(num, den)`` builds num / den from two polynomials with
-    rational values.
+    """An element of QQ(p_1, ..., p_k) in which a parameter occurs, held as
+    the canonical k * N / D of the module docstring in ``_k``, ``_n`` and
+    ``_d``; ``nvars`` is the number of parameters.  Every operation gives
+    a plain rational when no parameter is left.
     """
 
-    __slots__ = ("const", "nvars", "_k", "_n", "_d")
-
-    def __init__(self, num: Poly, den: Poly):
-        if not den:
-            raise ZeroDivisionError("zero denominator in coefficient")
-        kn, N = _integral(num)
-        kd, D = _integral(den)
-        out = _quotient(_F1 * kn / kd, N, D, len(next(iter(den))))
-        self.const = out.const
-        self.nvars = out.nvars
-        self._k = out._k
-        self._n = out._n
-        self._d = out._d
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def from_fraction(q, nvars: int) -> "Coefficient":
-        return _plain(rational(q), nvars)
+    __slots__ = ("nvars", "_k", "_n", "_d")
 
     @staticmethod
     def parameter(j: int, nvars: int) -> "Coefficient":
         e = tuple(1 if k == j else 0 for k in range(nvars))
         return _parametric(1, {e: 1}, None, nvars)
 
-    # -- predicates ----------------------------------------------------
+    # -- views -----------------------------------------------------------
 
     @property
     def num(self) -> Poly:
         """The numerator over the denominator ``den``, which is monic in
         its leading monomial; int or Fraction values."""
         k = self._k
-        if k is None:
-            c = self.const
-            return {_zeros(self.nvars): c} if c else {}
         d = self._d
         if d is not None:
             lc = d[max(d)]
             if lc != 1:
                 k = _F1 * k / lc
-        out = {}
-        for e, q in self._n.items():
-            q = k * q
-            out[e] = q._numerator if q.__class__ is not int and q._denominator == 1 else q
-        return out
+        return {e: _norm(k * q) for e, q in self._n.items()}
 
     @property
     def den(self) -> Poly:
@@ -354,50 +338,21 @@ class Coefficient:
         lc = d[max(d)]
         return dict(d) if lc == 1 else {e: _ratio(q, lc) for e, q in d.items()}
 
-    def is_zero(self) -> bool:
-        c = self.const
-        return c.__class__ is int and not c
-
-    def is_one(self) -> bool:
-        c = self.const
-        return c.__class__ is int and c == 1
-
-    def as_fraction(self) -> Fraction:
-        c = self.const
-        if c is None:
-            raise ValueError("coefficient is not a plain rational")
-        return c if c.__class__ is Fraction else Fraction(c)
-
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other: "Coefficient") -> "Coefficient":
-        a = self.const
-        b = other.const
+    def __add__(self, other):
         nvars = self.nvars
-        if a is not None:
-            if b is not None:
-                c = a + b
-                if c.__class__ is not int and c._denominator == 1:
-                    c = c._numerator
-                return _plain(c, nvars)
-            if a.__class__ is int and not a:
-                return other
-            k1, n1, d1 = a, {_zeros(nvars): 1}, None
-        else:
-            k1, n1, d1 = self._k, self._n, self._d
-        if b is not None:
-            if b.__class__ is int and not b:
-                return self
-            k2, n2, d2 = b, {_zeros(nvars): 1}, None
-        else:
+        k1, n1, d1 = self._k, self._n, self._d
+        if other.__class__ is Coefficient:
             k2, n2, d2 = other._k, other._n, other._d
+        else:
+            k2 = rational(other)
+            if not k2:
+                return self
+            n2, d2 = {_zeros(nvars): 1}, None
         if d1 is None and d2 is None and (n1 is n2 or n1 == n2):
-            k = k1 + k2
-            if k.__class__ is not int and k._denominator == 1:
-                k = k._numerator
-            if k.__class__ is int and not k:
-                return _plain(0, nvars)
-            return _parametric(k, n1, None, nvars)
+            k = _norm(k1 + k2)
+            return _parametric(k, n1, None, nvars) if k else 0
         # k1 = g * m1 / den and k2 = g * m2 / den with integers m1, m2
         if k1.__class__ is int:
             if k2.__class__ is int:
@@ -419,10 +374,10 @@ class Coefficient:
         if d1 is None and d2 is None:
             S = _lincomb(m1, n1, m2, n2)
             if not S:
-                return _plain(0, nvars)
+                return 0
             if _is_const(S):
                 (c,) = S.values()
-                return _plain(_ratio(g * c, den), nvars)
+                return _ratio(g * c, den)
             c, S = _primitive(S)
             return _parametric(_ratio(g * c, den), S, None, nvars)
         if d1 is None:
@@ -435,31 +390,21 @@ class Coefficient:
             S, T = _lincomb(m1, _pmul(n1, d2), m2, _pmul(n2, d1)), _pmul(d1, d2)
         return _quotient(_ratio(g, den), S, T, nvars)
 
-    def __sub__(self, other: "Coefficient") -> "Coefficient":
+    __radd__ = __add__
+
+    def __sub__(self, other):
         return self + (-other)
 
+    def __rsub__(self, other):
+        return -self + other
+
     def __neg__(self) -> "Coefficient":
-        c = self.const
-        if c is not None:
-            return _plain(-c, self.nvars)
         return _parametric(-self._k, self._n, self._d, self.nvars)
 
-    def __mul__(self, other: "Coefficient") -> "Coefficient":
-        a = self.const
-        if a is not None:
-            b = other.const
-            if b is not None:
-                c = a * b
-                if c.__class__ is not int and c._denominator == 1:
-                    c = c._numerator
-                return _plain(c, self.nvars)
-            return other.scale(a)
-        b = other.const
-        if b is not None:
-            return self.scale(b)
-        k = self._k * other._k
-        if k.__class__ is not int and k._denominator == 1:
-            k = k._numerator
+    def __mul__(self, other):
+        if other.__class__ is not Coefficient:
+            return self.scale(other)
+        k = _norm(self._k * other._k)
         N = _pmul(self._n, other._n)
         d1, d2 = self._d, other._d
         if d1 is None and d2 is None:  # Gauss's lemma: N is primitive
@@ -467,74 +412,52 @@ class Coefficient:
         T = d2 if d1 is None else d1 if d2 is None else _pmul(d1, d2)
         return _quotient(k, N, T, self.nvars)
 
-    def __truediv__(self, other: "Coefficient") -> "Coefficient":
-        b = other.const
-        if b == 0:
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if other.__class__ is Coefficient:
+            return self * (1 / other)
+        other = rational(other)
+        if not other:
             raise ZeroDivisionError("division by zero coefficient")
-        if b is not None:
-            return self.scale(_F1 / b)
-        k = _F1 / other._k
-        if k._denominator == 1:
-            k = k._numerator
-        n, d, nvars = other._n, other._d, other.nvars
+        return self.scale(_F1 / other)
+
+    def __rtruediv__(self, q):
+        k = _norm(_F1 / self._k)
+        n, d, nvars = self._n, self._d, self.nvars
         if d is None:
             inverse = _parametric(k, {_zeros(nvars): 1}, n, nvars)
         else:
             inverse = _parametric(k, d, None if _is_const(n) else n, nvars)
-        return self * inverse
+        return inverse.scale(q)
 
-    def scale(self, q) -> "Coefficient":
-        c = self.const
-        if c is not None:
-            c = c * q
-            t = c.__class__
-            if t is not int:
-                if t is Fraction:
-                    if c._denominator == 1:
-                        c = c._numerator
-                else:
-                    c = rational(c)
-            return _plain(c, self.nvars)
+    def scale(self, q):
         if q.__class__ is not int and not isinstance(q, Fraction):
             q = rational(q)
-        if not (q if q.__class__ is int else q._numerator):
-            return _plain(0, self.nvars)
-        k = self._k * q
-        if k.__class__ is not int and k._denominator == 1:
-            k = k._numerator
-        return _parametric(k, self._n, self._d, self.nvars)
+        if not q:
+            return 0
+        return _parametric(_norm(self._k * q), self._n, self._d, self.nvars)
 
-    def __pow__(self, k: int) -> "Coefficient":
+    def __pow__(self, k: int):
         if k < 0:
-            return _plain(1, self.nvars) / self ** (-k)
-        out = _plain(1, self.nvars)
+            return 1 / self ** -k
+        out = 1
         for _ in range(k):
-            out = out * self
+            out = self * out
         return out
 
     # -- identity ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Coefficient):
+        if other.__class__ is not Coefficient:
             return NotImplemented
-        c = self.const
-        if c is not None:
-            return c == other.const and self.nvars == other.nvars
-        return (
-            other.const is None
-            and self._k == other._k
-            and self._n == other._n
-            and self._d == other._d
-        )
+        return self._k == other._k and self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        c = self.const
-        if c is not None:
-            return hash(c)
         d = self._d
         return hash((self._k, frozenset(self._n.items()), d and frozenset(d.items())))
 
-    def subst(self, values) -> "Coefficient":
+    def subst(self, values):
         """Set parameter j to values[j] wherever that is not None; the
         parameters left symbolic keep their order."""
         values = [v if v is None else rational(v) for v in values]
@@ -549,67 +472,61 @@ class Coefficient:
                 out[kept] = out.get(kept, 0) + q
             return {e: q for e, q in out.items() if q}
 
-        return Coefficient(evaluate(self.num), evaluate(self.den))
-
-    # -- rendering -----------------------------------------------------
-
-    def render(self, names: tuple[str, ...]) -> str:
-        if self.const is not None:
-            return str(self.const)
-        num = self.num
-        text = _render_poly(num, names)
-        if self._d is None:
-            return text
-        den = self.den
-        if len(num) > 1:
-            text = "(%s)" % text
-        if len(den) > 1 or not _is_atomic_poly(den):
-            return "%s/(%s)" % (text, _render_poly(den, names))
-        return "%s/%s" % (text, _render_poly(den, names))
-
-    def render_signed(self, names: tuple[str, ...]) -> tuple[bool, str]:
-        """(sign is negative, text without that sign) for the coefficient
-        written in front of a monomial.  A one-term numerator over a
-        constant denominator gives up its sign, and a sum over a constant
-        denominator is parenthesised; a non-constant denominator renders as
-        "(sum)/den", which needs neither."""
-        c = self.const
-        if c is not None:
-            return c < 0, str(abs(c))
-        if self._d is not None:
-            return False, self.render(names)
-        if len(self._n) > 1:
-            return False, "(%s)" % _render_poly(self.num, names)
-        if self._k < 0:
-            return True, _render_poly((-self).num, names)
-        return False, _render_poly(self.num, names)
+        return _over(evaluate(self.num), evaluate(self.den))
 
     def __repr__(self):
         names = tuple("p%d" % j for j in range(self.nvars))
-        return "Coefficient(%s)" % self.render(names)
+        return "Coefficient(%s)" % render(self, names)
 
 
 _new = object.__new__
 
 
-def _plain(q, nvars: int) -> Coefficient:
-    """The plain rational q (an int, or a Fraction with denominator > 1)."""
-    out = _new(Coefficient)
-    out.const = q
-    out.nvars = nvars
-    out._k = out._n = out._d = None
-    return out
-
-
 def _parametric(k, n: IntPoly, d, nvars: int) -> Coefficient:
     """The parametric coefficient k * n / d, already in canonical form."""
     out = _new(Coefficient)
-    out.const = None
     out.nvars = nvars
     out._k = k
     out._n = n
     out._d = d
     return out
+
+
+# -- rendering ---------------------------------------------------------------
+
+
+def render(c, names: tuple[str, ...]) -> str:
+    """The coefficient c, a plain rational or a Coefficient, as text in the
+    parameter names ``names``."""
+    if c.__class__ is not Coefficient:
+        return str(c)
+    num = c.num
+    text = _render_poly(num, names)
+    if c._d is None:
+        return text
+    den = c.den
+    if len(num) > 1:
+        text = "(%s)" % text
+    if len(den) > 1 or not _is_atomic_poly(den):
+        return "%s/(%s)" % (text, _render_poly(den, names))
+    return "%s/%s" % (text, _render_poly(den, names))
+
+
+def render_signed(c, names: tuple[str, ...]) -> tuple[bool, str]:
+    """(sign is negative, text without that sign) for the coefficient c
+    written in front of a monomial.  A plain rational or a one-term
+    numerator over a constant denominator gives up its sign, and a sum over
+    a constant denominator is parenthesised; a non-constant denominator
+    renders as "(sum)/den", which needs neither."""
+    if c.__class__ is not Coefficient:
+        return c < 0, str(abs(c))
+    if c._d is not None:
+        return False, render(c, names)
+    if len(c._n) > 1:
+        return False, "(%s)" % _render_poly(c.num, names)
+    if c._k < 0:
+        return True, _render_poly((-c).num, names)
+    return False, _render_poly(c.num, names)
 
 
 def _is_atomic_poly(p: Poly) -> bool:

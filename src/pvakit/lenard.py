@@ -23,6 +23,7 @@ from typing import Optional
 
 from .algebra import Expression, VectorExpr, vec_dot
 from .errors import LogRequired, NotClosed, NotExact, PlanMismatch
+from .fields import Coefficient, render
 from .operators import MatrixDiffOp, _entry_apply, _entry_compose, _entry_norm
 from .varcalc import (
     LocalFunctional,
@@ -36,8 +37,10 @@ from .varcalc import (
 def _invert_total(f: Expression) -> Expression:
     """d^{-1} with zero integration constant; the constant part must vanish."""
     g, c = integrate_total(f)
-    if not c.is_zero():
-        raise NotExact("constant obstruction %r in a derivative inversion" % c)
+    if c:
+        raise NotExact(
+            "constant obstruction %s in a derivative inversion" % render(c, f.ctx.params)
+        )
     return g
 
 
@@ -49,10 +52,10 @@ def _log_primitive(L: Expression) -> Optional[Expression]:
     ctx = L.ctx
     m = ctx.one()
     for mono, c in L.terms.items():
-        if c.const is None or len(mono) != 2:
+        if c.__class__ is Coefficient or len(mono) != 2:
             return None
         (n, i), _ = mono[1]
-        m = m * ctx.gen(i, n) ** c.const
+        m = m * ctx.gen(i, n) ** c
     return m
 
 
@@ -231,14 +234,15 @@ def lenard_extend(
     kind: str = "hamiltonian",
     params: Optional[dict] = None,
 ) -> HierarchyRecord:
-    """Extend seed vectors to F^0 ... F^depth through K F^{n+1} = H F^n.
+    """Extend the seed vectors F^start_index, ... through K F^{n+1} = H F^n
+    and return exactly the steps start_index ... depth.
 
     The solver is read off K (make_plan).  Seeds must already satisfy the
-    recursion pairwise.  Kernel slack is fixed by zero integration
-    constants: the solver works by monomial division and d^{-1}, both
-    homogeneous for the exponent-sum grading, so a homogeneous step stays
-    homogeneous without any projection.  The flows reuse the images H F^n
-    that the solver reads.
+    recursion pairwise; every seed is checked, also one past depth.  Kernel
+    slack is fixed by zero integration constants: the solver works by
+    monomial division and d^{-1}, both homogeneous for the exponent-sum
+    grading, so a homogeneous step stays homogeneous without any
+    projection.  The flows reuse the images H F^n that the solver reads.
 
     A "dirac" chain pairs the Dirac structure L_{H,K} = {(H P, K P)},
     isotropic when K^* H + H^* K = 0, with the graph of J (_dirac_J): each
@@ -261,7 +265,9 @@ def lenard_extend(
             raise type(exc)(
                 "step %d: %s" % (start_index + len(chain), exc)
             ) from exc
-    flows = chain if kind == "symplectic" else HF + [H.apply(F) for F in chain[-1:]]
+    keep = max(depth - start_index + 1, 0)
+    chain, HF = chain[:keep], HF[:keep]
+    flows = chain if kind == "symplectic" else HF + [H.apply(F) for F in chain[len(HF):]]
     steps = []
     for n, (F, flow) in enumerate(zip(chain, flows), start_index):
         gradient = F if kind == "hamiltonian" else K.apply(F)

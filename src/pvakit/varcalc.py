@@ -26,7 +26,7 @@ from .algebra import (
     vec_is_zero,
 )
 from .errors import LogRequired, NotClosed, NotExact, OrderViolation
-from .fields import Coefficient
+from .fields import _norm
 from .operators import MatrixDiffOp
 
 
@@ -128,12 +128,8 @@ def antiderivative(f: Expression, i: int, n: int) -> Expression:
             up = e + 1
         else:
             up = _fill_succ(e) if e._succ is None else e._succ
-        out[((g, up),) + m[1:]] = c / _coeff_num(ctx, up)
+        out[((g, up),) + m[1:]] = _norm(c / Fraction(up))
     return Expression(ctx, out)
-
-
-def _coeff_num(ctx: Context, q):
-    return Coefficient.from_fraction(Fraction(q), len(ctx.params))
 
 
 def _descend(f: Expression):
@@ -311,7 +307,7 @@ class LocalFunctional:
         difference (strict), or strict False when g would need a logarithm.
         Raises NotExact when they are equal but the descent stalls short of g."""
         z = _zero_mod_derivatives(self.rep - other.rep)
-        if z is None or not z[1].is_zero():
+        if z is None or z[1]:
             return FunctionalComparison(False)
         g, _, stall = z
         if stall is None:
@@ -324,7 +320,7 @@ class LocalFunctional:
         """Zero in V / dV: the descent runs first, and when it runs through
         its constant decides; delta runs only when it stalls."""
         z = _zero_mod_derivatives(self.rep)
-        return z is not None and z[1].is_zero()
+        return z is not None and not z[1]
 
     def __eq__(self, other):
         if not isinstance(other, LocalFunctional):

@@ -32,7 +32,8 @@ functional_is_zero, functional_compare and integrate_total compute the
 variational derivative first and descend only when it vanishes; the
 library descends first and computes it only when the descent stalls.
 Coefficient, at the end, keeps every value as two polynomial dicts with
-Fraction values; the library keeps a plain rational as one int or Fraction.
+Fraction values; the library keeps a plain rational as a bare int or
+Fraction, and a Coefficient only where a parameter occurs.
 test_fastpaths.py, test_fields.py, test_hierarchies.py and
 test_verify_reference.py pin each pair together.
 """
@@ -60,13 +61,13 @@ from pvakit.errors import (
     OrderViolation,
     PlanMismatch,
 )
+from pvakit.fields import _norm, render
 from pvakit.lenard import HierarchyStep, _attach_density
 from pvakit.operators import BiLambdaPoly, LambdaPoly, MatrixDiffOp
 from pvakit.parsing import parse_operator
 from pvakit.varcalc import (
     ClosednessReport,
     FunctionalComparison,
-    _coeff_num,
     _exactify_inductive,
     frechet,
     variational_derivative as vder,
@@ -123,8 +124,8 @@ def mono_bump(a, idx):
 
 def _accumulate(out, nm, nc):
     s = out.get(nm)
-    s = nc if s is None else s + nc
-    if s.is_zero():
+    s = _norm(nc if s is None else s + nc)
+    if not s:
         if nm in out:
             del out[nm]
     else:
@@ -138,7 +139,7 @@ def partial(f, i, n):
     for m, c in f.terms.items():
         for h, e in m:
             if h == g:
-                _accumulate(out, mono_set_exp(m, g, e - 1), c.scale(e))
+                _accumulate(out, mono_set_exp(m, g, e - 1), _norm(c * e))
                 break
             if h < g:
                 break
@@ -152,7 +153,7 @@ def total_derivative(f, times=1):
         out = {}
         for m, c in cur.terms.items():
             for idx in range(len(m)):
-                _accumulate(out, mono_bump(m, idx), c.scale(m[idx][1]))
+                _accumulate(out, mono_bump(m, idx), _norm(c * m[idx][1]))
         cur = Expression(cur.ctx, out)
     return cur
 
@@ -180,7 +181,7 @@ def antiderivative(f, i, n):
                 % (Expression(ctx, {m: c}).render(), ctx.gen_name(g))
             )
         nm = mono_set_exp(m, g, e + 1)
-        out[nm] = c / _coeff_num(ctx, e + 1)
+        out[nm] = _norm(c / Fraction(e + 1))
     return Expression(ctx, out)
 
 
@@ -582,7 +583,7 @@ def functional_compare(a, b):
         if rest.is_zero():
             return FunctionalComparison(True, True, g)
         return FunctionalComparison(False)
-    if not _constant_mod_derivatives(d).is_zero():
+    if _constant_mod_derivatives(d):
         return FunctionalComparison(False)
     if isinstance(stall, LogRequired):
         return FunctionalComparison(True, False, None)
@@ -594,7 +595,7 @@ def functional_is_zero(f):
     constant left modulo total derivatives."""
     if not vec_is_zero(vder(f)):
         return False
-    return _constant_mod_derivatives(f).is_zero()
+    return not _constant_mod_derivatives(f)
 
 
 def verify_sequence(H, K, record):
@@ -708,8 +709,10 @@ def _nls_steps(J: MatrixDiffOp, depth: int) -> list:
 def _invert_total(f):
     """d^{-1} with zero integration constant; the constant part must vanish."""
     g, c = integrate_total(f)
-    if not c.is_zero():
-        raise NotExact("constant obstruction %r in a derivative inversion" % c)
+    if c:
+        raise NotExact(
+            "constant obstruction %s in a derivative inversion" % render(c, f.ctx.params)
+        )
     return g
 
 

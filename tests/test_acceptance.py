@@ -438,7 +438,7 @@ def test_criterion_11f_inversion_round_trips():
     for _ in range(CASES):
         g = rand_expr(rng, ctx, fancy_exps=True)
         g2, const = integrate_total(g.total_derivative())
-        assert const.is_zero() and (g2 - g).is_constant()
+        assert const == 0 and (g2 - g).is_constant()
     for _ in range(CASES):
         f = rand_expr(rng, ctx, nfactors=2, max_order=3)
         F = variational_derivative(f)

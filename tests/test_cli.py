@@ -384,14 +384,27 @@ def test_lenard_without_a_solver_is_one_line_error():
      "error: step 1: term u^(-1) needs a logarithm in u"),
     (["--op-h", "1", "--op-k", "d", "--seed", "u'^2", "--depth", "1"],
      "error: step 1: nonzero variational derivative, not a total derivative"),
+    (["--op-h", "1", "--op-k", "d", "--seed", "1/2", "--depth", "1"],
+     "error: step 1: constant obstruction 1/2 in a derivative inversion"),
+    (["--op-h", "1", "--op-k", "d", "--seed", "c/2", "--depth", "1"],
+     "error: step 1: constant obstruction 1/2*c in a derivative inversion"),
 ])
 def test_unsolvable_lenard_chain_is_one_line_error(argv, last):
-    """Seeds off the recursion, and a step whose d^{-1} needs a logarithm
-    or does not exist, name the step."""
-    r = run("lenard", *argv)
+    """Seeds off the recursion, and a step whose d^{-1} needs a logarithm,
+    does not exist or leaves a constant, name the step; the constant is
+    written in the session's parameter names."""
+    r = run("--params", "c", "lenard", *argv)
     assert r.exit_code == 1
     assert r.stdout == ""
     assert r.stderr.splitlines()[-1] == last
+
+
+def test_lenard_prints_no_seed_past_depth():
+    """Both seeds are checked, but --depth 0 prints F^0 only."""
+    r = run("--vars", "u,v", "lenard", "--op-h", "u' + 2*u*d, v*d; v' + v*d, 0",
+            "--op-k", "d, 0; 0, d", "--seed", "0,1", "--seed", "1,0", "--depth", "0")
+    assert r.exit_code == 0, r.output
+    assert r.stdout.splitlines() == ["F^0 = (0, 1)", "h_0 = v"]
 
 
 def test_lenard_reads_the_chain_solver_off_k():

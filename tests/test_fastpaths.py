@@ -45,7 +45,7 @@ from pvakit.brackets import (
     nested_bracket_left,
     nested_bracket_right,
 )
-from pvakit.fields import Coefficient
+from pvakit.fields import Coefficient, _norm
 from pvakit.hierarchies import FAMILIES
 from pvakit.parsing import parse_operator
 from pvakit.varcalc import antiderivative
@@ -67,11 +67,11 @@ rationals = st.builds(
 def coefficients(draw, ctx, fractions_of_c=False):
     """q, or q + r*c, or (q + r*c)/(c + k) when fractions_of_c."""
     n = len(ctx.params)
-    c = Coefficient.from_fraction(draw(rationals), n)
+    c = _norm(draw(rationals))
     if draw(st.booleans()):
         c = c + Coefficient.parameter(0, n).scale(draw(rationals))
     if fractions_of_c and draw(st.booleans()):
-        c = c / (Coefficient.parameter(0, n) + Coefficient.from_fraction(draw(rationals), n))
+        c = c / (Coefficient.parameter(0, n) + draw(rationals))
     return c
 
 

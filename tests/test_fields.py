@@ -6,17 +6,29 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from pvakit import Context, HierarchySpec, MatrixDiffOp, NonRationalCoefficient, fields
+from pvakit import (
+    Context,
+    Expression,
+    HierarchySpec,
+    MatrixDiffOp,
+    NonRationalCoefficient,
+    PvakitError,
+    fields,
+)
 from pvakit.algebra import _exp, mono_degree
 from pvakit.fields import Coefficient, _pgcd, _pmul
+from pvakit.varcalc import antiderivative
 
 import reference
+from test_fastpaths import CTXS3, coefficients, stepped_expressions
 
 
 def C(q, nvars=2):
-    return Coefficient.from_fraction(Fraction(q), nvars)
+    """The plain rational q, an int or Fraction as Expression stores it; a
+    number carries no parameter count, so nvars is unused."""
+    return fields._norm(Fraction(q))
 
 
 def P(j, nvars=2):
@@ -26,21 +38,21 @@ def P(j, nvars=2):
 def test_rational_fast_path():
     a = C("3/2")
     b = C("-1/2")
-    assert (a + b).as_fraction() == 1
-    assert (a * b).as_fraction() == Fraction(-3, 4)
-    assert (a / b).as_fraction() == -3
-    assert (-a).as_fraction() == Fraction(-3, 2)
-    assert a.scale(2).as_fraction() == 3
-    assert C(0).is_zero() and C(1).is_one()
+    assert a + b == 1
+    assert a * b == Fraction(-3, 4)
+    assert a / b == -3
+    assert -a == Fraction(-3, 2)
+    assert a * 2 == 3
+    assert C(0) == 0 and type(C(1)) is int
 
 
 def test_parameter_arithmetic():
     c = P(0)
     one = C(1)
-    assert (c * c + c).render(("c", "t")) == "c^2 + c"
-    assert ((c + one) - c).is_one()
-    assert (c - c).is_zero()
-    assert (c ** 3).render(("c", "t")) == "c^3"
+    assert fields.render(c * c + c, ("c", "t")) == "c^2 + c"
+    assert (c + one) - c == 1
+    assert c - c == 0
+    assert fields.render(c ** 3, ("c", "t")) == "c^3"
 
 
 def test_fraction_cancellation():
@@ -52,19 +64,19 @@ def test_fraction_cancellation():
     q = num / den
     assert q == c - one
     # (1/c) * c = 1
-    assert ((one / c) * c).is_one()
+    assert (one / c) * c == 1
     # cross cancellation keeps products reduced
     t = P(1)
     r = ((c + one) / (t + one)) * ((t + one) / (c + one))
-    assert r.is_one()
+    assert r == 1
 
 
 def test_denominator_monic():
     c = P(0)
     q = C(1) / (c.scale(2))
     # denominator normalized to c, factor folded into the numerator
-    assert q.render(("c", "t")) == "1/2/c"
-    assert (q * c.scale(2)).is_one()
+    assert fields.render(q, ("c", "t")) == "1/2/c"
+    assert q * c.scale(2) == 1
 
 
 def test_gcd_multivariate():
@@ -98,9 +110,9 @@ def test_field_axioms_random():
         assert a + b == b + a
         assert (a + b) + c == a + (b + c)
         assert a * (b + c) == a * b + a * c
-        assert (a - a).is_zero()
-        if not c.is_zero():
-            assert (a / c) * c == a
+        assert a - a == 0
+        if c != 0:
+            assert div(a, c) * c == a
 
 
 # -- the int-first kernel against the dict-based reference --------------------
@@ -123,54 +135,66 @@ def coefficient_pairs(draw, nvars):
             j = draw(st.integers(0, nvars - 1))
             return Coefficient.parameter(j, nvars), reference.Coefficient.parameter(j, nvars)
         q = _rational_values(draw)
-        return Coefficient.from_fraction(q, nvars), reference.Coefficient.from_fraction(q, nvars)
+        return fields._norm(q), reference.Coefficient.from_fraction(q, nvars)
 
     pool = [leaf() for _ in range(draw(st.integers(1, 3)))]
     for _ in range(draw(st.integers(0, 4))):
         (a, ra), (b, rb) = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
         op = draw(st.sampled_from(["+", "-", "*", "/", "scale", "neg", "pow"]))
         if op == "+":
-            pool.append((a + b, ra + rb))
+            pool.append((fields._norm(a + b), ra + rb))
         elif op == "-":
-            pool.append((a - b, ra - rb))
+            pool.append((fields._norm(a - b), ra - rb))
         elif op == "*":
-            pool.append((a * b, ra * rb))
+            pool.append((fields._norm(a * b), ra * rb))
         elif op == "/" and not rb.is_zero():
-            pool.append((a / b, ra / rb))
+            pool.append((div(a, b), ra / rb))
         elif op == "scale":
             q = _rational_values(draw)
-            pool.append((a.scale(q), ra.scale(q)))
+            pool.append((scale(a, q), ra.scale(q)))
         elif op == "neg":
             pool.append((-a, -ra))
         elif op == "pow" and not (ra.is_zero()):
             k = draw(st.integers(-2, 3))
-            pool.append((a ** k, ra ** k))
+            pool.append((power(a, k), ra ** k))
     return draw(st.sampled_from(pool))
 
 
+def div(a, b):
+    """a / b as Expression divides: a plain dividend through Fraction."""
+    return a / b if isinstance(a, Coefficient) else fields._norm(Fraction(a) / b)
+
+
+def power(a, k):
+    """a ** k as Expression raises a coefficient: a plain base through Fraction."""
+    return a ** k if isinstance(a, Coefficient) else fields._norm(Fraction(a) ** k)
+
+
+def scale(a, q):
+    return a.scale(q) if isinstance(a, Coefficient) else fields._norm(a * q)
+
+
 def assert_same(c, r):
-    """c (library) and r (reference) hold the same element the same way."""
+    """c (library) and r (reference) hold the same element the same way: a
+    plain rational as a number, anything else as a Coefficient."""
     names = NAMES[: r.nvars]
-    assert c.nvars == r.nvars
-    assert c.num == r.num and c.den == r.den
-    assert (c.const is None) == (r.const is None)
-    assert c.render(names) == r.render(names)
-    assert repr(c) == repr(r)
-    assert c.render_signed(names) == reference.render_signed(r, names)
-    assert c.is_zero() == r.is_zero() and c.is_one() == r.is_one()
+    assert isinstance(c, Coefficient) == (r.const is None)
     if r.const is None:
-        with pytest.raises(ValueError):
-            c.as_fraction()
+        assert c.nvars == r.nvars
+        assert c.num == r.num and c.den == r.den
+        assert repr(c) == repr(r)
     else:
-        q = c.as_fraction()
-        assert type(q) is Fraction and q == r.as_fraction()
+        assert c == r.const
+    assert fields.render(c, names) == r.render(names)
+    assert fields.render_signed(c, names) == reference.render_signed(r, names)
 
 
 def assert_exact(c):
-    """const is an int exactly when integral, and no value is a float."""
-    if c.const is not None:
-        assert type(c.const) in (int, Fraction)
-        assert (type(c.const) is int) == (Fraction(c.const).denominator == 1)
+    """A plain rational is an int exactly when integral, and no value is a
+    float."""
+    if not isinstance(c, Coefficient):
+        assert type(c) is int or type(c) is Fraction and c.denominator != 1
+        return
     for poly in (c.num, c.den):
         for q in poly.values():
             assert type(q) in (int, Fraction)
@@ -189,17 +213,19 @@ def test_kernel_matches_reference(data, nvars):
     a, ra = data.draw(coefficient_pairs(nvars))
     b, rb = data.draw(coefficient_pairs(nvars))
     assert_same(a, ra)
-    results = [(a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb), (-a, -ra)]
+    results = [(fields._norm(x), r) for x, r in ((a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb))]
+    results.append((-a, -ra))
     q = _rational_values(data.draw)
-    results.append((a.scale(q), ra.scale(q)))
+    results.append((scale(a, q), ra.scale(q)))
     k = data.draw(st.integers(-3, 3))
-    results.append((outcome(pow, a, k), outcome(pow, ra, k)))
-    results.append((outcome(lambda x, y: x / y, a, b), outcome(lambda x, y: x / y, ra, rb)))
+    results.append((outcome(power, a, k), outcome(pow, ra, k)))
+    results.append((outcome(div, a, b), outcome(lambda x, y: x / y, ra, rb)))
     values = [
         data.draw(st.one_of(st.none(), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3)))
         for _ in range(nvars)
     ]
-    results.append((outcome(a.subst, values), outcome(ra.subst, values)))
+    subst = a.subst if isinstance(a, Coefficient) else lambda values: a
+    results.append((outcome(subst, values), outcome(ra.subst, values)))
     for c, r in results:
         if r is ZeroDivisionError:
             assert c is ZeroDivisionError
@@ -218,15 +244,15 @@ def test_kernel_has_no_floats(data, nvars):
     when integral and holds no float anywhere."""
     c, _ = data.draw(coefficient_pairs(nvars))
     assert_exact(c)
-    assert_exact(c.scale(data.draw(st.integers(-3, 3))))
+    assert_exact(scale(c, data.draw(st.integers(-3, 3))))
 
 
 def assert_canonical(c):
-    """c is stored as its canonical k * N / D: k a nonzero plain rational, N
-    and D integer-valued, primitive, with positive leading coefficients and
-    coprime, D None for 1 and then N not constant."""
-    if c.const is not None:
-        assert c._k is None and c._n is None and c._d is None
+    """c is a plain rational, or stored as its canonical k * N / D: k a
+    nonzero plain rational, N and D integer-valued, primitive, with positive
+    leading coefficients and coprime, D None for 1 and then N not constant."""
+    if not isinstance(c, Coefficient):
+        assert type(c) is int or type(c) is Fraction and c.denominator != 1
         return
     k, N, D = c._k, c._n, c._d
     assert type(k) is int and k or type(k) is Fraction and k.denominator != 1
@@ -246,10 +272,10 @@ def assert_canonical(c):
 def test_stored_form_is_canonical(data, nvars):
     a, _ = data.draw(coefficient_pairs(nvars))
     b, _ = data.draw(coefficient_pairs(nvars))
-    for c in (a, b, a + b, a - b, a * b, -a, a.scale(_rational_values(data.draw))):
-        assert_canonical(c)
-    if not b.is_zero():
-        assert_canonical(a / b)
+    for c in (a, b, a + b, a - b, a * b, -a, scale(a, _rational_values(data.draw))):
+        assert_canonical(fields._norm(c))
+    if b:
+        assert_canonical(div(a, b))
 
 
 @settings(max_examples=100, deadline=None)
@@ -257,10 +283,62 @@ def test_stored_form_is_canonical(data, nvars):
 def test_same_element_along_different_paths(data, nvars):
     (a, _), (b, _), (c, _) = (data.draw(coefficient_pairs(nvars)) for _ in range(3))
     pairs = [((a + b) * c, a * c + b * c), (a - a, C(0, nvars)), (a + b - b, a)]
-    if not b.is_zero():
-        pairs.append((a * (C(1, nvars) / b) * b, a))
+    if b:
+        pairs.append((a * div(C(1, nvars), b) * b, a))
     for x, y in pairs:
         assert x == y and hash(x) == hash(y)
+
+
+def _assert_stored_exactly(f):
+    """Every value in f.terms is an int, a Fraction whose denominator is not
+    1, or a canonical Coefficient in which a parameter occurs."""
+    for c in f.terms.values():
+        assert_canonical(c)
+        assert_exact(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_expression_coefficients_stay_canonical(data):
+    """The sums, products, scalings, derivations, antiderivatives, monomial
+    quotients, negative and fractional powers and substitutions of
+    Expressions store no float, no integral Fraction and no Coefficient
+    equal to a number."""
+    ctx = data.draw(st.sampled_from(CTXS3))
+    f, g = data.draw(stepped_expressions(ctx)), data.draw(stepped_expressions(ctx))
+    q = _rational_values(data.draw)
+    c = data.draw(coefficients(ctx, fractions_of_c=True))
+    assume(g.terms)
+    m, cm = data.draw(st.sampled_from(sorted(g.terms.items(), key=repr)))
+    mono, unit = Expression(ctx, {m: cm}), Expression(ctx, {m: 1})
+    results = [f + g, f - g, f * g, f.scale(q), f.scale(c), f * c, f.total_derivative()]
+    results += [f / mono, mono ** -1, mono ** -2, unit ** Fraction(1, 2), unit ** Fraction(-3, 2)]
+    for i in range(ctx.nvars):
+        for n in range(4):
+            results.append(f.partial(i, n))
+            try:
+                results.append(antiderivative(f, i, n))
+            except PvakitError:
+                pass
+    plain = Context(ctx.var_names)
+    results += [f.subst(ctx, [None]), f.subst(plain, [q])]
+    try:
+        results.append((f * c).subst(plain, [q]))
+    except ZeroDivisionError:  # q is a pole of c
+        pass
+    for r in results:
+        _assert_stored_exactly(r)
+
+
+def test_integral_sums_are_stored_as_ints():
+    """Like terms whose Fractions add up to an integer merge into an int in
+    a sum, a product and a total derivative."""
+    ctx = Context(("u",), ("c",))
+    h = ctx.parse("1/2*u*u'' + 1/4*u'^2")
+    half = ctx.parse("1/2*u + 1/2*u'")
+    for f in (h.total_derivative(), h + h, half * ctx.parse("u + u'"), ctx.parse("c/2*u + c*u/2")):
+        _assert_stored_exactly(f)
+    assert 1 in h.total_derivative().terms.values()
 
 
 def test_scale_and_negation_share_n_and_d():
@@ -280,7 +358,7 @@ def test_like_terms_add_their_k_over_the_shared_n(monkeypatch):
     monkeypatch.setattr(fields, "gcd", _refuse)  # a sum over one N runs no gcd
     for total, k in ((x + y, Fraction(-17, 12)), (x + x, Fraction(1, 2)), (y - y, None)):
         if k is None:
-            assert total.is_zero()
+            assert total == 0
         else:
             assert total._n is n._n and total._k == k
 
@@ -298,17 +376,21 @@ def test_products_over_denominator_one_run_no_gcd(monkeypatch):
 
 
 def test_plain_rationals_are_python_numbers():
-    a, b = C(3, 0), C(Fraction(1, 2), 0)
-    assert type(a.const) is int and type(b.const) is Fraction
-    assert type((b + b).const) is int and (b + b).const == 1
-    assert type((a / C(3, 0)).const) is int
-    assert type((C(1, 0) / a).const) is Fraction
-    assert type((a ** -1).const) is Fraction and (a ** -1).const == Fraction(1, 3)
-    assert type((b ** 0).const) is int
-    assert type(a.as_fraction()) is Fraction
-    # equal values in different numbers of parameters differ, as before
-    assert C(1, 1) != C(1, 2)
-    assert C(0, 2).num == {} and C(2, 2).num == {(0, 0): 2}
+    """A coefficient in which no parameter occurs is stored as an int or a
+    Fraction, and a Coefficient operation whose result holds no parameter
+    gives that number."""
+    ctx = Context(("u",), ("c",))
+    u, c = ctx.gen(0), P(0, 1)
+    assert u.terms == {(((0, 0), 1),): 1} and type(ctx.num(1, 2).constant_coefficient()) is Fraction
+    assert type((u.scale(Fraction(1, 2)) + u.scale(Fraction(1, 2))).terms[(((0, 0), 1),)]) is int
+    assert (u / 3).terms == {(((0, 0), 1),): Fraction(1, 3)}
+    assert ((3 * u) ** -1).terms == {(((0, 0), -1),): Fraction(1, 3)}
+    assert ((2 * u) ** 0).terms == {(): 1}
+    assert type((c + 1) - c) is int and c / c == 1 and type(c.scale(2) / c) is int
+    assert c.scale(Fraction(1, 2)) / c == Fraction(1, 2) and 1 / c * c == 1
+    assert c != 1 and c - c == 0 and type(c * 0) is int
+    assert fields.render(Fraction(-1, 2), ("c",)) == "-1/2"
+    assert fields.render_signed(Fraction(-1, 2), ("c",)) == (True, "1/2")
 
 
 FLOAT_ENTRIES = {
@@ -322,9 +404,9 @@ FLOAT_ENTRIES = {
     "float - Expression": lambda ctx, u: 0.1 - u,
     "Expression / float": lambda ctx, u: u / 0.5,
     "MatrixDiffOp.scale": lambda ctx, u: MatrixDiffOp.derivative(ctx).scale(0.1),
-    "Coefficient.from_fraction": lambda ctx, u: Coefficient.from_fraction(0.1, 1),
+    "fields.rational": lambda ctx, u: fields.rational(0.1),
     "Coefficient.scale": lambda ctx, u: Coefficient.parameter(0, 1).scale(0.5),
-    "Coefficient.scale plain": lambda ctx, u: C(3, 1).scale(0.5),
+    "Coefficient + float": lambda ctx, u: Coefficient.parameter(0, 1) + 0.5,
     "Coefficient.subst": lambda ctx, u: Coefficient.parameter(0, 1).subst([0.5]),
     "HierarchySpec parameter": lambda ctx, u: HierarchySpec("hd", {"alpha": 0.1}).normalized(),
 }
@@ -343,7 +425,7 @@ def test_exact_inputs_still_accepted():
     assert ctx.num("3/2") == ctx.num(3, 2) == ctx.num(Decimal("1.5"))
     assert u.scale(True) == u
     assert (u + 1) - 1 == u and u / 2 == u.scale(Fraction(1, 2))
-    assert type(Coefficient.from_fraction(Fraction(4, 2), 1).const) is int
+    assert type(ctx.num(Fraction(4, 2)).constant_coefficient()) is int
 
 
 # -- interned exponents -------------------------------------------------------

@@ -25,23 +25,23 @@ def test_golden_all(name):
 
 
 def _rank(rows):
-    """Rank of a list of Coefficient vectors by Gaussian elimination over
-    the coefficient field."""
+    """Rank of a list of coefficient vectors (numbers and Coefficients) by
+    Gaussian elimination over the coefficient field."""
     rows = [list(r) for r in rows]
     rank = 0
     col = 0
     width = len(rows[0]) if rows else 0
     while rank < len(rows) and col < width:
-        piv = next((r for r in range(rank, len(rows)) if not rows[r][col].is_zero()), None)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if piv is None:
             col += 1
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         lead = rows[rank][col]
         for r in range(rank + 1, len(rows)):
-            if rows[r][col].is_zero():
+            if rows[r][col] == 0:
                 continue
-            factor = rows[r][col] / lead
+            factor = Fraction(1) * rows[r][col] / lead  # int / int is a float
             rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
         col += 1

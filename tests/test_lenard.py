@@ -162,6 +162,22 @@ def test_linear_chain_with_offset_start(ctx1):
         assert s.F == (ctx1.gen(0, 2 * (s.n - 1)),)
 
 
+def test_extension_stops_at_depth(ctx1):
+    """Seeds past depth are still checked against the recursion, but only
+    the steps start_index ... depth come back."""
+    H = MatrixDiffOp.derivative(ctx1, 3)
+    K = MatrixDiffOp.derivative(ctx1)
+    seeds = [(ctx1.gen(0, 2 * n),) for n in range(3)]
+    for depth, start, want in ((0, 0, [0]), (1, 0, [0, 1]), (1, 1, [1]), (0, 1, []), (3, 1, [1, 2, 3])):
+        rec = lenard_extend(H, K, seeds, depth, start_index=start)
+        assert [s.n for s in rec.steps] == want
+        for s in rec.steps:
+            assert s.F == (ctx1.gen(0, 2 * (s.n - start)),)
+            assert s.flow == (ctx1.gen(0, 2 * (s.n - start) + 3),)
+    with pytest.raises(NotExact, match="^seed vectors do not satisfy the recursion$"):
+        lenard_extend(H, K, seeds + [(ctx1.gen(0),)], 0)
+
+
 def test_record_json_shape(ctx1c):
     H, K = kdv_pair(ctx1c)
     rec = verify_sequence(H, K, lenard_extend(H, K, [(ctx1c.one(),)], 2, name="kdv"))

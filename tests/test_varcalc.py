@@ -92,11 +92,11 @@ def test_integrate_total(ctx1):
     u = ctx1.gen(0)
     up, upp, u3 = ctx1.gen(0, 1), ctx1.gen(0, 2), ctx1.gen(0, 3)
     g, c = integrate_total(u * up)
-    assert g == (u ** 2).scale(Fraction(1, 2)) and c.is_zero()
+    assert g == (u ** 2).scale(Fraction(1, 2)) and c == 0
     g, c = integrate_total(up * upp + u * u3)
-    assert g == u * upp and c.is_zero()
+    assert g == u * upp and c == 0
     g, c = integrate_total(u * up + ctx1.num(4))
-    assert g == (u ** 2).scale(Fraction(1, 2)) and c.as_fraction() == 4
+    assert g == (u ** 2).scale(Fraction(1, 2)) and c == 4 and type(c) is int
     with pytest.raises(NotExact):
         integrate_total(u)
     with pytest.raises(LogRequired):
@@ -108,7 +108,7 @@ def test_integrate_round_trip(ctx2):
     for _ in range(60):
         g = rand_expr(rng, ctx2, fancy_exps=True)
         g2, c = integrate_total(g.total_derivative())
-        assert c.is_zero()
+        assert c == 0
         assert (g2 - g).is_constant()
 
 
@@ -229,7 +229,7 @@ def test_compare_across_a_traded_constant(ctx1c):
     cmp = LocalFunctional(f + g.total_derivative()).compare(LocalFunctional(f))
     assert cmp == FunctionalComparison(True, True, g)
     g2, c = integrate_total(g.total_derivative())
-    assert g2 == g and c.is_zero()
+    assert g2 == g and c == 0
 
 
 def test_closedness_of_exact_vectors(ctx2):
