@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import NonMonomialDivisor, NonRationalExponent
-from .fields import Coefficient, _norm, rational, render_signed
+from .fields import Coefficient, _norm, join_signed, rational, render_signed
 
 Gen = tuple[int, int]  # (derivative order n, variable index i), both >= 0
 Monomial = tuple[tuple[Gen, Union[int, Fraction]], ...]  # sorted by Gen, descending
@@ -21,7 +21,8 @@ Monomial = tuple[tuple[Gen, Union[int, Fraction]], ...]  # sorted by Gen, descen
 ONE_MONO: Monomial = ()
 
 # numbers that Expression arithmetic turns into constants; ``rational``
-# refuses the floats among them
+# refuses the floats among them.  isinstance against this tuple costs a
+# Fraction ABC check, so the hot paths first test for an Expression
 _NUMBERS = (int, Fraction, float)
 _COEFFICIENTS = _NUMBERS + (Coefficient,)
 _F1 = Fraction(1)
@@ -247,9 +248,9 @@ class Context:
         return Expression(self, {ONE_MONO: value})
 
     def coeff_expr(self, c) -> "Expression":
-        """The constant c, a plain rational or a Coefficient."""
-        if not c:
-            return self.zero()
+        """The constant c, a number or a Coefficient."""
+        if c.__class__ is not Coefficient:
+            return self.num(c)
         return Expression(self, {ONE_MONO: c})
 
     def gen(self, var, order=0) -> "Expression":
@@ -356,8 +357,8 @@ class Expression:
             raise ValueError("expressions live in different contexts")
 
     def __add__(self, other):
-        if isinstance(other, _NUMBERS):
-            other = self.ctx.num(other)
+        if other.__class__ is not Expression and isinstance(other, _COEFFICIENTS):
+            other = self.ctx.coeff_expr(other)
         self._check_ctx(other)
         if not self.terms:
             return other
@@ -382,15 +383,15 @@ class Expression:
         return Expression(self.ctx, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, _NUMBERS):
-            other = self.ctx.num(other)
+        if other.__class__ is not Expression and isinstance(other, _COEFFICIENTS):
+            other = self.ctx.coeff_expr(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, _COEFFICIENTS):
+        if other.__class__ is not Expression and isinstance(other, _COEFFICIENTS):
             return self.scale(other)
         self._check_ctx(other)
         if not self.terms or not other.terms:
@@ -538,17 +539,16 @@ class Expression:
     # -- rendering ----------------------------------------------------------------
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, reverse=True):
-            c = self.terms[m]
-            body, negative = _render_term(self.ctx, m, c)
-            if not parts:
-                parts.append("-" + body if negative else body)
-            else:
-                parts.append((" - " if negative else " + ") + body)
-        return "".join(parts)
+        return join_signed(self.signed_terms(""))
+
+    def signed_terms(self, last: str) -> list[tuple[bool, str]]:
+        """Each term, highest monomial first, as (negative, text without
+        that sign) for ``fields.join_signed``; a nonempty ``last`` is
+        written as the last factor of every term."""
+        ctx, terms = self.ctx, self.terms
+        return [
+            _render_term(ctx, m, terms[m], last) for m in sorted(terms, reverse=True)
+        ]
 
     def __repr__(self):
         return self.render()
@@ -560,16 +560,22 @@ def _render_exponent(e) -> str:
     return "^(%s)" % e
 
 
-def _render_term(ctx: Context, m: Monomial, c) -> tuple[str, bool]:
-    """Render one term; returns (text without sign, sign-is-negative)."""
+def _render_term(ctx: Context, m: Monomial, c, last: str) -> tuple[bool, str]:
+    """One term c*m*last as (negative, text without that sign).  A
+    coefficient over a non-constant denominator keeps its sign in its
+    text, which is moved out here, so no sum prints "+ -"."""
     factors = []
     for g, e in m:
         name = ctx.gen_name(g)
         factors.append(name if e == 1 else name + _render_exponent(e))
+    if last:
+        factors.append(last)
     negative, ctext = render_signed(c, ctx.params)
+    if ctext[0] == "-":
+        negative, ctext = True, ctext[1:]
     if ctext == "1" and factors:
-        return "*".join(factors), negative
-    return "*".join([ctext] + factors), negative
+        return negative, "*".join(factors)
+    return negative, "*".join([ctext] + factors)
 
 
 VectorExpr = tuple[Expression, ...]

@@ -33,7 +33,9 @@ the polynomial gcd and exact division run on integer polynomials
 ``num`` and ``den`` are read-only views in the normalized form that
 ``render`` and ``subst`` read: a denominator monic in its leading
 monomial, int or Fraction values.  ``render`` and ``render_signed`` also
-take a plain rational.  Everything is immutable.
+take a plain rational.  ``join_signed`` is the one place where signed terms
+become a sum: of a parameter polynomial here, of an Expression, of an
+operator entry and of a lambda-symbol.  Everything is immutable.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ IntPoly = dict[Exps, int]
 UniPoly = dict[int, IntPoly]  # univariate in one parameter, IntPoly coefficients
 
 _F1 = Fraction(1)
+_NUMBERS = (int, Fraction, numbers.Number)  # int and Fraction match by exact type
 _ZEROS: dict[int, tuple] = {}
 
 
@@ -346,6 +349,8 @@ class Coefficient:
         if other.__class__ is Coefficient:
             k2, n2, d2 = other._k, other._n, other._d
         else:
+            if not isinstance(other, _NUMBERS):
+                return NotImplemented
             k2 = rational(other)
             if not k2:
                 return self
@@ -403,7 +408,7 @@ class Coefficient:
 
     def __mul__(self, other):
         if other.__class__ is not Coefficient:
-            return self.scale(other)
+            return self.scale(other) if isinstance(other, _NUMBERS) else NotImplemented
         k = _norm(self._k * other._k)
         N = _pmul(self._n, other._n)
         d1, d2 = self._d, other._d
@@ -417,6 +422,8 @@ class Coefficient:
     def __truediv__(self, other):
         if other.__class__ is Coefficient:
             return self * (1 / other)
+        if not isinstance(other, _NUMBERS):
+            return NotImplemented
         other = rational(other)
         if not other:
             raise ZeroDivisionError("division by zero coefficient")
@@ -507,9 +514,8 @@ def render(c, names: tuple[str, ...]) -> str:
     den = c.den
     if len(num) > 1:
         text = "(%s)" % text
-    if len(den) > 1 or not _is_atomic_poly(den):
-        return "%s/(%s)" % (text, _render_poly(den, names))
-    return "%s/%s" % (text, _render_poly(den, names))
+    den_text = _render_poly(den, names)
+    return "%s/%s" % (text, den_text if _is_atomic_poly(den) else "(%s)" % den_text)
 
 
 def render_signed(c, names: tuple[str, ...]) -> tuple[bool, str]:
@@ -537,9 +543,7 @@ def _is_atomic_poly(p: Poly) -> bool:
 
 
 def _render_poly(p: Poly, names: tuple[str, ...]) -> str:
-    if not p:
-        return "0"
-    parts = []
+    terms = []
     for e in sorted(p, reverse=True):
         q = p[e]
         factors = []
@@ -554,8 +558,18 @@ def _render_poly(p: Poly, names: tuple[str, ...]) -> str:
             body = "*".join(factors)
         else:
             body = "*".join([str(mag)] + factors)
-        if not parts:
-            parts.append(body if q > 0 else "-" + body)
-        else:
-            parts.append((" + " if q > 0 else " - ") + body)
-    return "".join(parts)
+        terms.append((q < 0, body))
+    return join_signed(terms)
+
+
+def join_signed(terms) -> str:
+    """The (negative, body) pairs as one sum: " - body" for a negative term,
+    "-body" in front, "0" for none; every sum that pvakit prints."""
+    parts = []
+    for negative, body in terms:
+        if parts:
+            parts.append(" - " if negative else " + ")
+        elif negative:
+            parts.append("-")
+        parts.append(body)
+    return "".join(parts) if parts else "0"

@@ -9,7 +9,8 @@ adjoint is the substitution lambda -> -lambda - d and composition is
 d -> lambda + d, so LambdaPoly runs both on the entry routines below.
 A two-variable value is a one-variable symbol read at lambda + mu
 (BiLambdaPoly.at_sum), so d -> lambda + mu + d is never expanded in two
-variables.
+variables.  One renderer, ``_render_symbol``, prints an entry and a symbol
+alike, with d^k or lambda^a mu^b as the last factor of a term.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from math import comb
 from typing import Iterator, Optional
 
 from .algebra import Context, Expression, VectorExpr
-from .fields import rational
+from .fields import join_signed, rational
 
 Entry = tuple[tuple[int, Expression], ...]  # ((power, coeff), ...) sorted by power
 
@@ -30,13 +31,6 @@ def _entry_norm(items) -> Entry:
             continue
         acc[p] = acc[p] + a if p in acc else a
     return tuple(sorted((p, a) for p, a in acc.items() if not a.is_zero()))
-
-
-def _join_terms(parts: list[str]) -> str:
-    """Join rendered terms, writing a negative term as " - "."""
-    return parts[0] + "".join(
-        " - " + t[1:] if t.startswith("-") else " + " + t for t in parts[1:]
-    )
 
 
 def _entry_apply(entry: Entry, f: Expression) -> Expression:
@@ -226,22 +220,7 @@ class MatrixDiffOp:
         return self._map(lambda a: a.subst(ctx, values), ctx)
 
     def render_entry(self, i: int, j: int) -> str:
-        e = self.entries[i][j]
-        if not e:
-            return "0"
-        parts = []
-        for p, a in e:
-            if p == 0:
-                parts.append(a.render())
-                continue
-            d = "d" if p == 1 else "d^%d" % p
-            if a == self.ctx.one():
-                parts.append(d)
-            elif a.is_monomial():
-                parts.append("%s*%s" % (a.render(), d))
-            else:
-                parts.append("(%s)*%s" % (a.render(), d))
-        return _join_terms(parts)
+        return _render_symbol((_var_power("d", p), a) for p, a in self.entries[i][j])
 
     def render(self) -> str:
         if self.nrows == 1 and self.ncols == 1:
@@ -294,23 +273,8 @@ class _SymbolPoly:
     __hash__ = None
 
     def render(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for key in sorted(self.coeffs, reverse=True):
-            v = self.coeffs[key]
-            power = self._power(key)
-            if not power:
-                parts.append(v.render())
-            elif v == self.ctx.one():
-                parts.append(power)
-            elif v == self.ctx.num(-1):
-                parts.append("-" + power)
-            elif v.is_monomial():
-                parts.append("%s*%s" % (v.render(), power))
-            else:
-                parts.append("(%s)*%s" % (v.render(), power))
-        return _join_terms(parts)
+        items = sorted(self.coeffs.items(), reverse=True)
+        return _render_symbol((self._power(k), v) for k, v in items)
 
     def __repr__(self):
         return self.render()
@@ -318,6 +282,19 @@ class _SymbolPoly:
 
 def _var_power(name: str, k: int) -> str:
     return "" if k == 0 else name if k == 1 else "%s^%d" % (name, k)
+
+
+def _render_symbol(items) -> str:
+    """An entry or a symbol from (power text, coefficient) items, in order.
+    The power is the last factor of a one-term coefficient's term, so a
+    unit drops out; a sum is "(sum)*power", and at power zero it is listed."""
+    terms = []
+    for power, a in items:
+        if not power or a.is_monomial():
+            terms.extend(a.signed_terms(power))
+        else:
+            terms.append((False, "(%s)*%s" % (a.render(), power)))
+    return join_signed(terms)
 
 
 class LambdaPoly(_SymbolPoly):

@@ -202,6 +202,11 @@ PARAMETRIC_TEXTS = [
         '  jacobi at (2, 1, 1) for ops (1, 2): 1/(c + 1)*lam^2'
         ' + 2/(c + 1)*lam*mu\n',
     ),
+    # a unit coefficient of d^k drops out, and a negative coefficient over a
+    # non-constant denominator is a " - " term
+    (('frechet', '--', "-u''"), 0, '-d^2\n'),
+    (('frechet', '--', "u'' - u'''"), 0, 'd^2 - d^3\n'),
+    (('--params', 'c', 'vder', '--', "u'^2 - u^2/(c+1)"), 0, "-2*u'' - 2/(c + 1)*u\n"),
 ]
 
 

@@ -13,6 +13,7 @@ and parsed operator products are compositions."""
 
 import copy
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -47,7 +48,7 @@ from pvakit.brackets import (
 )
 from pvakit.fields import Coefficient, _norm
 from pvakit.hierarchies import FAMILIES
-from pvakit.parsing import parse_operator
+from pvakit.parsing import parse_expression, parse_operator
 from pvakit.varcalc import antiderivative
 
 import reference
@@ -111,13 +112,14 @@ STEP_EXPONENTS = (-2, -1, Fraction(-1, 2), Fraction(1, 2), 1, Fraction(3, 2), 2)
 
 
 @st.composite
-def stepped_expressions(draw, ctx):
+def stepped_expressions(draw, ctx, coeffs=coefficients):
     """A sum of monomials with exponents in STEP_EXPONENTS, some holding
     u_i^(n+1)^(-1) * u_i^(n)^e, where the bump of u_i^(n) raises the
-    exponent -1 to 0 (and with e = 1 also drops u_i^(n))."""
+    exponent -1 to 0 (and with e = 1 also drops u_i^(n)); coeffs(ctx)
+    draws the coefficients."""
     total = ctx.zero()
     for _ in range(draw(st.integers(1, 3))):
-        term = ctx.coeff_expr(draw(coefficients(ctx)))
+        term = ctx.coeff_expr(draw(coeffs(ctx)))
         for _ in range(draw(st.integers(0, 3))):
             i = draw(st.integers(0, ctx.nvars - 1))
             n = draw(st.integers(0, 3))
@@ -608,6 +610,48 @@ def test_parsed_products_are_compositions(a, b, k):
     assert parse_operator("(%s)^%d" % (a, k), ctx) == power
     assert parse_operator("(%s) - (%s)" % (a, b), ctx) == A - B
     assert parse_operator("-(%s)" % a, ctx) == A.scale(-1)
+
+
+def signed_coefficients(ctx):
+    """-1, 1, or a coefficient that may be a sum in c or sit over c + k."""
+    return st.one_of(st.sampled_from([-1, 1]), coefficients(ctx, fractions_of_c=True))
+
+
+# a unit coefficient written out in front of a power of d, lambda or mu
+UNIT_FACTOR = re.compile(r"(?<![\d/^])1\*(d|lam|mu)")
+
+
+def _assert_signed_text(text):
+    assert "+ -" not in text and not UNIT_FACTOR.search(text), text
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_rendered_sums_parse_back_without_plus_minus(data):
+    """Expressions and 1x1 and 2x2 operators with unit, parametric-sum and
+    non-constant-denominator coefficients parse back to themselves, and
+    neither they nor the lambda- and lambda/mu-symbols of the same
+    coefficients print "+ -" or a unit coefficient before d, lam or mu."""
+    ctx = data.draw(contexts)
+    exprs = [data.draw(stepped_expressions(ctx, signed_coefficients)) for _ in range(4)]
+    powers = data.draw(st.lists(st.integers(0, 3), min_size=4, max_size=4))
+    for e in exprs:
+        text = e.render()
+        _assert_signed_text(text)
+        assert parse_expression(text, ctx) == e
+    items = list(zip(powers, exprs))
+    ops = [
+        MatrixDiffOp(ctx, [[items[:2]]]),
+        MatrixDiffOp(ctx, [[[items[0]], [items[1]]], [[items[2]], items[2:]]]),
+    ]
+    for op in ops:
+        text = op.render()
+        _assert_signed_text(text)
+        # a matrix renders in brackets, which the operator grammar omits
+        assert parse_operator(text.strip("[]"), ctx) == op
+    _assert_signed_text(LambdaPoly(ctx, dict(items)).render())
+    bi = {(p, q): e for p, q, e in zip(powers, reversed(powers), exprs)}
+    _assert_signed_text(BiLambdaPoly(ctx, bi).render())
 
 
 def test_render_keeps_parentheses_of_sums(ctx1c):

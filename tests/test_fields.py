@@ -1,5 +1,6 @@
 import copy
 import math
+import operator
 import pickle
 import random
 from decimal import Decimal
@@ -391,6 +392,23 @@ def test_plain_rationals_are_python_numbers():
     assert c != 1 and c - c == 0 and type(c * 0) is int
     assert fields.render(Fraction(-1, 2), ("c",)) == "-1/2"
     assert fields.render_signed(Fraction(-1, 2), ("c",)) == (True, "1/2")
+
+
+@pytest.mark.parametrize("coefficient_first", [True, False],
+                         ids=["coefficient-left", "expression-left"])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul],
+                         ids=["add", "sub", "mul"])
+def test_coefficient_meets_expression(op, coefficient_first):
+    """A Coefficient and an Expression meet in either order as the constant
+    Expression of the Coefficient does: Coefficient defers to Expression."""
+    ctx = Context(("u",), ("c",))
+    c, e = P(0, 1), ctx.gen(0)
+    if coefficient_first:
+        assert op(c, e) == op(ctx.coeff_expr(c), e)
+    else:
+        assert op(e, c) == op(e, ctx.coeff_expr(c))
+    for method in (c.__add__, c.__mul__, c.__truediv__):
+        assert method(e) is NotImplemented
 
 
 FLOAT_ENTRIES = {
