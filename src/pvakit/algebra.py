@@ -448,6 +448,8 @@ class Expression:
     def __truediv__(self, other):
         if isinstance(other, _NUMBERS):
             return self.scale(Fraction(1) / rational(other))
+        if other.__class__ is Coefficient:
+            other = self.ctx.coeff_expr(other)
         self._check_ctx(other)
         if not other.terms:
             raise NonMonomialDivisor("division by zero")

@@ -4,7 +4,8 @@ Session options (--vars/--params or --config) fix the ambient algebra;
 subcommands expose the checkers, the variational calculus and the
 hierarchy generators.  Exit status: 0 on success or a passing check, 1 on
 a failing check or an unsolvable computation (or when memory runs out), 2
-on usage or syntax errors.
+on usage or syntax errors.  A command decides exit 1 for a failing check
+itself; ``_Group.invoke`` decides it for every library error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .brackets import (
     check_symplectic,
     lambda_bracket,
 )
-from .errors import IndividualFailure, PvakitError
+from .errors import PvakitError
 from .fields import render
 from .hierarchies import (
     FAMILIES,
@@ -133,13 +134,17 @@ def _emit_report(report, as_json: bool):
 
 
 class _Group(click.Group):
-    """The command group; a MemoryError anywhere below it ends the run
-    with a one-line error and exit status 1, not a traceback, and so does
-    a result with a number past the interpreter's digit limit."""
+    """The command group, and the one place where an error becomes exit
+    status 1: a PvakitError that a command does not turn into a usage
+    error, a MemoryError and a result with a number past the
+    interpreter's digit limit each end the run with a one-line error, not
+    a traceback."""
 
     def invoke(self, com):
         try:
             return super().invoke(com)
+        except PvakitError as exc:
+            _fail(str(exc))
         except MemoryError:
             _fail("out of memory")
         except ValueError as exc:
@@ -174,11 +179,7 @@ def vder(ctx, expr):
 @click.pass_obj
 def integrate(ctx, expr):
     """Write EXPR as d(g) + const and print both."""
-    f = _parse(ctx, expr)
-    try:
-        g, c = integrate_total(f)
-    except PvakitError as exc:
-        _fail(str(exc))
+    g, c = integrate_total(_parse(ctx, expr))
     _echo(g.render())
     _echo("const: %s" % render(c, ctx.params))
 
@@ -188,11 +189,7 @@ def integrate(ctx, expr):
 @click.pass_obj
 def exactify_cmd(ctx, components):
     """Potential f with delta f/delta u = (COMPONENTS...)."""
-    F = _parse_vector(ctx, components)
-    try:
-        _echo(exactify(F).render())
-    except PvakitError as exc:
-        _fail(str(exc))
+    _echo(exactify(_parse_vector(ctx, components)).render())
 
 
 @main.command("frechet")
@@ -231,12 +228,7 @@ def check_pva_cmd(ctx, op_text, as_json):
 @click.pass_obj
 def check_compat_cmd(ctx, op_texts, as_json):
     """Compatibility of several Hamiltonian operators."""
-    ops = [_parse_op(ctx, t) for t in op_texts]
-    try:
-        report = check_compatible(ops)
-    except IndividualFailure as exc:
-        _fail(str(exc))
-    _emit_report(report, as_json)
+    _emit_report(check_compatible([_parse_op(ctx, t) for t in op_texts]), as_json)
 
 
 @main.command("check-symplectic")
@@ -264,11 +256,8 @@ def lenard_cmd(ctx, h_text, k_text, seed_texts, depth, kind, as_json):
     H = _parse_op(ctx, h_text)
     K = _parse_op(ctx, k_text)
     seeds = [_parse_vector(ctx, text.split(",")) for text in seed_texts]
-    try:
-        rec = lenard_extend(H, K, seeds, depth, name="lenard", kind=kind)
-        verify_sequence(H, K, rec)
-    except PvakitError as exc:
-        _fail(str(exc))
+    rec = lenard_extend(H, K, seeds, depth, name="lenard", kind=kind)
+    verify_sequence(H, K, rec)
     if as_json:
         _echo_json(rec)
     else:
@@ -306,10 +295,7 @@ def hierarchy_cmd(name, param_texts, depth, do_verify, as_json):
             check_golden_bindings(spec)
     except PvakitError as exc:
         raise click.UsageError(str(exc))
-    try:
-        rec = generate(spec)
-    except PvakitError as exc:
-        _fail(str(exc))
+    rec = generate(spec)
     ok = rec.verification.passed()
     if as_json:
         _echo_json(rec)

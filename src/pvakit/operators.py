@@ -6,7 +6,8 @@ right of coefficients).  LambdaPoly and BiLambdaPoly carry bracket values:
 polynomials in lambda (resp. lambda and mu) with Expression coefficients.
 An entry and its symbol (d^k read as lambda^k) share one calculus: the
 adjoint is the substitution lambda -> -lambda - d and composition is
-d -> lambda + d, so LambdaPoly runs both on the entry routines below.
+d -> lambda + d, so LambdaPoly runs both on the entry routines below;
+the shift (lambda + d)^k is composition with d^k on the left.
 A two-variable value is a one-variable symbol read at lambda + mu
 (BiLambdaPoly.at_sum), so d -> lambda + mu + d is never expanded in two
 variables.  One renderer, ``_render_symbol``, prints an entry and a symbol
@@ -18,10 +19,11 @@ from __future__ import annotations
 from math import comb
 from typing import Iterator, Optional
 
-from .algebra import Context, Expression, VectorExpr
+from .algebra import ONE_MONO, Context, Expression, VectorExpr
 from .fields import join_signed, rational
 
 Entry = tuple[tuple[int, Expression], ...]  # ((power, coeff), ...) sorted by power
+_UNIT = {ONE_MONO: 1}  # the terms of the coefficient 1
 
 
 def _entry_norm(items) -> Entry:
@@ -66,13 +68,16 @@ def _entry_adjoint(entry: Entry) -> Iterator[tuple[int, Expression]]:
 
 
 def _entry_compose(ea: Entry, eb: Entry) -> Iterator[tuple[int, Expression]]:
-    """(a d^p) o (b d^q) expanded by the Leibniz rule, as (power, coeff) items."""
-    top = max((p for p, _ in ea), default=0)
+    """(a d^p) o (b d^q) expanded by the Leibniz rule, as (power, coeff)
+    items; a binomial 1 does not scale and a unit a does not multiply."""
+    top = ea[-1][0] if ea else 0
+    left = [(p, None if a.terms == _UNIT else a) for p, a in ea]
     for q, b in eb:
         db = _derivatives(b, top)
-        for p, a in ea:
+        for p, a in left:
             for k in range(p + 1):
-                yield k + q, a * db[p - k].scale(comb(p, k))
+                c = db[p - k] if k == 0 or k == p else db[p - k].scale(comb(p, k))
+                yield k + q, c if a is None else a * c
 
 
 class MatrixDiffOp:
@@ -315,22 +320,11 @@ class LambdaPoly(_SymbolPoly):
         return self.coeffs.get(k, self.ctx.zero())
 
     def shift_apply(self, times: int = 1) -> "LambdaPoly":
-        """Apply (lambda + d)^times, with d acting on coefficients;
-        expanded binomially so each coefficient is differentiated along a
-        single chain."""
+        """Apply (lambda + d)^times, with d acting on coefficients: the
+        symbol of d^times composed with this one."""
         if times == 0:
             return self
-        out: dict[int, Expression] = {}
-        for k, v in self.coeffs.items():
-            dv = v
-            for j in range(times, -1, -1):
-                # contributes C(times, j) lam^j d^(times-j) v
-                key = k + j
-                term = dv.scale(comb(times, j)) if 0 < j < times else dv
-                out[key] = out[key] + term if key in out else term
-                if j:
-                    dv = dv.total_derivative()
-        return LambdaPoly(self.ctx, out)
+        return self.op_apply(((times, self.ctx.one()),))
 
     def subst_neg_shift(self) -> "LambdaPoly":
         """Substitute lambda -> -lambda - d, the derivative acting on the
@@ -342,8 +336,10 @@ class LambdaPoly(_SymbolPoly):
         """Apply an operator entry with d replaced by (lambda + d), acting
         to the right on this polynomial: the symbol of the entry composed
         with this one."""
-        items = _entry_compose(entry, self.coeffs.items())
-        return LambdaPoly(self.ctx, dict(_entry_norm(items)))
+        out: dict[int, Expression] = {}
+        for k, v in _entry_compose(entry, self.coeffs.items()):
+            out[k] = out[k] + v if k in out else v
+        return LambdaPoly(self.ctx, out)
 
 
 class BiLambdaPoly(_SymbolPoly):

@@ -8,7 +8,8 @@ parenthesized derivative marker u^(k) for k >= 4; integer powers are bare
 (u^2) while fractional or negative exponents are parenthesized (u^(-1/2));
 products and quotients use * and /, with division only of a d-free factor
 by a monomial.  Matrix operators separate entries with ',' and rows with
-';'.  Error positions count from the start of the given text.
+';', inside one optional pair of brackets '[' ']'.  Error positions count
+from the start of the given text.
 """
 
 from __future__ import annotations
@@ -276,12 +277,27 @@ def _split_top(text: str, sep: str, offset: int = 0) -> list[tuple[int, str]]:
     return parts
 
 
+def _unwrap(text: str) -> tuple[int, str]:
+    """The text inside one optional outer '[' ']' pair, with its offset."""
+    start = len(text) - len(text.lstrip())
+    end = len(text.rstrip())
+    opened = text.startswith("[", start)
+    closed = text.endswith("]", start + opened, end)
+    if opened and closed:
+        return start + 1, text[start + 1:end - 1]
+    if opened or closed:
+        at = start if opened else end - 1
+        raise ParseError("unmatched %r" % text[at], at)
+    return 0, text
+
+
 def parse_operator(text: str, ctx: Context) -> MatrixDiffOp:
-    """Matrix operator: rows separated by ';', entries by ','; a lone '0'
-    entry is the zero operator.  Error positions count from the start of
-    text."""
+    """Matrix operator: rows separated by ';', entries by ',', optionally
+    wrapped in '[' ']' as a matrix renders; a lone '0' entry is the zero
+    operator.  Error positions count from the start of text."""
     rows = []
-    for row_start, row_text in _split_top(text, ";"):
+    offset, body = _unwrap(text)
+    for row_start, row_text in _split_top(body, ";", offset):
         row = []
         for start, entry_text in _split_top(row_text, ",", row_start):
             stripped = entry_text.strip()

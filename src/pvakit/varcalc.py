@@ -31,17 +31,9 @@ from .operators import MatrixDiffOp
 
 
 def variational_derivative(f: Expression) -> VectorExpr:
-    """delta f / delta u: component i is sum_n (-d)^n (df/du_i^(n)),
-    evaluated in Horner form p_0 - d(p_1 - d(p_2 - ...))."""
-    ctx = f.ctx
-    out = []
-    top = f.max_order()
-    for i in range(ctx.nvars):
-        acc = f.partial(i, top)
-        for n in range(top - 1, -1, -1):
-            acc = f.partial(i, n) - acc.total_derivative()
-        out.append(acc)
-    return tuple(out)
+    """delta f / delta u: component i is the zeroth Euler operator
+    sum_n (-d)^n (df/du_i^(n))."""
+    return tuple(euler_operator(f, i, 0) for i in range(f.ctx.nvars))
 
 
 def euler_operator(f: Expression, i: int, m: int) -> Expression:
@@ -50,7 +42,9 @@ def euler_operator(f: Expression, i: int, m: int) -> Expression:
     top = f.max_order()
     acc = f.ctx.zero()
     for n in range(top, m - 1, -1):
-        acc = f.partial(i, n).scale((-1) ** n * comb(n, m)) + acc.total_derivative()
+        q = (-1) ** n * comb(n, m)
+        p = f.partial(i, n)
+        acc = (p if q == 1 else p.scale(q)) + acc.total_derivative()
     return acc
 
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import pvakit
 from pvakit.cli import main
+from pvakit.errors import NotExact
 
 
 def run(*args):
@@ -539,6 +540,19 @@ def test_numbers_past_the_digit_limit_are_one_line_errors():
         )
     assert sys.get_int_max_str_digits() == 4300
     _assert_usage_error(run("vder", "2\u00b2*u"))
+
+
+def test_library_error_of_any_command_is_a_one_line_error(monkeypatch):
+    """A PvakitError from a command without a guard of its own exits 1 with
+    one error line, as the guarded commands do: the group decides it."""
+    def not_exact(f):
+        raise NotExact("no potential")
+
+    monkeypatch.setattr("pvakit.cli.variational_derivative", not_exact)
+    r = run("vder", "u")
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+    assert r.output.splitlines()[-1] == "error: no potential"
+    assert "Traceback" not in r.output
 
 
 def test_zero_depth_is_usage_error():

@@ -396,14 +396,20 @@ def test_plain_rationals_are_python_numbers():
 
 @pytest.mark.parametrize("coefficient_first", [True, False],
                          ids=["coefficient-left", "expression-left"])
-@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul],
-                         ids=["add", "sub", "mul"])
+@pytest.mark.parametrize(
+    "op", [operator.add, operator.sub, operator.mul, operator.truediv],
+    ids=["add", "sub", "mul", "truediv"])
 def test_coefficient_meets_expression(op, coefficient_first):
     """A Coefficient and an Expression meet in either order as the constant
-    Expression of the Coefficient does: Coefficient defers to Expression."""
+    Expression of the Coefficient does: Coefficient defers to Expression.
+    Only dividing by an Expression is refused, by a Coefficient as by 2."""
     ctx = Context(("u",), ("c",))
     c, e = P(0, 1), ctx.gen(0)
-    if coefficient_first:
+    if coefficient_first and op is operator.truediv:
+        for left in (c, 2):
+            with pytest.raises(TypeError):
+                left / e
+    elif coefficient_first:
         assert op(c, e) == op(ctx.coeff_expr(c), e)
     else:
         assert op(e, c) == op(e, ctx.coeff_expr(c))

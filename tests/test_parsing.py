@@ -72,6 +72,21 @@ def test_errors_carry_position(ctx1):
     assert exc.value.pos == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    (" [d, 0; 0,  v*q]", "unknown name 'q' (at position 14)"),
+    ("[d, 0; d]", "rows of the operator matrix differ in length (at position 6)"),
+    ("[d, 0; 0, d", "unmatched '[' (at position 0)"),
+    ("d, 0; 0, d] ", "unmatched ']' (at position 10)"),
+    ("[[d, 0; 0, d]]", "unexpected character '[' (at position 1)"),
+])
+def test_bracketed_matrix_errors_count_from_the_given_text(text, message):
+    """One outer '[' ']' pair is read as the matrix brackets; an unmatched
+    bracket, or a second pair, is an error at the bracket."""
+    with pytest.raises(ParseError) as exc:
+        parse_operator(text, Context(("u", "v")))
+    assert str(exc.value) == message
+
+
 def test_running_out_of_memory_is_not_a_parse_error(ctx1, monkeypatch):
     def exhausted(a, b):
         raise MemoryError
@@ -107,9 +122,8 @@ def test_operator_matrix(ctx2):
     assert op.nrows == 2 and op.ncols == 2
     assert op.entry(1, 1) == ()
     assert op.entry(0, 1) == ((1, v),)
-    # matrix text round trip (render wraps rows in brackets)
-    body = op.render()[1:-1]
-    assert parse_operator(body, ctx2) == op
+    # matrix text round trip, brackets and all
+    assert parse_operator(op.render(), ctx2) == op
 
 
 def test_operator_grammar_rejections(ctx1):
