@@ -21,27 +21,31 @@ from typing import Optional, Sequence, Union
 from .algebra import Expression, VectorExpr, vec_dot, vec_sub
 from .errors import IndividualFailure
 from .operators import BiLambdaPoly, LambdaPoly, MatrixDiffOp
-from .varcalc import LocalFunctional, frechet, frechet_defect, variational_derivative
+from .varcalc import (
+    LocalFunctional,
+    frechet,
+    frechet_defect,
+    frechet_entry,
+    variational_derivative,
+)
 
 
 def lambda_bracket(H: MatrixDiffOp, f: Expression, g: Expression) -> LambdaPoly:
     """{f_lam g} for the bracket with {u_i lam u_j} = H_ji(lam)."""
     _check_shape(H)
-    A = [_horner(f, i) for i in range(f.ctx.nvars)]
+    A = [_adjoint_symbol(f, i) for i in range(f.ctx.nvars)]
     out = LambdaPoly(f.ctx, {})
     for j in range(f.ctx.nvars):
-        out = out + _spread(g, j, _against_gen(H, A, j))
+        c = _against_gen(H, A, j)
+        if not c.is_zero():
+            out = out + c.op_apply(frechet_entry(g, j))
     return out
 
 
-def _horner(f: Expression, i: int) -> LambdaPoly:
-    """A_i = sum_m (-lam-d)^m df/du_i^(m), in Horner form
-    p_0 + (-lam-d)(p_1 + (-lam-d)(p_2 + ...))."""
-    top = f.max_order()
-    acc = LambdaPoly.of(f.partial(i, top))
-    for m in range(top - 1, -1, -1):
-        acc = LambdaPoly.of(f.partial(i, m)) - acc.shift_apply()
-    return acc
+def _adjoint_symbol(f: Expression, i: int) -> LambdaPoly:
+    """A_i = sum_m (-lam-d)^m df/du_i^(m): the symbol of the adjoint of
+    the entry sum_m df/du_i^(m) d^m of D_f."""
+    return LambdaPoly(f.ctx, dict(frechet_entry(f, i))).subst_neg_shift()
 
 
 def _against_gen(H: MatrixDiffOp, A: Sequence[LambdaPoly], j: int) -> LambdaPoly:
@@ -51,23 +55,6 @@ def _against_gen(H: MatrixDiffOp, A: Sequence[LambdaPoly], j: int) -> LambdaPoly
         entry = H.entry(j, i)
         if entry and not Ai.is_zero():
             out = out + Ai.op_apply(entry)
-    return out
-
-
-def _spread(g: Expression, j: int, c: LambdaPoly) -> LambdaPoly:
-    """sum_n dg/du_j^(n) (lam+d)^n c, shifting c once per nonzero slice."""
-    out = LambdaPoly(g.ctx, {})
-    if c.is_zero():
-        return out
-    shifted = c
-    last = 0
-    for n in range(g.max_order() + 1):
-        p = g.partial(j, n)
-        if p.is_zero():
-            continue
-        shifted = shifted.shift_apply(n - last)
-        last = n
-        out = out + shifted.mul_expr(p)
     return out
 
 
@@ -177,17 +164,17 @@ def _gen_bracket(H: MatrixDiffOp, i: int, x: Expression) -> LambdaPoly:
     """{u_i lam x} = sum_{h,n} dx/du_h^(n) (lam+d)^n H_hi(lam)."""
     out = LambdaPoly(x.ctx, {})
     for h in range(x.ctx.nvars):
-        out = out + _spread(x, h, H.symbol(h, i))
+        c = H.symbol(h, i)
+        if not c.is_zero():
+            out = out + c.op_apply(frechet_entry(x, h))
     return out
 
 
 def _slices(x: LambdaPoly, h: int):
     """(a, n, dx_a/du_h^(n)) for each nonzero slice of the coefficients x_a."""
     for a, xa in x.coeffs.items():
-        for n in range(xa.max_order() + 1):
-            p = xa.partial(h, n)
-            if not p.is_zero():
-                yield a, n, p
+        for n, p in frechet_entry(xa, h):
+            yield a, n, p
 
 
 def jacobi_triple_residual(H: MatrixDiffOp, i: int, j: int, k: int) -> BiLambdaPoly:
@@ -205,7 +192,7 @@ def jacobi_triple_residual(H: MatrixDiffOp, i: int, j: int, k: int) -> BiLambdaP
     # right side: {H_ji(lam) _(lam+mu) u_k}, each coefficient z_a giving
     # lam^a {z_a _nu u_k} read at nu = lam + mu
     for a, za in H.symbol(j, i).coeffs.items():
-        A = [_horner(za, h) for h in range(H.ctx.nvars)]
+        A = [_adjoint_symbol(za, h) for h in range(H.ctx.nvars)]
         res = res - BiLambdaPoly.at_sum(_against_gen(H, A, k), a)
     return res
 
@@ -297,7 +284,7 @@ def symplectic_triple_residual(S: MatrixDiffOp, i: int, j: int, k: int) -> BiLam
     # the third term: lam^a A_k(s_a) read at lam + mu, A_k of the
     # coefficient s_a of S_ij(lam) as in lambda_bracket
     for a, sa in S.symbol(i, j).coeffs.items():
-        res = res + BiLambdaPoly.at_sum(_horner(sa, k), a)
+        res = res + BiLambdaPoly.at_sum(_adjoint_symbol(sa, k), a)
     return res
 
 

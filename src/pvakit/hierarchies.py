@@ -93,7 +93,6 @@ FAMILIES = {
     "kdv": Family(
         ("u",), "u' + 2*u*d + c*d^3", "d", (("1",),), 3,
         params={"c": None},
-        golden_bindings={"c": None},
         golden=(
             {
                 0: ("1",),
@@ -154,7 +153,6 @@ FAMILIES = {
         ("u", "v"), "u' + 2*u*d + c*d^3, v*d; v' + v*d, 0", "d, 0; 0, d",
         (("0", "1"), ("1", "0")), 3,
         params={"c": None},
-        golden_bindings={"c": None},
         golden=(
             {
                 0: ("0", "1"),
@@ -254,7 +252,6 @@ FAMILIES = {
         ("u",), "u'' + 2*u'*d + c*d^3", "d", (("1",),), 3,
         params={"c": None},
         kind="symplectic",
-        golden_bindings={"c": None},
         golden=(
             {
                 0: ("1",),

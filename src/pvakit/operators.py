@@ -4,10 +4,13 @@ A MatrixDiffOp is a matrix whose entries are finite sums a_k d^k with
 Expression coefficients, stored left-normalized (all derivatives to the
 right of coefficients).  LambdaPoly and BiLambdaPoly carry bracket values:
 polynomials in lambda (resp. lambda and mu) with Expression coefficients.
-An entry and its symbol (d^k read as lambda^k) share one calculus: the
-adjoint is the substitution lambda -> -lambda - d and composition is
-d -> lambda + d, so LambdaPoly runs both on the entry routines below;
-the shift (lambda + d)^k is composition with d^k on the left.
+Every entry operation is built from one Leibniz step, d o x = x' + x d
+(``_d_after``): composition builds d^p o B from d^(p-1) o B, and the
+adjoint sum_k (-d)^k o a_k is read from the top in Horner form.  An entry
+and its symbol (d^k read as lambda^k) share this calculus: the adjoint is
+the substitution lambda -> -lambda - d and composition is d -> lambda + d,
+so LambdaPoly runs both on the entry routines below; the shift
+(lambda + d)^k is composition with d^k on the left.
 A two-variable value is a one-variable symbol read at lambda + mu
 (BiLambdaPoly.at_sum), so d -> lambda + mu + d is never expanded in two
 variables.  One renderer, ``_render_symbol``, prints an entry and a symbol
@@ -46,38 +49,42 @@ def _entry_apply(entry: Entry, f: Expression) -> Expression:
     return out
 
 
-def _derivatives(a: Expression, top: int) -> list[Expression]:
-    """[a, d(a), ..., d^top(a)] along one chain of total derivatives."""
-    out = [a]
-    for _ in range(top):
-        out.append(out[-1].total_derivative())
+def _d_after(x: dict) -> dict[int, Expression]:
+    """d o x for the entry x = {k: x_k}, its keys in any order: the Leibniz
+    rule for one d, sum_k x_k' d^k + x_k d^(k+1), added into both keys."""
+    out: dict[int, Expression] = {}
+    for k, a in x.items():
+        for p, v in ((k, a.total_derivative()), (k + 1, a)):
+            out[p] = out[p] + v if p in out else v
     return out
 
 
-def _entry_adjoint(entry: Entry) -> Iterator[tuple[int, Expression]]:
-    """Formal adjoint of a scalar entry: sum_k (-d)^k o a_k, expanded into
-    (power, coeff) items; each a_k is differentiated along one chain whose
-    links are dropped once used."""
-    for p, a in entry:
-        sign = -1 if p % 2 else 1
-        da = a
-        for k in range(p, -1, -1):
-            yield k, da.scale(sign * comb(p, k))
-            if k:
-                da = da.total_derivative()
+def _entry_adjoint(entry) -> dict[int, Expression]:
+    """Formal adjoint sum_k (-d)^k o a_k of a scalar entry, in Horner form
+    read from the top: (-1)^top a_top, then at each step down a d on the
+    left and (-1)^k a_k added."""
+    a = dict(entry)
+    acc: dict[int, Expression] = {}
+    for k in range(max(a, default=-1), -1, -1):
+        acc = _d_after(acc)
+        if k in a:
+            v = -a[k] if k % 2 else a[k]
+            acc[0] = acc[0] + v if 0 in acc else v
+    return acc
 
 
-def _entry_compose(ea: Entry, eb: Entry) -> Iterator[tuple[int, Expression]]:
-    """(a d^p) o (b d^q) expanded by the Leibniz rule, as (power, coeff)
-    items; a binomial 1 does not scale and a unit a does not multiply."""
-    top = ea[-1][0] if ea else 0
-    left = [(p, None if a.terms == _UNIT else a) for p, a in ea]
-    for q, b in eb:
-        db = _derivatives(b, top)
-        for p, a in left:
-            for k in range(p + 1):
-                c = db[p - k] if k == 0 or k == p else db[p - k].scale(comb(p, k))
-                yield k + q, c if a is None else a * c
+def _entry_compose(ea: Entry, eb) -> Iterator[tuple[int, Expression]]:
+    """(sum_p a_p d^p) o B as (power, coeff) items, d^p o B built from
+    d^(p-1) o B one Leibniz step at a time; a unit a_p does not multiply."""
+    cur = dict(eb)
+    last = 0
+    for p, a in ea:
+        for _ in range(p - last):
+            cur = _d_after(cur)
+        last = p
+        unit = a.terms == _UNIT
+        for k, c in cur.items():
+            yield k, c if unit else a * c
 
 
 class MatrixDiffOp:
@@ -96,8 +103,6 @@ class MatrixDiffOp:
     def _coerce(self, e) -> Entry:
         if isinstance(e, Expression):
             return _entry_norm([(0, e)])
-        if isinstance(e, dict):
-            return _entry_norm(e.items())
         return _entry_norm(e)
 
     # -- constructors ----------------------------------------------------
@@ -191,7 +196,7 @@ class MatrixDiffOp:
     def adjoint(self) -> "MatrixDiffOp":
         n, m = self.nrows, self.ncols
         rows = [
-            [_entry_adjoint(self.entries[j][i]) for j in range(n)]
+            [_entry_adjoint(self.entries[j][i]).items() for j in range(n)]
             for i in range(m)
         ]
         return MatrixDiffOp(self.ctx, rows)
@@ -309,8 +314,8 @@ class LambdaPoly(_SymbolPoly):
     __slots__ = ()
 
     @staticmethod
-    def of(expr: Expression, degree: int = 0) -> "LambdaPoly":
-        return LambdaPoly(expr.ctx, {degree: expr})
+    def of(expr: Expression) -> "LambdaPoly":
+        return LambdaPoly(expr.ctx, {0: expr})
 
     @staticmethod
     def _power(k: int) -> str:
@@ -329,8 +334,7 @@ class LambdaPoly(_SymbolPoly):
     def subst_neg_shift(self) -> "LambdaPoly":
         """Substitute lambda -> -lambda - d, the derivative acting on the
         coefficient it lands on: the symbol of the adjoint entry."""
-        items = _entry_adjoint(self.coeffs.items())
-        return LambdaPoly(self.ctx, dict(_entry_norm(items)))
+        return LambdaPoly(self.ctx, _entry_adjoint(self.coeffs))
 
     def op_apply(self, entry: Entry) -> "LambdaPoly":
         """Apply an operator entry with d replaced by (lambda + d), acting

@@ -27,7 +27,7 @@ from .algebra import (
 )
 from .errors import LogRequired, NotClosed, NotExact, OrderViolation
 from .fields import _norm
-from .operators import MatrixDiffOp
+from .operators import Entry, MatrixDiffOp
 
 
 def variational_derivative(f: Expression) -> VectorExpr:
@@ -48,21 +48,17 @@ def euler_operator(f: Expression, i: int, m: int) -> Expression:
     return acc
 
 
+def frechet_entry(f: Expression, j: int) -> Entry:
+    """The entry sum_n (df/du_j^(n)) d^n of D_f, as its nonzero slices
+    (n, df/du_j^(n)) in ascending n."""
+    slices = ((n, f.partial(j, n)) for n in range(f.max_order() + 1))
+    return tuple((n, p) for n, p in slices if not p.is_zero())
+
+
 def frechet(F: VectorExpr, adjoint: bool = False) -> MatrixDiffOp:
     """First-variation operator of F: entry (i, j) is sum_n (dF_i/du_j^(n)) d^n."""
     ctx = F[0].ctx
-    rows = []
-    for f in F:
-        top = f.max_order()
-        row = []
-        for j in range(ctx.nvars):
-            entry = []
-            for n in range(top + 1):
-                p = f.partial(j, n)
-                if not p.is_zero():
-                    entry.append((n, p))
-            row.append(entry)
-        rows.append(row)
+    rows = [[frechet_entry(f, j) for j in range(ctx.nvars)] for f in F]
     op = MatrixDiffOp(ctx, rows)
     return op.adjoint() if adjoint else op
 

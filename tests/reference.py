@@ -4,9 +4,11 @@ mono_bump, partial, total_derivative and antiderivative rebuild each
 monomial factor by factor and step exponents by Fraction arithmetic; the
 library splices tuple slices and reads the interned neighbours of an
 exponent.  mono_degree sums every exponent as a Fraction; the library sums
-int exponents as ints.  The next functions differentiate every slice anew;
-the library computes the same values along one chain of derivatives
-(Horner form).
+int exponents as ints.  The next functions differentiate every slice anew:
+the library computes variational_derivative and euler_operator along one
+chain of derivatives (Horner form), and builds entry_adjoint and
+entry_compose, binomial expansions here, from one Leibniz step
+d o x = x' + x d (the adjoint in Horner form from the top).
 The verifiers below evaluate orthogonality and involution separately, with
 a second verifier for the one-operator NLS chain, and gen_bracket carries
 its own loop; the library reads every check from the nonzero pairings
@@ -16,10 +18,10 @@ library runs the NLS Dirac pair (H, K) through lenard_extend.  is_closed
 always builds the defect operator, and exactify decides closedness by it
 before it looks for a potential; the library first certifies closedness
 by delta of the scaling potential.  The symbol
-routines below carry their own binomial loops, and the nested brackets
-and structure checks one loop per slot; the library runs symbols on the
-operator-entry routines and shares one lift, one slice loop and one
-triple checker.  shift applies (lambda + mu + d) once per step, the
+routines below carry their own binomial and shift loops, and the nested
+brackets and structure checks one loop per slot; the library runs symbols
+on the operator-entry routines, reads the slices of an expression off its
+Frechet entries, and shares one lift and one triple checker.  shift applies (lambda + mu + d) once per step, the
 triple residuals shift every slice in two variables, nested_bracket_composed
 spreads each term binomially on its own, and check_pva and
 check_symplectic evaluate every triple; the library reads one-variable

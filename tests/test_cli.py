@@ -604,9 +604,26 @@ def test_hierarchy_parameter_errors_use_param_syntax(argv, last):
 
 
 def test_verify_without_reference_values_fails_before_generating():
-    r = run("hierarchy", "kdv", "--param", "c=1", "--verify")
+    r = run("hierarchy", "cnw_hd", "--param", "alpha=2", "--verify")
     _assert_usage_error(r)
     assert r.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["kdv", "--param", "c=0"],
+    ["kdv", "--param", "c=1", "--depth", "5"],
+    ["kdv", "--param", "c=-2/3"],
+    ["cnw", "--param", "c=0"],
+    ["cnw", "--param", "c=5"],
+    ["pkdv", "--param", "c=0"],
+    ["pkdv", "--param", "c=1/3", "--depth", "5"],
+])
+def test_reference_values_hold_for_every_bound_c(argv):
+    """The kdv, cnw and pkdv reference values are polynomials in c, so
+    --verify compares them at any binding of c and passes."""
+    r = run("hierarchy", *argv, "--verify")
+    assert r.exit_code == 0, r.output
+    assert r.output.splitlines()[-2:] == ["verification: pass", "golden: pass"]
 
 
 # random CLI input, mostly well formed: sums of products of small powers,

@@ -1,8 +1,12 @@
 """Differential properties: the spliced derivations (total derivative,
 partials, antiderivative) equal their factor-by-factor references in
-reference.py and step exponents through the interned neighbours, every
-chained fast path equals its slice-by-slice
-reference in reference.py, certificate-first closedness and exactify agree
+reference.py and step exponents through the interned neighbours, the
+Horner variational derivative and Euler operators equal their
+slice-by-slice references, the operator adjoint and composition, built
+from one Leibniz step d o x = x' + x d, equal the binomial expansions in
+reference.py (symbol keys in any order), the lambda-bracket is the symbol
+of D_g o H o D_f^* and the generator bracket that of D_x o H,
+certificate-first closedness and exactify agree
 with the defect-first references, the symbol routines, nested brackets and
 structure checks agree with their one-loop-per-rule references (the
 two-variable read-off at lambda + mu with the iterated shift and the
@@ -33,6 +37,7 @@ from pvakit import (
     check_symplectic,
     euler_operator,
     exactify,
+    frechet,
     integrate_total,
     is_closed,
     jacobi_triple_residual,
@@ -42,6 +47,7 @@ from pvakit import (
 )
 from pvakit.algebra import _Exponent, _exp, _fill_pred, _fill_succ, mono_bump
 from pvakit.brackets import (
+    _gen_bracket,
     nested_bracket_composed,
     nested_bracket_left,
     nested_bracket_right,
@@ -282,6 +288,36 @@ def test_horner_lambda_bracket(data):
     f = data.draw(expressions(ctx, 2))
     g = data.draw(expressions(ctx, 2))
     assert lambda_bracket(H, f, g) == reference.lambda_bracket(H, f, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_brackets_are_symbols_of_compositions(data):
+    """{f_lam g} is the symbol of D_g o H o D_f^*, and {u_i lam x} the
+    symbol of column i of D_x o H."""
+    ctx = data.draw(contexts)
+    H = data.draw(operators(ctx))
+    f = data.draw(expressions(ctx, 2))
+    g = data.draw(expressions(ctx, 2))
+    DgH = frechet((g,)).compose(H)
+    want = DgH.compose(frechet((f,), adjoint=True))
+    assert lambda_bracket(H, f, g) == want.symbol(0, 0)
+    i = data.draw(st.integers(0, ctx.nvars - 1))
+    assert _gen_bracket(H, i, g) == DgH.symbol(0, i)
+
+
+def test_symbol_keys_in_any_order():
+    """A symbol's coefficients arrive in dict order; each Leibniz step adds
+    into both d^k and d^(k+1), so keys 2, 0, 1 meet at 1 and 2."""
+    ctx = CTXS[0]
+    u, u1 = ctx.gen(0), ctx.gen(0, 1)
+    x = LambdaPoly(ctx, {2: u, 0: u * u, 1: u1})
+    assert list(x.coeffs) != sorted(x.coeffs)
+    items = list(x.coeffs.items())
+    entry = ((1, u), (3, ctx.one()))
+    want = MatrixDiffOp.single(ctx, reference.entry_compose(entry, items))
+    assert x.op_apply(entry) == want.symbol(0, 0)
+    assert x.subst_neg_shift() == reference.subst_neg_shift(x)
 
 
 @settings(max_examples=40, deadline=None)

@@ -216,8 +216,9 @@ def test_golden_verify_checks_the_given_record():
 
 
 def test_golden_requires_reference_bindings():
-    with pytest.raises(PvakitError):
-        golden_verify(HierarchySpec("kdv", {"c": Fraction(1)}))
+    """Only cnw_hd pins a binding (alpha = 1); the kdv reference values
+    hold for every c."""
+    assert golden_verify(HierarchySpec("kdv", {"c": Fraction(1)})).passed
     with pytest.raises(PvakitError):
         golden_verify(HierarchySpec("cnw_hd", {"alpha": 0, "beta": None}))
 
