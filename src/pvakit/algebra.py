@@ -473,7 +473,9 @@ class Expression:
         """Partial derivative with respect to u_i^{(n)}: in each monomial
         the factor of u_i^{(n)} is spliced out and, unless its exponent was
         1, put back with the exponent one lower (an int, or the interned
-        ``_pred``)."""
+        ``_pred``).  No two terms meet: the image keeps every other factor
+        and the exponent e - 1, so it determines the monomial it came
+        from, and e != 0, so no coefficient c*e cancels."""
         g = (n, i)
         out: dict = {}
         for m, c in self.terms.items():
@@ -490,15 +492,7 @@ class Expression:
                     else:
                         nm = m[:t] + ((g, e - 1),) + m[t + 1:]
                         c = _norm(c * e)
-                    s = out.get(nm)
-                    if s is None:
-                        out[nm] = c
-                    else:
-                        s = _norm(s + c)
-                        if s:
-                            out[nm] = s
-                        else:
-                            del out[nm]
+                    out[nm] = c
                     break
                 if h < g:
                     break

@@ -6,10 +6,13 @@ The bracket of two expressions induced by a matrix differential operator H
     {f_lam g} = sum_{i,j,m,n} dg/du_j^(n) (lam+d)^n H_ji(lam+d)->
                  (-lam-d)^m df/du_i^(m),
 
-all derivatives resolved rightward.  On top of it sit the Beltrami bracket
-(H = identity), brackets of local functionals, and the checkers for
-Hamiltonian, compatible and symplectic operators; the latter two report
-residual witnesses per generator triple.
+all derivatives resolved rightward.  The second slot enters through one
+chain rule, ``_right``: {y_lam g} from the brackets {y_lam u_j}.  The
+generator bracket {u_i lam x} is that chain rule with y = u_i, and the
+Jacobi residual is the nested-bracket identity on a generator triple.
+On top of it sit the Beltrami bracket (H = identity), brackets of local
+functionals, and the checkers for Hamiltonian, compatible and symplectic
+operators; the latter two report residual witnesses per generator triple.
 """
 
 from __future__ import annotations
@@ -34,11 +37,18 @@ def lambda_bracket(H: MatrixDiffOp, f: Expression, g: Expression) -> LambdaPoly:
     """{f_lam g} for the bracket with {u_i lam u_j} = H_ji(lam)."""
     _check_shape(H)
     A = [_adjoint_symbol(f, i) for i in range(f.ctx.nvars)]
-    out = LambdaPoly(f.ctx, {})
-    for j in range(f.ctx.nvars):
-        c = _against_gen(H, A, j)
-        if not c.is_zero():
-            out = out + c.op_apply(frechet_entry(g, j))
+    return _right(lambda j: _against_gen(H, A, j), g)
+
+
+def _right(G, x: Expression) -> LambdaPoly:
+    """{y_lam x} = sum_{j,n} dx/du_j^(n) (lam+d)^n G(j), the chain rule in
+    the second slot, from G(j) = {y_lam u_j}; G is read only where the
+    Frechet entry of x is nonzero."""
+    out = LambdaPoly(x.ctx, {})
+    for j in range(x.ctx.nvars):
+        entry = frechet_entry(x, j)
+        if entry:
+            out = out + G(j).op_apply(entry)
     return out
 
 
@@ -160,16 +170,6 @@ class CheckReport:
         }
 
 
-def _gen_bracket(H: MatrixDiffOp, i: int, x: Expression) -> LambdaPoly:
-    """{u_i lam x} = sum_{h,n} dx/du_h^(n) (lam+d)^n H_hi(lam)."""
-    out = LambdaPoly(x.ctx, {})
-    for h in range(x.ctx.nvars):
-        c = H.symbol(h, i)
-        if not c.is_zero():
-            out = out + c.op_apply(frechet_entry(x, h))
-    return out
-
-
 def _slices(x: LambdaPoly, h: int):
     """(a, n, dx_a/du_h^(n)) for each nonzero slice of the coefficients x_a."""
     for a, xa in x.coeffs.items():
@@ -178,23 +178,20 @@ def _slices(x: LambdaPoly, h: int):
 
 
 def jacobi_triple_residual(H: MatrixDiffOp, i: int, j: int, k: int) -> BiLambdaPoly:
-    """Residual of the generator-triple Jacobi identity, zero for a
+    """Residual of the Jacobi identity on a generator triple, zero for a
     Hamiltonian operator:
 
-      sum_{h,n} [ dH_kj(mu)/du_h^(n) (lam+d)^n H_hi(lam)
-                - dH_ki(lam)/du_h^(n) (mu+d)^n H_hj(mu) ]
-      - sum_{h,n} H_kh(lam+mu+d)-> (-lam-mu-d)^n dH_ji(lam)/du_h^(n).
+      {u_i lam {u_j mu u_k}} - {u_j mu {u_i lam u_k}}
+        - {{u_i lam u_j} _(lam+mu) u_k},
+
+    with {u_j mu u_k} = H_kj(mu).  The generator bracket {u_i lam x} is
+    the right slot with G(h) = {u_i lam u_h} = H_hi(lam).
     """
-    # {u_i lam H_kj(mu)} - {u_j mu H_ki(lam)}
-    res = _lift(H.symbol(k, j), lambda x: _gen_bracket(H, i, x), True) - _lift(
-        H.symbol(k, i), lambda x: _gen_bracket(H, j, x), False
+    res = _lift(H.symbol(k, j), lambda x: _right(lambda h: H.symbol(h, i), x), True)
+    res = res - _lift(
+        H.symbol(k, i), lambda x: _right(lambda h: H.symbol(h, j), x), False
     )
-    # right side: {H_ji(lam) _(lam+mu) u_k}, each coefficient z_a giving
-    # lam^a {z_a _nu u_k} read at nu = lam + mu
-    for a, za in H.symbol(j, i).coeffs.items():
-        A = [_adjoint_symbol(za, h) for h in range(H.ctx.nvars)]
-        res = res - BiLambdaPoly.at_sum(_against_gen(H, A, k), a)
-    return res
+    return res - nested_bracket_composed(H, H.symbol(j, i), H.ctx.gen(k))
 
 
 def _check_shape(H: MatrixDiffOp):

@@ -251,6 +251,8 @@ def lenard_extend(
     P_0, P_1, ... extend through (J o K) P_{n+1} = H P_n, with the solver
     read off J o K.
     """
+    if kind not in ("hamiltonian", "symplectic", "dirac"):
+        raise ValueError("kind %r is not hamiltonian, symplectic or dirac" % (kind,))
     plan = make_plan(_dirac_J(K.ctx).compose(K) if kind == "dirac" else K)
     chain = [tuple(s) for s in seeds]
     HF = [H.apply(F) for F in chain[:-1]]

@@ -5,12 +5,14 @@ Expression coefficients, stored left-normalized (all derivatives to the
 right of coefficients).  LambdaPoly and BiLambdaPoly carry bracket values:
 polynomials in lambda (resp. lambda and mu) with Expression coefficients.
 Every entry operation is built from one Leibniz step, d o x = x' + x d
-(``_d_after``): composition builds d^p o B from d^(p-1) o B, and the
-adjoint sum_k (-d)^k o a_k is read from the top in Horner form.  An entry
-and its symbol (d^k read as lambda^k) share this calculus: the adjoint is
-the substitution lambda -> -lambda - d and composition is d -> lambda + d,
-so LambdaPoly runs both on the entry routines below; the shift
-(lambda + d)^k is composition with d^k on the left.
+(``_d_after``), which stores no zero term: composition builds d^p o B from
+d^(p-1) o B, and the adjoint sum_k (-d)^k o a_k is read from the top in
+Horner form, so both take p derivatives for d^p with a constant
+coefficient.  An entry and its symbol (d^k read as lambda^k) share this
+calculus: the adjoint is the substitution lambda -> -lambda - d and
+composition is d -> lambda + d, so LambdaPoly runs both on the entry
+routines below; the shift (lambda + d)^k is composition with d^k on the
+left.
 A two-variable value is a one-variable symbol read at lambda + mu
 (BiLambdaPoly.at_sum), so d -> lambda + mu + d is never expanded in two
 variables.  One renderer, ``_render_symbol``, prints an entry and a symbol
@@ -51,11 +53,13 @@ def _entry_apply(entry: Entry, f: Expression) -> Expression:
 
 def _d_after(x: dict) -> dict[int, Expression]:
     """d o x for the entry x = {k: x_k}, its keys in any order: the Leibniz
-    rule for one d, sum_k x_k' d^k + x_k d^(k+1), added into both keys."""
+    rule for one d, sum_k x_k' d^k + x_k d^(k+1), added into both keys;
+    a zero term is not stored."""
     out: dict[int, Expression] = {}
     for k, a in x.items():
         for p, v in ((k, a.total_derivative()), (k + 1, a)):
-            out[p] = out[p] + v if p in out else v
+            if v.terms:
+                out[p] = out[p] + v if p in out else v
     return out
 
 

@@ -47,7 +47,6 @@ from pvakit import (
 )
 from pvakit.algebra import _Exponent, _exp, _fill_pred, _fill_succ, mono_bump
 from pvakit.brackets import (
-    _gen_bracket,
     nested_bracket_composed,
     nested_bracket_left,
     nested_bracket_right,
@@ -303,7 +302,30 @@ def test_brackets_are_symbols_of_compositions(data):
     want = DgH.compose(frechet((f,), adjoint=True))
     assert lambda_bracket(H, f, g) == want.symbol(0, 0)
     i = data.draw(st.integers(0, ctx.nvars - 1))
-    assert _gen_bracket(H, i, g) == DgH.symbol(0, i)
+    assert lambda_bracket(H, ctx.gen(i), g) == DgH.symbol(0, i)
+
+
+def test_leibniz_step_is_linear_for_constant_coefficients(monkeypatch):
+    """The Leibniz step stores no zero term, so the adjoint of d^p and the
+    Hamiltonian check of d^p take at most p total derivatives, not
+    p(p+1)/2."""
+    calls = []
+    total_derivative = Expression.total_derivative
+
+    def counted(self, times=1):
+        calls.append(times)
+        return total_derivative(self, times)
+
+    monkeypatch.setattr(Expression, "total_derivative", counted)
+    ctx = CTXS[0]
+    for p, skew in ((400, False), (401, True)):
+        H = parse_operator("d^%d" % p, ctx)
+        calls.clear()
+        assert H.adjoint() == H.scale((-1) ** p)
+        assert len(calls) <= p
+        calls.clear()
+        assert check_pva(H).passed == skew
+        assert len(calls) <= p
 
 
 def test_symbol_keys_in_any_order():
@@ -329,6 +351,35 @@ def test_shared_loop_jacobi_residual(data):
     assert jacobi_triple_residual(H, i, j, k) == reference.jacobi_triple_residual(
         H, i, j, k
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_jacobi_residual_is_the_nested_bracket_identity(data):
+    """R_ijk = {u_i lam {u_j mu u_k}} - {u_j mu {u_i lam u_k}}
+    - {{u_i lam u_j} _(lam+mu) u_k}, with {u_j mu u_k} = H_kj(mu)."""
+    ctx = data.draw(st.sampled_from(CTXS3))
+    H = data.draw(structure_operators(ctx))
+    i, j, k = (data.draw(st.integers(0, ctx.nvars - 1)) for _ in range(3))
+    want = (
+        nested_bracket_left(H, ctx.gen(i), H.symbol(k, j))
+        - nested_bracket_right(H, ctx.gen(j), H.symbol(k, i))
+        - nested_bracket_composed(H, H.symbol(j, i), ctx.gen(k))
+    )
+    assert jacobi_triple_residual(H, i, j, k) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_partial_merges_no_terms(data):
+    """d/du_i^(n) maps the terms holding u_i^(n) one to one: no two images
+    meet and none cancels."""
+    ctx = data.draw(st.sampled_from(CTXS3))
+    f = data.draw(stepped_expressions(ctx))
+    i = data.draw(st.integers(0, ctx.nvars - 1))
+    n = data.draw(st.integers(0, 3))
+    holding = [m for m in f.terms if any(g == (n, i) for g, _ in m)]
+    assert len(f.partial(i, n).terms) == len(holding)
 
 
 @st.composite

@@ -92,6 +92,12 @@ def test_seed_validation(ctx1c):
         lenard_extend(H, K, [(ctx1c.one(),), (ctx1c.one(),)], 3)
 
 
+def test_unknown_kind_is_refused(ctx1c):
+    H, K = kdv_pair(ctx1c)
+    with pytest.raises(ValueError, match="hamiltonian, symplectic or dirac"):
+        lenard_extend(H, K, [(ctx1c.one(),)], 2, kind="Hamiltonian")
+
+
 def test_dirac_seed_validation():
     """NLS seeds must satisfy H P_0 = (J o K) P_1: P_1 = (u v, 0) does, and
     a repeated P_0 does not."""
