@@ -29,7 +29,6 @@ from .fields import render
 from .hierarchies import (
     FAMILIES,
     HierarchySpec,
-    check_golden_bindings,
     generate,
     golden_verify,
 )
@@ -291,8 +290,6 @@ def hierarchy_cmd(name, param_texts, depth, do_verify, as_json):
     params = dict(_parse_binding(t) for t in param_texts)
     try:
         spec = HierarchySpec(name, params, depth).normalized()
-        if do_verify:
-            check_golden_bindings(spec)
     except PvakitError as exc:
         raise click.UsageError(str(exc))
     rec = generate(spec)

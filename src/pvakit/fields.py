@@ -377,9 +377,8 @@ class Coefficient:
             m1 //= g
             m2 //= g
         if d1 is None and d2 is None:
+            # S != 0, else n1 = n2: both are primitive with a positive lead
             S = _lincomb(m1, n1, m2, n2)
-            if not S:
-                return 0
             if _is_const(S):
                 (c,) = S.values()
                 return _ratio(g * c, den)

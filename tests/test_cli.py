@@ -592,21 +592,11 @@ def test_config_names_must_be_lists(tmp_path):
     (["nls", "--param", "c"], "Error: hierarchy nls takes no parameters"),
     (["kdv", "--param", "x"], "Error: hierarchy kdv takes parameters c"),
     (["hd", "--param", "x=1"], "Error: hierarchy hd takes parameters alpha, beta"),
-    (["cnw_hd", "--param", "alpha=2", "--verify"],
-     "Error: no reference values for cnw_hd with bindings alpha=2, beta"),
-    (["cnw_hd", "--param", "alpha=1/2", "--param", "beta=-3", "--verify"],
-     "Error: no reference values for cnw_hd with bindings alpha=1/2, beta=-3"),
 ])
 def test_hierarchy_parameter_errors_use_param_syntax(argv, last):
     r = run("hierarchy", *argv)
     _assert_usage_error(r)
     assert r.stderr.splitlines()[-1] == last
-
-
-def test_verify_without_reference_values_fails_before_generating():
-    r = run("hierarchy", "cnw_hd", "--param", "alpha=2", "--verify")
-    _assert_usage_error(r)
-    assert r.stdout == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -617,10 +607,17 @@ def test_verify_without_reference_values_fails_before_generating():
     ["cnw", "--param", "c=5"],
     ["pkdv", "--param", "c=0"],
     ["pkdv", "--param", "c=1/3", "--depth", "5"],
+    ["cnw_hd", "--param", "alpha=2"],
+    ["cnw_hd", "--param", "alpha", "--depth", "3"],
+    ["cnw_hd", "--param", "alpha=1/2", "--param", "beta=-3"],
+    ["cnw_hd", "--param", "alpha=0", "--param", "beta=-3"],
+    ["cnw_hd", "--param", "c=5"],
+    ["hd", "--param", "alpha=2", "--param", "beta=0"],
 ])
 def test_reference_values_hold_for_every_bound_c(argv):
-    """The kdv, cnw and pkdv reference values are polynomials in c, so
-    --verify compares them at any binding of c and passes."""
+    """Every family's reference values are polynomials in its parameters
+    (c, or alpha and beta), so --verify compares them at any binding and
+    passes."""
     r = run("hierarchy", *argv, "--verify")
     assert r.exit_code == 0, r.output
     assert r.output.splitlines()[-2:] == ["verification: pass", "golden: pass"]

@@ -215,12 +215,83 @@ def test_golden_verify_checks_the_given_record():
     assert [f.triple for f in report.failures] == [(2, "h")]
 
 
+@pytest.mark.parametrize("n, part, detail", [
+    (2, "F", """want ["c*u'' + 3/2*u^2"], got ["2*c*u'' + 3*u^2"]"""),
+    (1, "flow", """want ["c*u''' + 3*u'*u"], got ["2*c*u''' + 6*u'*u"]"""),
+], ids=["F", "flow"])
+def test_golden_verify_reports_a_wrong_vector(n, part, detail):
+    spec = HierarchySpec("kdv")
+    rec = generate(spec)
+    step = rec.step(n)
+    setattr(step, part, tuple(x + x for x in getattr(step, part)))
+    report = golden_verify(spec, rec)
+    assert [(f.kind, f.triple, f.residual_text) for f in report.failures] == [
+        ("golden", (n, part), detail)
+    ]
+
+
+def test_golden_verify_reports_a_failed_verification():
+    spec = HierarchySpec("kdv")
+    rec = generate(spec)
+    rec.verification.chain = False
+    report = golden_verify(spec, rec)
+    assert [(f.kind, f.triple) for f in report.failures] == [("verification", None)]
+
+
 def test_golden_requires_reference_bindings():
-    """Only cnw_hd pins a binding (alpha = 1); the kdv reference values
-    hold for every c."""
+    """Reference values hold for every binding: kdv's at c = 1, and
+    cnw_hd's at alpha = 0, where H is beta*d^3 (+) 0."""
     assert golden_verify(HierarchySpec("kdv", {"c": Fraction(1)})).passed
-    with pytest.raises(PvakitError):
-        golden_verify(HierarchySpec("cnw_hd", {"alpha": 0, "beta": None}))
+    assert golden_verify(HierarchySpec("cnw_hd", {"alpha": 0, "beta": None})).passed
+
+
+# the paper's cnw_hd reference values at alpha = 1, term by term
+_CNW_HD_AT_ALPHA_1 = (
+    {
+        2: (
+            "-u*v^(-3)",
+            "3/2*u^2*v^(-4) + 1/2*v^(-2) + 3/2*beta*v'^2*v^(-4)"
+            " - beta*v''*v^(-3)",
+        ),
+    },
+    {2: "-1/2*u^2*v^(-3) - 1/2*v^(-1) + 1/2*beta*v'^2*v^(-3)"},
+    {
+        1: (
+            "-v'*v^(-2) - beta*v'''*v^(-2) + 6*beta*v''*v'*v^(-3)"
+            " - 6*beta*v'^3*v^(-4)",
+            "2*v'*v^(-3)*u - u'*v^(-2)",
+        ),
+        2: (
+            "3*v'*v^(-4)*u - u'*v^(-3) + 3*beta*v'''*v^(-4)*u"
+            " - beta*u'''*v^(-3) - 36*beta*v''*v'*v^(-5)*u"
+            " + 9*beta*v''*u'*v^(-4) + 9*beta*u''*v'*v^(-4)"
+            " + 60*beta*v'^3*v^(-6)*u - 36*beta*v'^2*u'*v^(-5)",
+            "-v'*v^(-3) - 6*v'*v^(-5)*u^2 + 3*u'*v^(-4)*u"
+            " - beta*v'''*v^(-3) + 6*beta*v''*v'*v^(-4)"
+            " - 6*beta*v'^3*v^(-5)",
+        ),
+    },
+)
+
+
+def _cnw_hd_values(golden, alpha):
+    """(n, part) -> the value of golden at alpha, with beta symbolic."""
+    read = _Binding(FAMILIES["cnw_hd"], {"alpha": alpha, "beta": None})
+    return {
+        (n, part): read.expr(t) if part == "h" else read.vector(t)
+        for part, texts in zip(("F", "h", "flow"), golden)
+        for n, t in texts.items()
+    }
+
+
+def test_cnw_hd_reference_values_at_alpha_1_are_the_papers():
+    """Read at alpha = 1, the cnw_hd reference values written for every
+    alpha equal the paper's term by term; at alpha = 2 each value that
+    carries alpha differs from the paper's text read there."""
+    for alpha, same in ((Fraction(1), True), (Fraction(2), False)):
+        new = _cnw_hd_values(FAMILIES["cnw_hd"].golden, alpha)
+        old = _cnw_hd_values(_CNW_HD_AT_ALPHA_1, alpha)
+        assert [new[k] == v for k, v in old.items()] == [same] * len(old)
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))

@@ -59,6 +59,8 @@ def test_derivative_plan_solutions(ctx1):
     assert X == ((u ** 2).scale(Fraction(1, 2)),)
     with pytest.raises(NotExact):
         plan.solve((u,))
+    with pytest.raises(PlanMismatch, match="^vector length does not match the plan$"):
+        plan.solve((u, u))
 
 
 def test_chain_plan_solves_square_root_factorization(ctx1):
