@@ -9,11 +9,15 @@ attaches conserved densities through the exactness algorithms, and
 verifies the produced chain (orthogonality, involution, closedness) from
 the set of nonzero pairings int F^m . op F^n of each operator.  By the
 Lenard lemma every pairing vanishes when H and K are skew-adjoint and the
-recursion holds, so such a chain is certified with empty sets and nothing
-evaluated; otherwise a skew operator is evaluated on the triangle m < n
-only.  A bracket of two densities is evaluated only where a density's
-variational derivative is not its step's gradient.  The verifier's state
-is linear in the depth plus the number of nonzero pairings.
+recursion holds; by its Dirac form every pairing of J vanishes when J is
+skew, L_{H,K} is isotropic and each step carries a witness P_n with
+K P_n = F^n and H P_n = flow_n.  Such a chain is certified with empty
+sets and nothing evaluated.  Otherwise (for a dirac record also one with
+no witness or a failed one) a skew operator is evaluated on the triangle
+m < n only.  A bracket of two densities is evaluated only where a
+density's variational derivative is not its step's gradient.  The
+verifier's state is linear in the depth plus the number of nonzero
+pairings.
 """
 
 from __future__ import annotations
@@ -142,10 +146,14 @@ def make_plan(K: MatrixDiffOp) -> _TrianglePlan:
 
 @dataclass
 class HierarchyStep:
+    """One step of a chain; P is the witness P_n of a dirac step
+    (F = K P_n, flow = H P_n), which the JSON leaves out."""
+
     n: int
     F: VectorExpr
     h: Optional[LocalFunctional]
     flow: VectorExpr
+    P: Optional[VectorExpr] = None
 
     def to_json(self) -> dict:
         return {
@@ -249,7 +257,7 @@ def lenard_extend(
     P_n gives the flow H P_n and the gradient F^n = K P_n, and
     (H P_n, K P_{n+1}) lies on the graph, H P_n = J F^{n+1}.  So the seeds
     P_0, P_1, ... extend through (J o K) P_{n+1} = H P_n, with the solver
-    read off J o K.
+    read off J o K, and each step keeps its P_n for verify_sequence.
     """
     if kind not in ("hamiltonian", "symplectic", "dirac"):
         raise ValueError("kind %r is not hamiltonian, symplectic or dirac" % (kind,))
@@ -274,8 +282,24 @@ def lenard_extend(
     for n, (F, flow) in enumerate(zip(chain, flows), start_index):
         gradient = F if kind == "hamiltonian" else K.apply(F)
         h = _attach_density(gradient)
-        steps.append(HierarchyStep(n, gradient if kind == "dirac" else F, h, flow))
+        if kind == "dirac":
+            steps.append(HierarchyStep(n, gradient, h, flow, F))
+        else:
+            steps.append(HierarchyStep(n, F, h, flow))
     return HierarchyRecord(name, kind, params or {}, steps)
+
+
+def _witnessed(H: MatrixDiffOp, K: MatrixDiffOp, steps) -> bool:
+    """Whether L_{H,K} is isotropic and every dirac step carries a P_n with
+    K P_n = F^n and H P_n = flow_n."""
+    return (
+        all(s.P is not None for s in steps)
+        and (K.adjoint().compose(H) + H.adjoint().compose(K)).is_zero()
+        and all(
+            K.apply(s.P) == tuple(s.F) and H.apply(s.P) == tuple(s.flow)
+            for s in steps
+        )
+    )
 
 
 def verify_sequence(
@@ -323,9 +347,28 @@ def verify_sequence(
     N^2 pairings.
 
     A "dirac" chain (NLS) pairs L_{H,K} with the graph of J (_dirac_J),
-    and J is its one operator: the chain check is flow_n = J F^{n+1}, the
-    lemma does not apply since the record keeps no P_n, and J gets its
-    skew triangle; H and K give only the context.
+    and J is its one operator: the chain check is flow_n = J F^{n+1}.  The
+    lemma takes Dorfman's Dirac form (section 4 of arXiv 0907.1275).
+    Suppose L_{H,K} is isotropic, K^* H + H^* K = 0, and every step
+    carries a witness P_n with K P_n = F^n and H P_n = flow_n.  Write
+    c_{m,n} = int F^m . J F^n and b(P, Q) = int K P . H Q.  For n >= 1 the
+    chain check and the witness give J F^n = flow_{n-1} = H P_{n-1}, so
+
+        c_{m,n} = b(P_m, P_{n-1}),
+
+    and b is skew, since b(P, Q) = int P . K^* H Q
+    = -int P . H^* K Q = -b(Q, P).  With skewness of J,
+
+        c_{m,n} = -b(P_{n-1}, P_m) = -c_{n-1,m+1} = c_{m+1,n-1};
+
+    the walk (m, n) -> (m+1, n-1) -> ... for m < n stays inside the box of
+    recorded steps and ends at c_{k,k} = 0 or at
+    c_{k,k+1} = c_{k+1,k} = -c_{k,k+1}, so every pairing vanishes.  So
+    when ``chain`` holds, J is skew, L_{H,K} is isotropic (tested once per
+    call) and every witness checks exactly, no pairing is evaluated.  The
+    witnesses are not trusted: both relations are re-checked here.  A
+    record with no witness on some step, or a witness that fails either
+    relation, falls back to J's skew triangle.
     """
     steps = record.steps
     ver = record.verification
@@ -337,7 +380,9 @@ def verify_sequence(
     targets = [s.flow for s in steps] if kind == "dirac" else images[0]
     ver.chain = all(KF[m + 1] == targets[m] for m in range(len(Fs) - 1))
     skew = [(op.adjoint() + op).is_zero() for op in ops]
-    certified = ver.chain and all(skew) and kind != "dirac"
+    certified = (
+        ver.chain and all(skew) and (kind != "dirac" or _witnessed(H, K, steps))
+    )
     nonzero = [set() for _ in ops]
     for S, opF, is_skew in zip(nonzero, images, skew):
         for m in range(0 if certified else len(Fs)):

@@ -1,8 +1,8 @@
 """verify_sequence reads every flag from the set of nonzero pairings of
-each operator, empty when the Lenard lemma certifies the chain and
-otherwise evaluated on the skew triangle, and evaluates a bracket only
-where a density is inexact; its state is linear in the depth plus the
-number of nonzero pairings.  It must give the flags of the reference
+each operator, empty when the Lenard lemma (or its Dirac form) certifies
+the chain and otherwise evaluated on the skew triangle, and evaluates a
+bracket only where a density is inexact; its state is linear in the depth
+plus the number of nonzero pairings.  It must give the flags of the reference
 verifiers, which evaluate orthogonality and every bracket on their own,
 on sound and on corrupted records of all three chain kinds; the densities
 the chains carry are the ones the defect-first reference attaches."""
@@ -127,13 +127,53 @@ def _triangle(N):
 
 @pytest.mark.parametrize("name", ["kdv", "pkdv", "nls"])
 def test_each_pairing_evaluated_once(name, monkeypatch):
-    """A sound chain of skew H and K is certified by the Lenard lemma, so
-    no pairing is evaluated; the NLS record keeps the gradients K P_n but
-    not P_n, so the lemma does not reach its one skew operator J, which is
-    evaluated on the triangle m < n only."""
+    """A sound chain is certified by the Lenard lemma, so no pairing is
+    evaluated: for kdv and pkdv since H and K are skew, for NLS since J is
+    skew, L_{H,K} is isotropic and every step carries its witness P_n."""
     rec, H, K = _family(name)
-    want = _triangle(len(rec.steps)) if rec.kind == "dirac" else 0
-    assert _pairing_tests(rec, H, K, monkeypatch) == want
+    assert _pairing_tests(rec, H, K, monkeypatch) == 0
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_nls_flags_match_reference_at_each_depth(depth):
+    rec, H, K = _family("nls", depth=depth)
+    assert rec.verification.to_json() == _flags(rec, H, K, reference.verify_sequence)
+
+
+def _nls_witness_cases():
+    """The sound NLS record with its witnesses stripped, or one P_2
+    perturbed so that K P_2 != F^2 (by (u, 0)) or, by (0, 1) in ker K, so
+    that K P_2 = F^2 but H P_2 != flow_2."""
+    rec, H, K = _family("nls")
+    ctx = K.ctx
+
+    def moved(by):
+        steps = list(rec.steps)
+        s = steps[2]
+        steps[2] = replace(s, P=tuple(p + q for p, q in zip(s.P, by)))
+        return steps
+
+    stripped = [replace(s, P=None) for s in rec.steps]
+    off_K = moved((ctx.gen(0, 0), ctx.zero()))
+    off_H = moved((ctx.zero(), ctx.one()))
+    s = off_K[2]
+    assert K.apply(s.P) != s.F
+    s = off_H[2]
+    assert K.apply(s.P) == s.F and H.apply(s.P) != s.flow
+    return rec, H, K, {"stripped": stripped, "off_K": off_K, "off_H": off_H}
+
+
+@pytest.mark.parametrize("case", ["stripped", "off_K", "off_H"])
+def test_nls_without_a_sound_witness_takes_the_triangle(case, monkeypatch):
+    """A record with no witness, or one whose P_k fails K P_k = F^k or
+    H P_k = flow_k, is not certified: J is evaluated on its skew triangle,
+    and the flags are the reference's."""
+    rec, H, K, cases = _nls_witness_cases()
+    bad = HierarchyRecord(rec.name, rec.kind, rec.params, cases[case])
+    assert _flags(bad, H, K, verify_sequence) == _flags(
+        bad, H, K, reference.verify_sequence
+    )
+    assert _pairing_tests(bad, H, K, monkeypatch) == _triangle(len(bad.steps))
 
 
 def test_broken_chain_evaluates_each_skew_triangle(monkeypatch):
