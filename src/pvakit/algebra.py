@@ -13,18 +13,18 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import NonMonomialDivisor, NonRationalExponent
-from .fields import Coefficient, _norm, join_signed, rational, render_signed
+from .fields import _NUMBERS, Coefficient, _norm, join_signed, rational, render_signed
 
 Gen = tuple[int, int]  # (derivative order n, variable index i), both >= 0
 Monomial = tuple[tuple[Gen, Union[int, Fraction]], ...]  # sorted by Gen, descending
 
 ONE_MONO: Monomial = ()
 
-# numbers that Expression arithmetic turns into constants; ``rational``
-# refuses the floats among them.  isinstance against this tuple costs a
-# Fraction ABC check, so the hot paths first test for an Expression
-_NUMBERS = (int, Fraction, float)
-_COEFFICIENTS = _NUMBERS + (Coefficient,)
+# what Expression arithmetic turns into constants: Coefficients and the
+# numbers of ``fields``, of which ``rational`` refuses the floats.
+# isinstance against this tuple may reach a numbers.Number ABC check, so
+# the hot paths first test for an Expression
+_COEFFICIENTS = (Coefficient,) + _NUMBERS
 _F1 = Fraction(1)
 
 
@@ -500,9 +500,12 @@ class Expression:
 
     def total_derivative(self, times: int = 1) -> "Expression":
         """Apply the derivation sum_{i,n} u_i^{(n+1)} d/du_i^{(n)}, one
-        ``mono_bump`` per factor of each monomial."""
+        ``mono_bump`` per factor of each monomial; a zero result ends the
+        loop, so a constant dies after one derivative whatever ``times``."""
         cur = self
         for _ in range(times):
+            if not cur.terms:
+                break
             out: dict = {}
             for m, c in cur.terms.items():
                 for idx in range(len(m)):

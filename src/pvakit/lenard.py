@@ -282,10 +282,8 @@ def lenard_extend(
     for n, (F, flow) in enumerate(zip(chain, flows), start_index):
         gradient = F if kind == "hamiltonian" else K.apply(F)
         h = _attach_density(gradient)
-        if kind == "dirac":
-            steps.append(HierarchyStep(n, gradient, h, flow, F))
-        else:
-            steps.append(HierarchyStep(n, F, h, flow))
+        P = F if kind == "dirac" else None
+        steps.append(HierarchyStep(n, F if P is None else gradient, h, flow, P))
     return HierarchyRecord(name, kind, params or {}, steps)
 
 
@@ -399,18 +397,16 @@ def verify_sequence(
         involution = [not S for S in nonzero]
     else:
         hs = [n for n, d in enumerate(deltas) if d is not None]
-        inexact = [n for n in hs if not exact[n]]
         involution = []
         for op, S, opF, is_skew in zip(ops, nonzero, images, skew):
             op_dh = {m: opF[m] if exact[m] else op.apply(deltas[m]) for m in hs}
-            # a pair of exact densities is listed only when its pairing fails
-            fails = [(m, n) for n, m in S if exact[m] and exact[n]]
-            pairs = fails + [(m, n) for m in hs for n in (inexact if exact[m] else hs)]
             involution.append(
                 all(
-                    not (exact[m] and exact[n])
-                    and LocalFunctional(vec_dot(deltas[n], op_dh[m])).is_zero()
-                    for m, n in sorted(pairs)
+                    (n, m) not in S
+                    if exact[m] and exact[n]
+                    else LocalFunctional(vec_dot(deltas[n], op_dh[m])).is_zero()
+                    for m in hs
+                    for n in hs
                     if not is_skew or m < n
                 )
             )

@@ -16,7 +16,6 @@ from math import comb
 from typing import Optional
 
 from .algebra import (
-    ONE_MONO,
     Context,
     Expression,
     VectorExpr,
@@ -38,21 +37,24 @@ def variational_derivative(f: Expression) -> VectorExpr:
 
 def euler_operator(f: Expression, i: int, m: int) -> Expression:
     """The m-th Euler operator sum_n C(n,m) (-1)^n d^(n-m) (df/du_i^(n)),
-    evaluated in Horner form along one chain of derivatives."""
-    top = f.max_order()
-    acc = f.ctx.zero()
-    for n in range(top, m - 1, -1):
+    evaluated in Horner form down the slices of D_f: the gap between two
+    orders of u_i in f is one total derivative of the accumulator."""
+    acc, last = f.ctx.zero(), m
+    for n, p in reversed(frechet_entry(f, i)):
+        if n < m:
+            break
         q = (-1) ** n * comb(n, m)
-        p = f.partial(i, n)
-        acc = (p if q == 1 else p.scale(q)) + acc.total_derivative()
-    return acc
+        acc = (p if q == 1 else p.scale(q)) + acc.total_derivative(last - n)
+        last = n
+    return acc.total_derivative(last - m)
 
 
 def frechet_entry(f: Expression, j: int) -> Entry:
     """The entry sum_n (df/du_j^(n)) d^n of D_f, as its nonzero slices
-    (n, df/du_j^(n)) in ascending n."""
-    slices = ((n, f.partial(j, n)) for n in range(f.max_order() + 1))
-    return tuple((n, p) for n, p in slices if not p.is_zero())
+    (n, df/du_j^(n)) in ascending n: one partial per order of u_j in f,
+    none of which is zero, as ``partial`` cancels no term."""
+    orders = {h[0] for mono in f.terms for h, _ in mono if h[1] == j}
+    return tuple((n, f.partial(j, n)) for n in sorted(orders))
 
 
 def frechet(F: VectorExpr, adjoint: bool = False) -> MatrixDiffOp:
@@ -163,8 +165,8 @@ def _zero_mod_derivatives(f: Expression):
     a stall delta f decides exactness, and a constant term proves nothing:
     constants trade with weight -1 terms, d(u/u') = 1 - u u''/u'^2.  As d
     raises the weight sum_k n_k e_k of a monomial by one, only the
-    weight-zero part of f can trade; c is that part when it is a bare
-    constant, and otherwise what its own descent leaves of it.
+    weight-zero part of f can trade, and c is what its own descent leaves
+    of it (a bare constant at once).
     """
     g, rest, stall = _descend(f)
     if stall is None:
@@ -172,8 +174,6 @@ def _zero_mod_derivatives(f: Expression):
     if not vec_is_zero(variational_derivative(f)):
         return None
     zero_weight = {m: c for m, c in f.terms.items() if mono_weight(m) == 0}
-    if all(m == ONE_MONO for m in zero_weight):
-        return g, f.constant_coefficient(), stall
     _, rest, _ = _descend(Expression(f.ctx, zero_weight))
     return g, rest.constant_coefficient(), stall
 
@@ -207,20 +207,22 @@ def _scaling_potential(F: VectorExpr) -> Optional[Expression]:
 
 
 def _triple(F: VectorExpr):
-    """Filtration position (n, i, j) of a vector, None when all constant."""
-    top = None
-    for fk in F:
-        t = fk.diff_order()
-        if t is not None and (top is None or t > top):
-            top = t
+    """Filtration position (n, i, j) of a vector, None when all constant:
+    (n, i) is the largest top, and F_j the last component with that top,
+    the only ones that depend on u_i^(n)."""
+    tops = [fk.diff_order() for fk in F]
+    top = max((t for t in tops if t is not None), default=None)
     if top is None:
         return None
-    n, i = top
-    j = max(k for k, fk in enumerate(F) if not fk.partial(i, n).is_zero())
-    return n, i, j
+    return top + (max(k for k, t in enumerate(tops) if t == top),)
 
 
 def _exactify_inductive(F: VectorExpr) -> Expression:
+    """A potential of closed F, built down the filtration: at position
+    (n, i, j), with m = ceil(n/2), the slice dF_j/du_i^(n) is integrated
+    in (j, m) then (i, m) for even n, which needs j <= i, and in
+    (i, m - 1) then (j, m) for odd n, which needs j < i; (-1)^m times that
+    piece joins the potential and its delta leaves F."""
     ctx = F[0].ctx
     acc = ctx.zero()
     cur = list(F)
@@ -235,19 +237,12 @@ def _exactify_inductive(F: VectorExpr) -> Expression:
             raise NotClosed("potential reconstruction does not descend at %s" % (t,))
         prev = t
         n, i, j = t
-        slice_ = cur[j].partial(i, n)
-        if n % 2 == 0:
-            if j > i:
-                raise NotClosed("vector is not closed (filtration position)")
-            m = n // 2
-            piece = antiderivative(antiderivative(slice_, j, m), i, m)
-            piece = piece.scale((-1) ** m)
-        else:
-            if j >= i:
-                raise NotClosed("vector is not closed (filtration position)")
-            m = (n + 1) // 2
-            piece = antiderivative(antiderivative(slice_, i, m - 1), j, m)
-            piece = piece.scale((-1) ** m)
+        m, odd = (n + 1) // 2, n % 2
+        if j + odd > i:
+            raise NotClosed("vector is not closed (filtration position)")
+        a, b = (i, j) if odd else (j, i)
+        piece = antiderivative(antiderivative(cur[j].partial(i, n), a, m - odd), b, m)
+        piece = piece.scale((-1) ** m)
         acc = acc + piece
         dd = variational_derivative(piece)
         cur = [fk - dk for fk, dk in zip(cur, dd)]

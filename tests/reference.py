@@ -5,10 +5,12 @@ monomial factor by factor and step exponents by Fraction arithmetic; the
 library splices tuple slices and reads the interned neighbours of an
 exponent.  mono_degree sums every exponent as a Fraction; the library sums
 int exponents as ints.  The next functions differentiate every slice anew:
-the library computes variational_derivative and euler_operator along one
-chain of derivatives (Horner form), and builds entry_adjoint and
-entry_compose, binomial expansions here, from one Leibniz step
-d o x = x' + x d (the adjoint in Horner form from the top).
+frechet_entry takes a partial at every order up to the top and drops the
+zero slices; the library takes one per order of u_j in f, computes
+variational_derivative and euler_operator down those slices along one
+chain of derivatives (Horner form, one total derivative per gap), and
+builds entry_adjoint and entry_compose, binomial expansions here, from one
+Leibniz step d o x = x' + x d (the adjoint in Horner form from the top).
 The verifiers below evaluate orthogonality and involution separately, with
 a second verifier for the one-operator NLS chain, and gen_bracket carries
 its own loop; the library reads every check from the nonzero pairings
@@ -199,6 +201,13 @@ def variational_derivative(f):
                 acc = acc + p.total_derivative(n).scale((-1) ** n)
         out.append(acc)
     return tuple(out)
+
+
+def frechet_entry(f, j):
+    """The nonzero slices (n, df/du_j^(n)) of D_f, a partial at every order
+    up to the top."""
+    slices = ((n, f.partial(j, n)) for n in range(f.max_order() + 1))
+    return tuple((n, p) for n, p in slices if not p.is_zero())
 
 
 def euler_operator(f, i, m):

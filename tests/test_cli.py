@@ -523,6 +523,30 @@ def test_out_of_memory_is_a_one_line_error():
     assert stderr == "error: out of memory\n"
 
 
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["vder", "u^(99999999999999999999)"], "0"),
+        (
+            ["frechet", "u^(99999999999999999999)*u"],
+            "u^(99999999999999999999) + u*d^99999999999999999999",
+        ),
+    ],
+)
+def test_a_twenty_digit_derivative_order_answers_at_once(argv, out):
+    """delta and D_f visit only the orders f has, and a constant dies after
+    one total derivative, so an order of 10^20 costs no loop over it."""
+    root = os.path.dirname(os.path.dirname(pvakit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    r = subprocess.run(
+        [sys.executable, "-m", "pvakit.cli"] + argv,
+        capture_output=True, env=env, timeout=20,
+    )
+    assert r.returncode == 0, r.stderr.decode()[-2000:]
+    assert r.stdout.decode() == out + "\n"
+
+
 def test_numbers_past_the_digit_limit_are_one_line_errors():
     """A result with a 6,021-digit coefficient cannot be printed, and a
     5,000-digit literal cannot be read: exit 1 with one error line, and a

@@ -2,7 +2,8 @@
 partials, antiderivative) equal their factor-by-factor references in
 reference.py and step exponents through the interned neighbours, the
 Horner variational derivative and Euler operators equal their
-slice-by-slice references, the operator adjoint and composition, built
+slice-by-slice references, the Frechet entries, one partial per order
+that f has, equal the scan of every order, the operator adjoint and composition, built
 from one Leibniz step d o x = x' + x d, equal the binomial expansions in
 reference.py (symbol keys in any order), the lambda-bracket is the symbol
 of D_g o H o D_f^* and the generator bracket that of D_x o H,
@@ -54,7 +55,7 @@ from pvakit.brackets import (
 from pvakit.fields import Coefficient, _norm
 from pvakit.hierarchies import FAMILIES
 from pvakit.parsing import parse_expression, parse_operator
-from pvakit.varcalc import antiderivative
+from pvakit.varcalc import antiderivative, frechet_entry
 
 import reference
 
@@ -227,8 +228,19 @@ def test_exponent_copy_and_pickle_round_trip():
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
+def test_frechet_entry_visits_the_orders_f_has(data):
+    """One partial per order of u_j in f equals the scan of every order up
+    to the top with the zero slices dropped; orders up to 8 leave gaps."""
+    ctx = data.draw(contexts)
+    f = data.draw(expressions(ctx, max_order=8))
+    j = data.draw(st.integers(0, ctx.nvars - 1))
+    assert frechet_entry(f, j) == reference.frechet_entry(f, j)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
 def test_horner_variational_derivative(data):
-    f = data.draw(expressions(data.draw(contexts)))
+    f = data.draw(expressions(data.draw(contexts), max_order=8))
     assert variational_derivative(f) == reference.variational_derivative(f)
 
 
@@ -236,7 +248,7 @@ def test_horner_variational_derivative(data):
 @given(st.data())
 def test_chained_euler_operator(data):
     ctx = data.draw(contexts)
-    f = data.draw(expressions(ctx))
+    f = data.draw(expressions(ctx, max_order=8))
     i = data.draw(st.integers(0, ctx.nvars - 1))
     m = data.draw(st.integers(0, 3))
     assert euler_operator(f, i, m) == reference.euler_operator(f, i, m)

@@ -450,6 +450,12 @@ def test_exact_inputs_still_accepted():
     assert u.scale(True) == u
     assert (u + 1) - 1 == u and u / 2 == u.scale(Fraction(1, 2))
     assert type(ctx.num(Fraction(4, 2)).constant_coefficient()) is int
+    # Expression arithmetic reads a Decimal exactly, as scale does
+    half = Fraction(1, 2)
+    assert u + Decimal("0.5") == Decimal("0.5") + u == u + half
+    assert u - Decimal("0.5") == u - half and Decimal("0.5") - u == half - u
+    assert u * Decimal(2) == Decimal(2) * u == u.scale(Decimal(2)) == u.scale(2)
+    assert u / Decimal("0.5") == u.scale(2)
 
 
 # -- interned exponents -------------------------------------------------------

@@ -21,7 +21,7 @@ from pvakit import (
 )
 from pvakit.algebra import vec_is_zero
 from pvakit.operators import MatrixDiffOp
-from pvakit.varcalc import FunctionalComparison
+from pvakit.varcalc import FunctionalComparison, _exactify_inductive
 
 from conftest import rand_expr
 
@@ -164,6 +164,18 @@ def test_exactify_errors_and_degenerate(ctx1):
     with pytest.raises(NotClosed):
         exactify((ctx1.gen(0, 1),))
     assert exactify((ctx1.zero(),)).is_zero()
+
+
+def test_inductive_step_guards_both_parities(ctx2):
+    """At (n, i, j) an even n needs j <= i and an odd n needs j < i; the
+    closed vectors of either parity are rebuilt."""
+    u, v = ctx2.gen(0), ctx2.gen(1)
+    for F in ((ctx2.gen(0, 1), ctx2.zero()), (ctx2.zero(), ctx2.gen(0, 2))):
+        with pytest.raises(NotClosed, match=r"^vector is not closed \(filtration position\)$"):
+            _exactify_inductive(F)
+    for f in (u * ctx2.gen(1, 1), u * ctx2.gen(1, 2), ctx2.gen(0, 1) ** 2 * v):
+        F = variational_derivative(f)
+        assert variational_derivative(_exactify_inductive(F)) == F
 
 
 def test_exactify_round_trip(ctx2):
