@@ -4,11 +4,15 @@ An Expression is a finite sum of monomials in the generators u_i^(n)
 (i < ell a variable index, n >= 0 a derivative order) with exponents in QQ
 and coefficients in QQ(parameters).  Generators are keyed by the pair
 (n, i) so that tuple comparison matches the order-then-index filtration.
-All values are immutable after construction.
+All values are immutable after construction, which is what lets
+``memoised`` reuse a value computed from the same objects inside one
+``memo_scope``.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -26,6 +30,38 @@ ONE_MONO: Monomial = ()
 # the hot paths first test for an Expression
 _COEFFICIENTS = (Coefficient,) + _NUMBERS
 _F1 = Fraction(1)
+
+# the memo of the innermost open memo_scope of this thread or task,
+# (fn, id of each argument) -> (the arguments, fn(*arguments)); None
+# outside a scope
+_memo: ContextVar[Optional[dict]] = ContextVar("pvakit_memo", default=None)
+
+
+@contextmanager
+def memo_scope():
+    """Within the block, ``memoised(fn, *args)`` computes fn once per
+    identity of its arguments; the memo is dropped when the block ends.
+    A hit returns exactly what recomputing would, since every value is
+    immutable, and each entry keeps its arguments alive, so no id is
+    reused while the memo lives.  A nested scope starts empty."""
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def memoised(fn, *args):
+    """fn(*args), reused within a memo_scope for the same argument objects;
+    the arguments must be immutable (an Expression, an operator, a tuple)."""
+    memo = _memo.get()
+    if memo is None:
+        return fn(*args)
+    key = (fn,) + tuple(map(id, args))
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (args, fn(*args))
+    return hit[1]
 
 
 class _Exponent(Fraction):
@@ -501,7 +537,19 @@ class Expression:
     def total_derivative(self, times: int = 1) -> "Expression":
         """Apply the derivation sum_{i,n} u_i^{(n+1)} d/du_i^{(n)}, one
         ``mono_bump`` per factor of each monomial; a zero result ends the
-        loop, so a constant dies after one derivative whatever ``times``."""
+        loop, so a constant dies after one derivative whatever ``times``.
+        A linear expression (constant plus generators to the power 1)
+        shifts every order by ``times`` > 1 in one step."""
+        if times > 1 and all(
+            not m or (len(m) == 1 and m[0][1] == 1)
+            for m in self.terms
+        ):
+            out = {}
+            for m, c in self.terms.items():
+                if m:
+                    (n, i), _ = m[0]
+                    out[(((n + times, i), 1),)] = c
+            return Expression(self.ctx, out)
         cur = self
         for _ in range(times):
             if not cur.terms:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import click
 
-from .algebra import Context
+from .algebra import Context, memo_scope
 from .brackets import (
     check_compatible,
     check_pva,
@@ -255,8 +255,9 @@ def lenard_cmd(ctx, h_text, k_text, seed_texts, depth, kind, as_json):
     H = _parse_op(ctx, h_text)
     K = _parse_op(ctx, k_text)
     seeds = [_parse_vector(ctx, text.split(",")) for text in seed_texts]
-    rec = lenard_extend(H, K, seeds, depth, name="lenard", kind=kind)
-    verify_sequence(H, K, rec)
+    with memo_scope():
+        rec = lenard_extend(H, K, seeds, depth, name="lenard", kind=kind)
+        verify_sequence(H, K, rec)
     if as_json:
         _echo_json(rec)
     else:

@@ -5,9 +5,10 @@ operators H and K in the operator grammar, the seed vectors, the chain
 kind, the start index and the default depth, and the reference values.
 generate parses a row in the context where every parameter is symbolic,
 substitutes the bound values (Expression.subst), runs the Lenard
-recursion, whose solver is read off K, and verifies the chain.  The one
-"dirac" row, NLS, is the Dirac structure L_{H,K} = {(H P, K P)} paired
-with the graph of J = (0, -1; 1, 0), and its solver is read off J o K.
+recursion, whose solver is read off K, and verifies the chain, both in one
+memo_scope (see lenard).  The one "dirac" row, NLS, is the Dirac structure
+L_{H,K} = {(H P, K P)} paired with the graph of J = (0, -1; 1, 0), and its
+solver is read off J o K.
 
 golden_verify compares a generated record against the reference values,
 which hold for every binding of the family's parameters: exact equality
@@ -22,7 +23,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional
 
-from .algebra import Context
+from .algebra import Context, memo_scope
 from .brackets import CheckFailure, CheckReport
 from .errors import PvakitError
 from .fields import rational
@@ -366,8 +367,9 @@ def generate(spec: HierarchySpec) -> HierarchyRecord:
     K = read.operator(fam.K)
     seeds = [read.vector(s) for s in fam.seeds]
     params = _params_json(spec.params)
-    rec = lenard_extend(H, K, seeds, spec.depth, fam.start, spec.name, fam.kind, params)
-    return verify_sequence(H, K, rec)
+    with memo_scope():
+        rec = lenard_extend(H, K, seeds, spec.depth, fam.start, spec.name, fam.kind, params)
+        return verify_sequence(H, K, rec)
 
 
 def _golden_data(spec: HierarchySpec, read: _Binding):

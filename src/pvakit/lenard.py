@@ -18,6 +18,15 @@ m < n only.  A bracket of two densities is evaluated only where a
 density's variational derivative is not its step's gradient.  The
 verifier's state is linear in the depth plus the number of nonzero
 pairings.
+
+One run (hierarchies.generate, the lenard command) extends and verifies
+inside one algebra.memo_scope, so each value is computed once for that
+run: delta of a density, which attaching it certifies and the gradient
+check reads again, and each image op . F^n, which the recursion and the
+witness check of the verifier read again.  The memo is keyed by the
+identity of the density or of the operator and tuple, and dropped when
+the run ends.  A record changed in between carries new objects, so its
+values are computed afresh; nothing the verifier checks is trusted.
 """
 
 from __future__ import annotations
@@ -397,16 +406,18 @@ def verify_sequence(
         involution = [not S for S in nonzero]
     else:
         hs = [n for n, d in enumerate(deltas) if d is not None]
+        inexact = [n for n in hs if not exact[n]]
         involution = []
         for op, S, opF, is_skew in zip(ops, nonzero, images, skew):
             op_dh = {m: opF[m] if exact[m] else op.apply(deltas[m]) for m in hs}
+            # a pair of exact densities is walked only when its pairing fails
+            pairs = [(m, n) for n, m in S if exact[m] and exact[n]]
+            pairs += [(m, n) for m in hs for n in (inexact if exact[m] else hs)]
             involution.append(
                 all(
-                    (n, m) not in S
-                    if exact[m] and exact[n]
-                    else LocalFunctional(vec_dot(deltas[n], op_dh[m])).is_zero()
-                    for m in hs
-                    for n in hs
+                    not (exact[m] and exact[n])
+                    and LocalFunctional(vec_dot(deltas[n], op_dh[m])).is_zero()
+                    for m, n in sorted(pairs)
                     if not is_skew or m < n
                 )
             )

@@ -24,7 +24,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterator, Optional
 
-from .algebra import ONE_MONO, Context, Expression, VectorExpr
+from .algebra import ONE_MONO, Context, Expression, VectorExpr, memoised
 from .fields import join_signed, rational
 
 Entry = tuple[tuple[int, Expression], ...]  # ((power, coeff), ...) sorted by power
@@ -163,6 +163,13 @@ class MatrixDiffOp:
     # -- algebra -----------------------------------------------------------
 
     def apply(self, vec: VectorExpr) -> VectorExpr:
+        """The image op . vec, computed once per operator and tuple within a
+        memo_scope; a list is applied afresh."""
+        if vec.__class__ is tuple:
+            return memoised(MatrixDiffOp._image, self, vec)
+        return self._image(vec)
+
+    def _image(self, vec) -> VectorExpr:
         if len(vec) != self.ncols:
             raise ValueError("operator/vector size mismatch")
         out = []

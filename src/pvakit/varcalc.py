@@ -20,6 +20,7 @@ from .algebra import (
     Expression,
     VectorExpr,
     _fill_succ,
+    memoised,
     mono_weight,
     vec_dot,
     vec_is_zero,
@@ -31,7 +32,11 @@ from .operators import Entry, MatrixDiffOp
 
 def variational_derivative(f: Expression) -> VectorExpr:
     """delta f / delta u: component i is the zeroth Euler operator
-    sum_n (-d)^n (df/du_i^(n))."""
+    sum_n (-d)^n (df/du_i^(n)), computed once per f within a memo_scope."""
+    return memoised(_variational_derivative, f)
+
+
+def _variational_derivative(f: Expression) -> VectorExpr:
     return tuple(euler_operator(f, i, 0) for i in range(f.ctx.nvars))
 
 

@@ -38,6 +38,34 @@ def test_total_derivative_examples(ctx1):
     assert (u * upp).total_derivative() == up * upp + u * u3
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 1), st.integers(0, 4), st.integers(-3, 3)),
+        max_size=4,
+    ),
+    st.integers(-2, 2),
+    st.integers(0, 6),
+    st.booleans(),
+)
+def test_linear_total_derivative_shifts_in_one_step(gens, const, times, ctx_param):
+    """A constant plus generators to the power 1, with numbers or a
+    parameter as coefficients, takes ``times`` derivatives in one shift;
+    the result is that of one derivative at a time."""
+    ctx = Context(("u", "v"), ("c",))
+    c = ctx.param("c") if ctx_param else ctx.one()
+    f = ctx.num(const)
+    for i, n, k in gens:
+        f = f + (ctx.gen(i, n) * c).scale(k)
+    stepwise = f
+    for _ in range(times):
+        stepwise = stepwise.total_derivative()
+    assert f.total_derivative(times) == stepwise
+    huge = 10 ** 20
+    if gens and not f.is_constant():
+        assert f.total_derivative(huge).diff_order()[0] >= huge
+
+
 def test_partial_examples(ctx1):
     u = ctx1.gen(0)
     up = ctx1.gen(0, 1)

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from pvakit import (
     Context,
+    Expression,
     LocalFunctional,
     LogRequired,
     lenard,
@@ -22,6 +23,7 @@ from pvakit import (
     verify_sequence,
 )
 from pvakit import brackets, varcalc
+from pvakit.algebra import memo_scope
 from pvakit.hierarchies import FAMILIES, HierarchySpec, _Binding, generate
 from pvakit.lenard import HierarchyRecord, _attach_density
 
@@ -102,6 +104,31 @@ def test_corrupted_flags_match_reference(name, corrupt):
     got = _flags(bad, H, K, verify_sequence)
     assert got == want
     assert want != rec.verification.to_json()
+
+
+def _copied_F(steps):
+    """F^2 as an equal tuple of new expressions, which corrupts nothing."""
+    s = steps[2]
+    steps[2] = replace(s, F=tuple(Expression(f.ctx, dict(f.terms)) for f in s.F))
+
+
+@pytest.mark.parametrize("name", ["kdv", "pkdv", "nls"])
+@pytest.mark.parametrize(
+    "corrupt", [_copied_F, _perturb_F, _double_h, _swap_h, _foreign_h, _foreign_step]
+)
+def test_records_verified_in_one_memo_scope_match_reference(name, corrupt):
+    """In the memo_scope of a run that verified the sound record, a changed
+    step carries new objects, so its values are computed afresh: the flags
+    are the reference's, and an equal copy of F^2 verifies as sound."""
+    rec, H, K = _family(name)
+    steps = list(rec.steps)
+    corrupt(steps)
+    bad = HierarchyRecord(rec.name, rec.kind, rec.params, steps)
+    want = _flags(bad, H, K, reference.verify_sequence)
+    with memo_scope():
+        assert _flags(rec, H, K, verify_sequence) == rec.verification.to_json()
+        assert _flags(bad, H, K, verify_sequence) == want
+    assert (want == rec.verification.to_json()) == (corrupt is _copied_F)
 
 
 def _pairing_tests(rec, H, K, monkeypatch):
