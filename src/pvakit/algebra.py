@@ -303,21 +303,6 @@ class Context:
             self, {ONE_MONO: Coefficient.parameter(j, len(self.params))}
         )
 
-    def expression(self, raw_terms) -> "Expression":
-        """Normalize a raw term list into an Expression.
-
-        Each term is (coefficient, factors) with factors an iterable of
-        (var, order, exponent); repeated generators, zero exponents and
-        cancelling terms are all merged away.
-        """
-        total = self.zero()
-        for coeff, factors in raw_terms:
-            term = self.num(coeff) if not isinstance(coeff, Expression) else coeff
-            for var, order, exponent in factors:
-                term = term * self.gen(var, order) ** Fraction(exponent)
-            total = total + term
-        return total
-
     def parse(self, text: str) -> "Expression":
         from .parsing import parse_expression
 
@@ -571,17 +556,6 @@ class Expression:
                             del out[nm]
             cur = Expression(cur.ctx, out)
         return cur
-
-    def subst(self, ctx: Context, values) -> "Expression":
-        """Set parameter j to values[j] wherever that is not None; ctx holds
-        the parameters left symbolic, in their order (names may differ)."""
-        out = {}
-        for m, c in self.terms.items():
-            if c.__class__ is Coefficient:
-                c = c.subst(values)
-            if c:
-                out[m] = c
-        return Expression(ctx, out)
 
     # -- rendering ----------------------------------------------------------------
 

@@ -31,11 +31,11 @@ the polynomial gcd and exact division run on integer polynomials
 (primitive pseudo-remainder sequence).
 
 ``num`` and ``den`` are read-only views in the normalized form that
-``render`` and ``subst`` read: a denominator monic in its leading
-monomial, int or Fraction values.  ``render`` and ``render_signed`` also
-take a plain rational.  ``join_signed`` is the one place where signed terms
-become a sum: of a parameter polynomial here, of an Expression, of an
-operator entry and of a lambda-symbol.  Everything is immutable.
+``render`` reads: a denominator monic in its leading monomial, int or
+Fraction values.  ``render`` and ``render_signed`` also take a plain
+rational.  ``join_signed`` is the one place where signed terms become a
+sum: of a parameter polynomial here, of an Expression, of an operator
+entry and of a lambda-symbol.  Everything is immutable.
 """
 
 from __future__ import annotations
@@ -264,20 +264,6 @@ def _pdiv_exact(a: IntPoly, b: IntPoly) -> IntPoly:
     return _from_univar(quo, v)
 
 
-def _integral(p: Poly) -> tuple:
-    """(q, P) with p = q * P, for a polynomial p with rational values: q a
-    plain rational and P primitive with a positive leading coefficient;
-    (0, {}) for p = 0."""
-    if not p:
-        return 0, {}
-    m = 1
-    for q in p.values():
-        d = q.denominator
-        m = m * d // gcd(m, d)
-    c, P = _primitive({e: q.numerator * (m // q.denominator) for e, q in p.items()})
-    return _ratio(c, m), P
-
-
 def _quotient(k, S: IntPoly, T: IntPoly, nvars: int):
     """The coefficient k * S / T, for a nonzero plain rational k and integer
     polynomials S and T != 0: the path with a non-constant denominator."""
@@ -294,15 +280,6 @@ def _quotient(k, S: IntPoly, T: IntPoly, nvars: int):
     if not _is_const(T):
         return _parametric(k, S, T, nvars)
     return k if _is_const(S) else _parametric(k, S, None, nvars)
-
-
-def _over(num: Poly, den: Poly):
-    """num / den for two polynomials with rational values."""
-    if not den:
-        raise ZeroDivisionError("zero denominator in coefficient")
-    kn, N = _integral(num)
-    kd, D = _integral(den)
-    return _quotient(_F1 * kn / kd, N, D, len(next(iter(den))))
 
 
 class Coefficient:
@@ -462,23 +439,6 @@ class Coefficient:
     def __hash__(self):
         d = self._d
         return hash((self._k, frozenset(self._n.items()), d and frozenset(d.items())))
-
-    def subst(self, values):
-        """Set parameter j to values[j] wherever that is not None; the
-        parameters left symbolic keep their order."""
-        values = [v if v is None else rational(v) for v in values]
-
-        def evaluate(p: Poly) -> Poly:
-            out: Poly = {}
-            for e, q in p.items():
-                for x, v in zip(e, values):
-                    if v is not None:
-                        q *= v ** x
-                kept = tuple(x for x, v in zip(e, values) if v is None)
-                out[kept] = out.get(kept, 0) + q
-            return {e: q for e, q in out.items() if q}
-
-        return _over(evaluate(self.num), evaluate(self.den))
 
     def __repr__(self):
         names = tuple("p%d" % j for j in range(self.nvars))

@@ -3,12 +3,12 @@
 Each row of FAMILIES names the variables and parameters of one family, its
 operators H and K in the operator grammar, the seed vectors, the chain
 kind, the start index and the default depth, and the reference values.
-generate parses a row in the context where every parameter is symbolic,
-substitutes the bound values (Expression.subst), runs the Lenard
-recursion, whose solver is read off K, and verifies the chain, both in one
-memo_scope (see lenard).  The one "dirac" row, NLS, is the Dirac structure
-L_{H,K} = {(H P, K P)} paired with the graph of J = (0, -1; 1, 0), and its
-solver is read off J o K.
+generate reads a row's texts straight into the record's context, each
+parameter name as its bound value or as the symbolic parameter it shows
+as, runs the Lenard recursion, whose solver is read off K, and verifies
+the chain, both in one memo_scope (see lenard).  The one "dirac" row,
+NLS, is the Dirac structure L_{H,K} = {(H P, K P)} paired with the graph
+of J = (0, -1; 1, 0), and its solver is read off J o K.
 
 golden_verify compares a generated record against the reference values,
 which hold for every binding of the family's parameters: exact equality
@@ -29,7 +29,7 @@ from .errors import PvakitError
 from .fields import rational
 from .lenard import HierarchyRecord, lenard_extend, verify_sequence
 from .operators import MatrixDiffOp
-from .parsing import parse_operator
+from .parsing import parse_expression, parse_operator
 from .varcalc import LocalFunctional
 
 
@@ -44,9 +44,10 @@ class Family:
     flow H P_n.  ``params`` maps each parameter to its default (None:
     symbolic); ``shown`` renames a symbolic parameter in the record's
     context, and a binding may use that name in place of the parameter's
-    own.  ``golden`` is the reference values as text, three dicts
-    step -> F, h and flow, or a function (ctx, depth) -> the same dicts of
-    expressions; they hold for every binding of the parameters.
+    own; the texts name the parameters by their own names.  ``golden`` is
+    the reference values as text, three dicts step -> F, h and flow, or a
+    function (ctx, depth) -> the same dicts of expressions; they hold for
+    every binding of the parameters.
     """
 
     variables: tuple
@@ -338,25 +339,26 @@ def _params_json(params: dict) -> dict:
 
 
 class _Binding:
-    """A family's text read in the context of one normalized spec: parsed
-    with every parameter symbolic, then the bound values substituted."""
+    """A family's text read in the context of one normalized spec, the
+    record's: each parameter name reads as its bound value, or as the
+    symbolic parameter of the context under the name it shows as."""
 
     def __init__(self, fam: Family, params: dict):
-        self.full = Context(fam.variables, tuple(fam.params))
-        self.ctx = Context(
-            fam.variables,
-            tuple(fam.shown.get(k, k) for k, v in params.items() if v is None),
-        )
-        self.values = tuple(params.values())
+        shown = {k: fam.shown.get(k, k) for k, v in params.items() if v is None}
+        self.ctx = ctx = Context(fam.variables, tuple(shown.values()))
+        self.names = {
+            k: ctx.num(v) if v is not None else ctx.param(shown[k])
+            for k, v in params.items()
+        }
 
     def expr(self, text: str):
-        return self.full.parse(text).subst(self.ctx, self.values)
+        return parse_expression(text, self.ctx, self.names)
 
     def vector(self, texts) -> tuple:
         return tuple(self.expr(t) for t in texts)
 
     def operator(self, text: str) -> MatrixDiffOp:
-        return parse_operator(text, self.full).subst(self.ctx, self.values)
+        return parse_operator(text, self.ctx, self.names)
 
 
 def generate(spec: HierarchySpec) -> HierarchyRecord:

@@ -115,6 +115,8 @@ class _TrianglePlan:
             if m0 is not None:
                 rest = rest / m0
             for _ in range(r):
+                if not rest.terms:
+                    break
                 rest = _invert_total(rest)
             X[j] = rest if m1 is None else rest / m1
         return tuple(X)

@@ -5,14 +5,16 @@ Expression coefficients, stored left-normalized (all derivatives to the
 right of coefficients).  LambdaPoly and BiLambdaPoly carry bracket values:
 polynomials in lambda (resp. lambda and mu) with Expression coefficients.
 Every entry operation is built from one Leibniz step, d o x = x' + x d
-(``_d_after``), which stores no zero term: composition builds d^p o B from
-d^(p-1) o B, and the adjoint sum_k (-d)^k o a_k is read from the top in
-Horner form, so both take p derivatives for d^p with a constant
-coefficient.  An entry and its symbol (d^k read as lambda^k) share this
-calculus: the adjoint is the substitution lambda -> -lambda - d and
-composition is d -> lambda + d, so LambdaPoly runs both on the entry
-routines below; the shift (lambda + d)^k is composition with d^k on the
-left.
+(``_d_after``), which stores no zero term.  A gap d^g o x takes such steps
+only while some coefficient is not constant, then moves every key by the
+rest of the gap at once (``_d_power_after``): composition builds d^p o B
+from the previous pivot's d^q o B with one gap, and the adjoint
+sum_k (-d)^k o a_k is read in Horner form down the orders the entry has,
+so d^p with a constant coefficient takes one step.  An entry and its
+symbol (d^k read as lambda^k) share this calculus: the adjoint is the
+substitution lambda -> -lambda - d and composition is d -> lambda + d, so
+LambdaPoly runs both on the entry routines below; the shift
+(lambda + d)^k is composition with d^k on the left.
 A two-variable value is a one-variable symbol read at lambda + mu
 (BiLambdaPoly.at_sum), so d -> lambda + mu + d is never expanded in two
 variables.  One renderer, ``_render_symbol``, prints an entry and a symbol
@@ -63,28 +65,38 @@ def _d_after(x: dict) -> dict[int, Expression]:
     return out
 
 
+def _d_power_after(x: dict, g: int) -> dict[int, Expression]:
+    """d^g o x for the entry x = {k: x_k}: Leibniz steps while some x_k is
+    not constant, then, as d o c = c d for a constant c, every key moved by
+    the rest of the gap in one step.  A last single d needs no test."""
+    while g and (g == 1 or not all(a.is_constant() for a in x.values())):
+        x = _d_after(x)
+        g -= 1
+    return {k + g: a for k, a in x.items() if a.terms} if g else x
+
+
 def _entry_adjoint(entry) -> dict[int, Expression]:
     """Formal adjoint sum_k (-d)^k o a_k of a scalar entry, in Horner form
-    read from the top: (-1)^top a_top, then at each step down a d on the
-    left and (-1)^k a_k added."""
+    down the orders the entry has: (-1)^top a_top, then at each order k
+    below a d^(gap) on the left and (-1)^k a_k added, and a last d^k."""
     a = dict(entry)
     acc: dict[int, Expression] = {}
-    for k in range(max(a, default=-1), -1, -1):
-        acc = _d_after(acc)
-        if k in a:
-            v = -a[k] if k % 2 else a[k]
-            acc[0] = acc[0] + v if 0 in acc else v
-    return acc
+    last = max(a, default=0)
+    for k in sorted(a, reverse=True):
+        acc = _d_power_after(acc, last - k)
+        last = k
+        v = -a[k] if k % 2 else a[k]
+        acc[0] = acc[0] + v if 0 in acc else v
+    return _d_power_after(acc, last)
 
 
 def _entry_compose(ea: Entry, eb) -> Iterator[tuple[int, Expression]]:
-    """(sum_p a_p d^p) o B as (power, coeff) items, d^p o B built from
-    d^(p-1) o B one Leibniz step at a time; a unit a_p does not multiply."""
+    """(sum_p a_p d^p) o B as (power, coeff) items, d^p o B built from the
+    previous d^q o B by one d^(p-q); a unit a_p does not multiply."""
     cur = dict(eb)
     last = 0
     for p, a in ea:
-        for _ in range(p - last):
-            cur = _d_after(cur)
+        cur = _d_power_after(cur, p - last)
         last = p
         unit = a.terms == _UNIT
         for k, c in cur.items():
@@ -194,11 +206,10 @@ class MatrixDiffOp:
     def __sub__(self, other: "MatrixDiffOp") -> "MatrixDiffOp":
         return self + (-other)
 
-    def _map(self, fn, ctx: Optional[Context] = None) -> "MatrixDiffOp":
-        """fn applied to every coefficient, the result over ctx (default
-        this operator's context)."""
+    def _map(self, fn) -> "MatrixDiffOp":
+        """fn applied to every coefficient."""
         rows = [[[(p, fn(a)) for p, a in e] for e in row] for row in self.entries]
-        return MatrixDiffOp(ctx or self.ctx, rows)
+        return MatrixDiffOp(self.ctx, rows)
 
     def scale(self, q) -> "MatrixDiffOp":
         q = rational(q)
@@ -234,11 +245,7 @@ class MatrixDiffOp:
         """The entry (i, j) with d^k replaced by lambda^k."""
         return LambdaPoly(self.ctx, {p: a for p, a in self.entries[i][j]})
 
-    # -- context / rendering -------------------------------------------------
-
-    def subst(self, ctx: Context, values) -> "MatrixDiffOp":
-        """Set parameters to values in every coefficient, as Expression.subst."""
-        return self._map(lambda a: a.subst(ctx, values), ctx)
+    # -- rendering -----------------------------------------------------------
 
     def render_entry(self, i: int, j: int) -> str:
         return _render_symbol((_var_power("d", p), a) for p, a in self.entries[i][j])

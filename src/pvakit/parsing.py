@@ -10,6 +10,13 @@ products and quotients use * and /, with division only of a d-free factor
 by a monomial.  Matrix operators separate entries with ',' and rows with
 ';', inside one optional pair of brackets '[' ']'.  Error positions count
 from the start of the given text.
+
+A parameter name reads as the context's parameter of that name.  With a
+mapping ``names`` (parse_expression, parse_operator_entry,
+parse_operator), the text may name exactly its keys instead, and each
+reads as the constant Expression of the context it maps to: a bound value,
+or a parameter of the context under the name it shows as.  A variable
+name is read before the mapping.
 """
 
 from __future__ import annotations
@@ -87,15 +94,18 @@ class _Tokens:
 class _Parser:
     """Parses operator entries.  A value is a normalized operators.Entry, or
     an Expression while made of d-free operands only, so d-free text runs on
-    Expression arithmetic alone.  With `with_d`, d is the total derivative."""
+    Expression arithmetic alone.  With `with_d`, d is the total derivative;
+    `names` maps parameter names to constants (see the module docstring)."""
 
-    def __init__(self, text: str, ctx: Context, with_d: bool = False):
+    def __init__(self, text: str, ctx: Context, with_d: bool = False, names=None):
         self.toks = _Tokens(text)
         self.ctx = ctx
         self.depth = 0
         self.with_d = with_d
+        self.names = names
         self.one = ctx.one()  # the coefficient of a d atom, compared by identity
-        if with_d and ("d" in ctx.var_names or "d" in ctx.params):
+        params = ctx.params if names is None else names
+        if with_d and ("d" in ctx.var_names or "d" in params):
             raise ParseError("the operator symbol d collides with a name", 0)
 
     # sum := term (('+'|'-') term)*
@@ -208,8 +218,11 @@ class _Parser:
                 return self.ctx.gen(name, 0)
             self.toks.pos += 4  # the derivative marker u^(k)
             return self.ctx.gen(name, t2[1])
-        if name in self.ctx.params:
-            return self.ctx.param(name)
+        if self.names is None:
+            if name in self.ctx.params:
+                return self.ctx.param(name)
+        elif name in self.names:
+            return self.names[name]
         raise ParseError("unknown name %r" % name, tok[2])
 
     def finish(self, value):
@@ -248,13 +261,13 @@ def _arith(op, a, b, pos):
         raise ParseError(str(exc), pos) from None
 
 
-def parse_expression(text: str, ctx: Context) -> Expression:
-    p = _Parser(text, ctx)
+def parse_expression(text: str, ctx: Context, names=None) -> Expression:
+    p = _Parser(text, ctx, names=names)
     return p.finish(p.sum())
 
 
-def parse_operator_entry(text: str, ctx: Context) -> Entry:
-    p = _Parser(text, ctx, with_d=True)
+def parse_operator_entry(text: str, ctx: Context, names=None) -> Entry:
+    p = _Parser(text, ctx, with_d=True, names=names)
     value = p.finish(p.sum())
     return value if isinstance(value, tuple) else _entry_norm([(0, value)])
 
@@ -291,10 +304,11 @@ def _unwrap(text: str) -> tuple[int, str]:
     return 0, text
 
 
-def parse_operator(text: str, ctx: Context) -> MatrixDiffOp:
+def parse_operator(text: str, ctx: Context, names=None) -> MatrixDiffOp:
     """Matrix operator: rows separated by ';', entries by ',', optionally
     wrapped in '[' ']' as a matrix renders; a lone '0' entry is the zero
-    operator.  Error positions count from the start of text."""
+    operator.  Error positions count from the start of text; ``names`` is
+    read by every entry."""
     rows = []
     offset, body = _unwrap(text)
     for row_start, row_text in _split_top(body, ";", offset):
@@ -305,7 +319,7 @@ def parse_operator(text: str, ctx: Context) -> MatrixDiffOp:
                 row.append([])
                 continue
             try:
-                row.append(parse_operator_entry(stripped, ctx))
+                row.append(parse_operator_entry(stripped, ctx, names))
             except ParseError as exc:
                 start += len(entry_text) - len(entry_text.lstrip())
                 raise ParseError(exc.message, start + exc.pos) from None

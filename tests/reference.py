@@ -1186,22 +1186,6 @@ class Coefficient:
     def __hash__(self):
         return hash((frozenset(self.num.items()), frozenset(self.den.items())))
 
-    def subst(self, values) -> "Coefficient":
-        """Set parameter j to values[j] wherever that is not None; the
-        parameters left symbolic keep their order."""
-
-        def evaluate(p: Poly) -> Poly:
-            out: Poly = {}
-            for e, q in p.items():
-                for x, v in zip(e, values):
-                    if v is not None:
-                        q *= Fraction(v) ** x
-                kept = tuple(x for x, v in zip(e, values) if v is None)
-                out[kept] = out.get(kept, _F0) + q
-            return {e: q for e, q in out.items() if q}
-
-        return Coefficient(evaluate(self.num), evaluate(self.den))
-
     # -- rendering -----------------------------------------------------
 
     def render(self, names: tuple[str, ...]) -> str:

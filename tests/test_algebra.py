@@ -175,18 +175,3 @@ def test_render_canonical_order(ctx1c):
     f = ctx1c.parse("5/2*u^3 + 5*c*u*u'' + 5/2*c*u'^2 + c^2*u^(4)")
     assert f.render() == "c^2*u^(4) + 5*c*u''*u + 5/2*c*u'^2 + 5/2*u^3"
     assert ctx1c.parse(f.render()) == f
-
-
-def test_raw_term_list_normalization(ctx1):
-    from fractions import Fraction as Q
-
-    raw = [
-        (1, [("u", 0, 1), ("u", 1, 1)]),
-        (1, [("u", 1, 1), ("u", 0, 1)]),
-        (Q(1, 2), [("u", 0, Q(1, 2)), ("u", 0, Q(1, 2))]),
-        (Q(-1, 2), [("u", 0, 1)]),
-        (3, []),
-    ]
-    out = ctx1.expression(raw)
-    assert out == (ctx1.gen(0) * ctx1.gen(0, 1)).scale(2) + ctx1.num(3)
-    assert ctx1.expression([(1, [("u", 0, 1)]), (-1, [("u", 0, 1)])]).is_zero()

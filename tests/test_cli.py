@@ -566,6 +566,45 @@ def test_a_twenty_digit_derivative_order_answers_at_once(argv, out):
     assert r.stdout.decode() == out + "\n"
 
 
+N = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (["check-pva", "--op", "d^" + N], 0, "pass"),
+        (["check-symplectic", "--op", "d^" + N], 0, "pass"),
+        (["bracket", "--op", "d^" + N, "u", "u"], 0, "lam^" + N),
+        (
+            ["frechet", "--adjoint", "u^(%s) + u'^2" % N],
+            0,
+            "-2*u'' - 2*u'*d - d^" + N,
+        ),
+        (["exactify", "u^(%s)" % N], 1, "error: defect operator: 2*d^" + N),
+        (
+            ["lenard", "--op-h", "d^3", "--op-k", "d^" + N, "--seed", "1"],
+            0,
+            "F^0 = (1)\nh_0 = u\nF^1 = (0)\nh_1 = 0\nF^2 = (0)\nh_2 = 0"
+            "\nF^3 = (0)\nh_3 = 0",
+        ),
+    ],
+)
+def test_a_twenty_digit_gap_with_constant_coefficients_answers_at_once(argv, code, out):
+    """d^g o x takes Leibniz steps only while a coefficient is not
+    constant, the adjoint visits only the orders its entry has, and the
+    triangle solver stops integrating a zero right side, so an operator
+    d^(10^20) costs no loop over its order."""
+    root = os.path.dirname(os.path.dirname(pvakit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    r = subprocess.run(
+        [sys.executable, "-m", "pvakit.cli"] + argv,
+        capture_output=True, env=env, timeout=20,
+    )
+    assert r.returncode == code, r.stderr.decode()[-2000:]
+    assert (r.stdout + r.stderr).decode() == out + "\n"
+
+
 def test_numbers_past_the_digit_limit_are_one_line_errors():
     """A result with a 6,021-digit coefficient cannot be printed, and a
     5,000-digit literal cannot be read: exit 1 with one error line, and a

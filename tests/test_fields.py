@@ -221,12 +221,6 @@ def test_kernel_matches_reference(data, nvars):
     k = data.draw(st.integers(-3, 3))
     results.append((outcome(power, a, k), outcome(pow, ra, k)))
     results.append((outcome(div, a, b), outcome(lambda x, y: x / y, ra, rb)))
-    values = [
-        data.draw(st.one_of(st.none(), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3)))
-        for _ in range(nvars)
-    ]
-    subst = a.subst if isinstance(a, Coefficient) else lambda values: a
-    results.append((outcome(subst, values), outcome(ra.subst, values)))
     for c, r in results:
         if r is ZeroDivisionError:
             assert c is ZeroDivisionError
@@ -302,9 +296,8 @@ def _assert_stored_exactly(f):
 @given(st.data())
 def test_expression_coefficients_stay_canonical(data):
     """The sums, products, scalings, derivations, antiderivatives, monomial
-    quotients, negative and fractional powers and substitutions of
-    Expressions store no float, no integral Fraction and no Coefficient
-    equal to a number."""
+    quotients and negative and fractional powers of Expressions store no
+    float, no integral Fraction and no Coefficient equal to a number."""
     ctx = data.draw(st.sampled_from(CTXS3))
     f, g = data.draw(stepped_expressions(ctx)), data.draw(stepped_expressions(ctx))
     q = _rational_values(data.draw)
@@ -321,12 +314,6 @@ def test_expression_coefficients_stay_canonical(data):
                 results.append(antiderivative(f, i, n))
             except PvakitError:
                 pass
-    plain = Context(ctx.var_names)
-    results += [f.subst(ctx, [None]), f.subst(plain, [q])]
-    try:
-        results.append((f * c).subst(plain, [q]))
-    except ZeroDivisionError:  # q is a pole of c
-        pass
     for r in results:
         _assert_stored_exactly(r)
 
@@ -431,7 +418,6 @@ FLOAT_ENTRIES = {
     "fields.rational": lambda ctx, u: fields.rational(0.1),
     "Coefficient.scale": lambda ctx, u: Coefficient.parameter(0, 1).scale(0.5),
     "Coefficient + float": lambda ctx, u: Coefficient.parameter(0, 1) + 0.5,
-    "Coefficient.subst": lambda ctx, u: Coefficient.parameter(0, 1).subst([0.5]),
     "HierarchySpec parameter": lambda ctx, u: HierarchySpec("hd", {"alpha": 0.1}).normalized(),
 }
 

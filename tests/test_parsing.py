@@ -9,7 +9,9 @@ from pvakit import (
     MatrixDiffOp,
     NonMonomialDivisor,
     ParseError,
+    parse_expression,
     parse_operator,
+    parse_operator_entry,
 )
 
 from conftest import rand_expr
@@ -85,6 +87,33 @@ def test_bracketed_matrix_errors_count_from_the_given_text(text, message):
     with pytest.raises(ParseError) as exc:
         parse_operator(text, Context(("u", "v")))
     assert str(exc.value) == message
+
+
+def test_parameter_names_read_through_a_mapping():
+    """With a mapping, a bound name reads as its value and a shown name as
+    the context's parameter; any other name, the context's own parameter
+    names included, is unknown at its position, and d may not be a key."""
+    ctx = Context(("u", "v"), ("c",))
+    u, c = ctx.gen(0), ctx.param("c")
+    names = {"alpha": ctx.num(Fraction(1, 2)), "beta": c}
+    got = parse_expression("alpha*u + beta*v'", ctx, names)
+    assert got == u.scale(Fraction(1, 2)) + c * ctx.gen(1, 1)
+    op = parse_operator("alpha*d + beta*d^3, 0; 0, alpha*d", ctx, names)
+    assert op.render() == "[1/2*d + c*d^3, 0; 0, 1/2*d]"
+    assert parse_operator_entry("d*beta*u", ctx, names) == ((0, c * ctx.gen(0, 1)), (1, c * u))
+    for text, pos in (("alpha + c", 8), ("u*gamma", 2)):
+        with pytest.raises(ParseError) as exc:
+            parse_expression(text, ctx, names)
+        assert (exc.value.message, exc.value.pos) == ("unknown name %r" % text[pos:], pos)
+    with pytest.raises(ParseError) as exc:
+        parse_operator("d, 0; 0,  c*d", ctx, names)
+    assert str(exc.value) == "unknown name 'c' (at position 10)"
+    assert parse_expression("c*u", ctx) == c * u  # no mapping: the context's names
+    # the operator symbol d may not be a mapped name, as it may not be a
+    # variable or a parameter of the context
+    with pytest.raises(ParseError, match="collides"):
+        parse_operator("d", ctx, {"d": ctx.num(2)})
+    assert parse_expression("d*u", ctx, {"d": ctx.num(2)}) == u.scale(2)
 
 
 def test_running_out_of_memory_is_not_a_parse_error(ctx1, monkeypatch):
