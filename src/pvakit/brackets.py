@@ -13,6 +13,8 @@ Jacobi residual is the nested-bracket identity on a generator triple.
 On top of it sit the Beltrami bracket (H = identity), brackets of local
 functionals, and the checkers for Hamiltonian, compatible and symplectic
 operators; the latter two report residual witnesses per generator triple.
+Both triple residuals read T_ij(lam, mu) - T_ji(mu, lam) and a third term,
+T from the generator bracket of H, resp. the Beltrami bracket.
 """
 
 from __future__ import annotations
@@ -79,29 +81,31 @@ def skew_image(x: LambdaPoly) -> LambdaPoly:
     return -x.subst_neg_shift()
 
 
-def _lift(x: LambdaPoly, bracket, to_lam: bool) -> BiLambdaPoly:
-    """sum_d bracket(x_d) over the coefficients x_d of x: the degree of each
-    bracket goes to the lambda slot and d to the mu slot when to_lam, the
-    other way round otherwise."""
-    out = BiLambdaPoly(x.ctx, {})
+def _lift(x: LambdaPoly, bracket) -> BiLambdaPoly:
+    """sum_d bracket(x_d) mu^d over the coefficients x_d of x, the degree
+    of each bracket read as a power of lambda; no two keys (e, d) meet."""
+    out = {}
     for d, xd in x.coeffs.items():
-        lp = bracket(xd)
-        out = out + BiLambdaPoly(
-            x.ctx, {((e, d) if to_lam else (d, e)): v for e, v in lp.coeffs.items()}
-        )
-    return out
+        for e, v in bracket(xd).coeffs.items():
+            out[e, d] = v
+    return BiLambdaPoly(x.ctx, out)
+
+
+def _swap(x: BiLambdaPoly) -> BiLambdaPoly:
+    """x(mu, lam): the two slots exchanged."""
+    return BiLambdaPoly(x.ctx, {(b, a): v for (a, b), v in x.coeffs.items()})
 
 
 def nested_bracket_left(H: MatrixDiffOp, f: Expression, x: LambdaPoly) -> BiLambdaPoly:
     """{f_lam x} applied to the coefficients of x, whose degrees are read
     as powers of mu."""
-    return _lift(x, lambda xb: lambda_bracket(H, f, xb), True)
+    return _lift(x, lambda xb: lambda_bracket(H, f, xb))
 
 
 def nested_bracket_right(H: MatrixDiffOp, f: Expression, x: LambdaPoly) -> BiLambdaPoly:
     """{f_mu x} applied to the coefficients of x, whose degrees are read
     as powers of lambda."""
-    return _lift(x, lambda xa: lambda_bracket(H, f, xa), False)
+    return _swap(nested_bracket_left(H, f, x))
 
 
 def nested_bracket_composed(
@@ -170,11 +174,14 @@ class CheckReport:
         }
 
 
-def _slices(x: LambdaPoly, h: int):
-    """(a, n, dx_a/du_h^(n)) for each nonzero slice of the coefficients x_a."""
-    for a, xa in x.coeffs.items():
-        for n, p in frechet_entry(xa, h):
-            yield a, n, p
+def _mirrored(X: MatrixDiffOp, bracket, i: int, j: int, k: int) -> BiLambdaPoly:
+    """{u_i lam X_kj(mu)} - {u_j mu X_ki(lam)} from the generator bracket
+    bracket(a, x) = {u_a lam x}: T_ij(lam, mu) - T_ji(mu, lam) with
+    T_ab = {u_a lam X_kb(mu)}, T_ii evaluated once."""
+    def first(a: int, b: int) -> BiLambdaPoly:
+        return _lift(X.symbol(k, b), lambda x: bracket(a, x))
+    t = first(i, j)
+    return t - _swap(t if i == j else first(j, i))
 
 
 def jacobi_triple_residual(H: MatrixDiffOp, i: int, j: int, k: int) -> BiLambdaPoly:
@@ -184,13 +191,10 @@ def jacobi_triple_residual(H: MatrixDiffOp, i: int, j: int, k: int) -> BiLambdaP
       {u_i lam {u_j mu u_k}} - {u_j mu {u_i lam u_k}}
         - {{u_i lam u_j} _(lam+mu) u_k},
 
-    with {u_j mu u_k} = H_kj(mu).  The generator bracket {u_i lam x} is
-    the right slot with G(h) = {u_i lam u_h} = H_hi(lam).
+    with {u_j mu u_k} = H_kj(mu).  The generator bracket {u_a lam x} is
+    the right slot with G(h) = {u_a lam u_h} = H_ha(lam).
     """
-    res = _lift(H.symbol(k, j), lambda x: _right(lambda h: H.symbol(h, i), x), True)
-    res = res - _lift(
-        H.symbol(k, i), lambda x: _right(lambda h: H.symbol(h, j), x), False
-    )
+    res = _mirrored(H, lambda a, x: _right(lambda h: H.symbol(h, a), x), i, j, k)
     return res - nested_bracket_composed(H, H.symbol(j, i), H.ctx.gen(k))
 
 
@@ -211,9 +215,8 @@ def _check_triples(H: MatrixDiffOp, kind: str, residual) -> CheckReport:
 
       R_ijk(lam, mu) = -R_jik(mu, lam).
 
-    Proof.  Swapping i <-> j and lam <-> mu turns each of the first two
-    terms into minus the other (the nested generator brackets for Jacobi,
-    the Beltrami-type slices for closedness).  The third term is
+    Proof.  Swapping i <-> j and lam <-> mu negates the first two terms,
+    T_ij(lam, mu) - T_ji(mu, lam) (see _mirrored).  The third term is
     {X_ij(lam) _(lam+mu) u_k} with X_ij(lam) = H_ji(lam), resp. S_ij(lam),
     for the bracket of H, resp. the Beltrami bracket: for each coefficient
     z_a of X_ij(lam) = sum_a z_a lam^a, the one-variable symbol
@@ -235,8 +238,7 @@ def _check_triples(H: MatrixDiffOp, kind: str, residual) -> CheckReport:
         if i <= j:
             r = evaluated[i, j, k] = residual(H, i, j, k)
         else:
-            m = evaluated[j, i, k]
-            r = BiLambdaPoly(H.ctx, {(b, a): -v for (a, b), v in m.coeffs.items()})
+            r = -_swap(evaluated[j, i, k])
         if not r.is_zero():
             failures.append(CheckFailure(kind, (i + 1, j + 1, k + 1), r.render(), r))
     return CheckReport(not failures, failures)
@@ -274,10 +276,12 @@ def symplectic_triple_residual(S: MatrixDiffOp, i: int, j: int, k: int) -> BiLam
 
       sum_n [ dS_ki(mu)/du_j^(n) lam^n - dS_kj(lam)/du_i^(n) mu^n
             + (-lam-mu-d)^n dS_ij(lam)/du_k^(n) ].
+
+    The first two are those of the Jacobi residual with i <-> j for the
+    Beltrami bracket {u_a lam x}, the symbol of the Frechet entry of x.
     """
     ctx = S.ctx
-    res = BiLambdaPoly(ctx, {(n, b): p for b, n, p in _slices(S.symbol(k, i), j)})
-    res = res - BiLambdaPoly(ctx, {(a, n): p for a, n, p in _slices(S.symbol(k, j), i)})
+    res = _mirrored(S, lambda a, x: LambdaPoly(ctx, dict(frechet_entry(x, a))), j, i, k)
     # the third term: lam^a A_k(s_a) read at lam + mu, A_k of the
     # coefficient s_a of S_ij(lam) as in lambda_bracket
     for a, sa in S.symbol(i, j).coeffs.items():

@@ -206,14 +206,10 @@ class MatrixDiffOp:
     def __sub__(self, other: "MatrixDiffOp") -> "MatrixDiffOp":
         return self + (-other)
 
-    def _map(self, fn) -> "MatrixDiffOp":
-        """fn applied to every coefficient."""
-        rows = [[[(p, fn(a)) for p, a in e] for e in row] for row in self.entries]
-        return MatrixDiffOp(self.ctx, rows)
-
     def scale(self, q) -> "MatrixDiffOp":
         q = rational(q)
-        return self._map(lambda a: a.scale(q))
+        rows = [[[(p, a.scale(q)) for p, a in e] for e in row] for row in self.entries]
+        return MatrixDiffOp(self.ctx, rows)
 
     def adjoint(self) -> "MatrixDiffOp":
         n, m = self.nrows, self.ncols

@@ -103,7 +103,6 @@ class _Parser:
         self.depth = 0
         self.with_d = with_d
         self.names = names
-        self.one = ctx.one()  # the coefficient of a d atom, compared by identity
         params = ctx.params if names is None else names
         if with_d and ("d" in ctx.var_names or "d" in params):
             raise ParseError("the operator symbol d collides with a name", 0)
@@ -161,11 +160,12 @@ class _Parser:
             if e.denominator != 1 or e < 0:
                 raise ParseError("d powers must be nonnegative integers", pos)
             k = int(e)
-            if k and len(value) == 1 and value[0][1] is self.one:
-                value = ((value[0][0] * k, value[0][1]),)  # (d^p)^k = d^(p*k)
+            if k and len(value) == 1 and value[0][1].is_constant():
+                p, c = value[0]  # (c*d^p)^k = c^k*d^(p*k)
+                value = ((p * k, _arith(operator.pow, c, e, pos)),)
                 continue
             # value o value^(k-1): each step differentiates only to value's order
-            out = self.one
+            out = self.ctx.one()
             for _ in range(k):
                 out = _compose(value, out, pos)
             value = out
@@ -209,7 +209,7 @@ class _Parser:
     def _name_atom(self, tok):
         name = tok[1]
         if self.with_d and name == "d":
-            return ((1, self.one),)
+            return ((1, self.ctx.one()),)
         if name in self.ctx.var_names:
             if self.toks.peek()[0] == "prime":
                 return self.ctx.gen(name, self.toks.next()[1])

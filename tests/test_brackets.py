@@ -358,6 +358,24 @@ def test_mirrored_triples_are_not_evaluated(nvars, name, check, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("check", [check_pva, check_symplectic])
+def test_diagonal_first_term_is_lifted_once(nvars, check, monkeypatch):
+    """Both triple residuals lift T_ij and T_ji for i < j and T_ii once:
+    N^2 (N - 1) + N^2 = N^3 lifts for a skew operator."""
+    ctx = Context(("u", "v", "w")[:nvars])
+    calls = []
+    original = brackets._lift
+
+    def counted(x, bracket):
+        calls.append(x)
+        return original(x, bracket)
+
+    monkeypatch.setattr(brackets, "_lift", counted)
+    assert check(MatrixDiffOp.derivative(ctx, 1, nvars)).passed
+    assert len(calls) == nvars**3
+
+
 @pytest.mark.parametrize("size", [1, 3])
 def test_operator_must_be_nvars_square(ctx2, size):
     """A 3 x 3 operator in two variables used to pass (its third row and

@@ -587,13 +587,16 @@ N = "99999999999999999999"
             "F^0 = (1)\nh_0 = u\nF^1 = (0)\nh_1 = 0\nF^2 = (0)\nh_2 = 0"
             "\nF^3 = (0)\nh_3 = 0",
         ),
+        (["check-pva", "--op", "(-d)^" + N], 0, "pass"),
+        (["--params", "c", "check-pva", "--op", "(c*d)^" + N], 0, "pass"),
     ],
 )
 def test_a_twenty_digit_gap_with_constant_coefficients_answers_at_once(argv, code, out):
     """d^g o x takes Leibniz steps only while a coefficient is not
-    constant, the adjoint visits only the orders its entry has, and the
-    triangle solver stops integrating a zero right side, so an operator
-    d^(10^20) costs no loop over its order."""
+    constant, the adjoint visits only the orders its entry has, the
+    triangle solver stops integrating a zero right side, and the parser
+    reads (c*d)^k with a constant c as c^k*d^k, so an operator d^(10^20)
+    costs no loop over its order."""
     root = os.path.dirname(os.path.dirname(pvakit.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))

@@ -354,15 +354,31 @@ def test_symbol_keys_in_any_order():
     assert x.subst_neg_shift() == reference.subst_neg_shift(x)
 
 
+@st.composite
+def operator_triples(draw, ctxs, ops):
+    """An operator drawn by ops over one of ctxs, and a generator triple."""
+    ctx = draw(st.sampled_from(ctxs))
+    H = draw(ops(ctx))
+    return (H,) + tuple(draw(st.integers(0, ctx.nvars - 1)) for _ in range(3))
+
+
+def _skew_part(text, ctx):
+    A = parse_operator(text, ctx)
+    return A - A.adjoint()
+
+
+# skew operators in two and three variables and diagonal triples (i, i, k)
+# on which the Jacobi, resp. the closedness, residual is nonzero
+_SKEW2 = _skew_part("u*d, v*d; v*d + v', u*d", CTXS3[1])
+_SKEW3 = _skew_part("u*d, w*d, 0; v, u*d, w*d; 0, v*d, w'", CTXS3[2])
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_shared_loop_jacobi_residual(data):
-    ctx = data.draw(contexts)
-    H = data.draw(operators(ctx))
-    i, j, k = (data.draw(st.integers(0, ctx.nvars - 1)) for _ in range(3))
-    assert jacobi_triple_residual(H, i, j, k) == reference.jacobi_triple_residual(
-        H, i, j, k
-    )
+@given(operator_triples(CTXS, operators))
+@example((_SKEW2, 0, 0, 1))
+@example((_SKEW3, 1, 1, 2))
+def test_shared_loop_jacobi_residual(case):
+    assert jacobi_triple_residual(*case) == reference.jacobi_triple_residual(*case)
 
 
 @settings(max_examples=40, deadline=None)
@@ -499,13 +515,13 @@ def test_composed_bracket_reads_symbols_at_sum(data):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_one_triple_checker(data):
-    ctx = data.draw(st.sampled_from(CTXS3))
-    S = data.draw(structure_operators(ctx))
-    i, j, k = (data.draw(st.integers(0, ctx.nvars - 1)) for _ in range(3))
-    assert symplectic_triple_residual(S, i, j, k) == reference.symplectic_triple_residual(
-        S, i, j, k
+@given(operator_triples(CTXS3, structure_operators))
+@example((_SKEW2, 1, 1, 0))
+@example((_SKEW3, 1, 1, 2))
+def test_one_triple_checker(case):
+    S = case[0]
+    assert symplectic_triple_residual(*case) == reference.symplectic_triple_residual(
+        *case
     )
     assert check_symplectic(S).to_json() == reference.check_symplectic(S).to_json()
     assert check_pva(S).to_json() == reference.check_pva(S).to_json()

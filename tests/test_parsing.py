@@ -182,6 +182,18 @@ def test_operator_products_compose(ctx1):
     assert op("d^0") == op("(u*d)^0") == "1"
 
 
+def test_constant_coefficient_powers_take_one_step(ctx1c):
+    """(c*d^p)^k = c^k*d^(p*k) for a constant c, a number or a parameter;
+    a coefficient that is not constant is still composed k times."""
+    def op(text):
+        return parse_operator(text, ctx1c).render()
+
+    assert op("(2*d)^3") == op("(2*d)*(2*d)*(2*d)") == "8*d^3"
+    assert op("(c*d^2)^3") == op("(c*d^2)*(c*d^2)*(c*d^2)") == "c^3*d^6"
+    assert op("(-d)^3") == "-d^3"
+    assert op("(u*d)^2") == op("(u*d)*(u*d)") == "u'*u*d + u^2*d^2"
+
+
 def test_parenthesized_coefficients(ctx1c):
     op = parse_operator("(u + c)*d^2", ctx1c)
     want = MatrixDiffOp.single(ctx1c, [(2, ctx1c.gen(0) + ctx1c.param("c"))])
