@@ -11,6 +11,7 @@ All values are immutable after construction, which is what lets
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
@@ -445,6 +446,12 @@ class Expression:
             out = self.ctx.one()
             base = self
             n = int(k)
+            # refuse at once a power of a plain number that no machine holds
+            c = self.terms.get(ONE_MONO) if len(self.terms) == 1 else None
+            if isinstance(c, (int, Fraction)) and abs(c) != 1:
+                bits = max(c.numerator.bit_length(), c.denominator.bit_length())
+                if n * bits > sys.maxsize:
+                    raise MemoryError("a %d-bit number to the power %d" % (bits, n))
             while n:
                 if n & 1:
                     out = out * base

@@ -7,9 +7,11 @@ The bracket of two expressions induced by a matrix differential operator H
                  (-lam-d)^m df/du_i^(m),
 
 all derivatives resolved rightward.  The second slot enters through one
-chain rule, ``_right``: {y_lam g} from the brackets {y_lam u_j}.  The
-generator bracket {u_i lam x} is that chain rule with y = u_i, and the
-Jacobi residual is the nested-bracket identity on a generator triple.
+chain rule, ``_right``: {y_lam g} from the brackets {y_lam u_j} and the
+row of D_g; the same sum of compositions over a row of H gives
+{f_lam u_j} from the adjoint symbols of f.  The generator bracket
+{u_i lam x} is that chain rule with y = u_i, and the Jacobi residual is
+the nested-bracket identity on a generator triple.
 On top of it sit the Beltrami bracket (H = identity), brackets of local
 functionals, and the checkers for Hamiltonian, compatible and symplectic
 operators; the latter two report residual witnesses per generator triple.
@@ -39,35 +41,29 @@ def lambda_bracket(H: MatrixDiffOp, f: Expression, g: Expression) -> LambdaPoly:
     """{f_lam g} for the bracket with {u_i lam u_j} = H_ji(lam)."""
     _check_shape(H)
     A = [_adjoint_symbol(f, i) for i in range(f.ctx.nvars)]
-    return _right(lambda j: _against_gen(H, A, j), g)
+    row = frechet((g,)).entries[0]
+    return _right(lambda j: _right(A.__getitem__, H.entries[j]), row)
 
 
-def _right(G, x: Expression) -> LambdaPoly:
-    """{y_lam x} = sum_{j,n} dx/du_j^(n) (lam+d)^n G(j), the chain rule in
-    the second slot, from G(j) = {y_lam u_j}; G is read only where the
-    Frechet entry of x is nonzero."""
-    out = LambdaPoly(x.ctx, {})
-    for j in range(x.ctx.nvars):
-        entry = frechet_entry(x, j)
+def _right(G, row) -> LambdaPoly:
+    """sum_j E_j(lam+d) G(j) over a row of entries E_j, G(j) a symbol read
+    only where E_j is nonzero.  Over the row of D_x with G(j) = {y_lam u_j}
+    it is {y_lam x} = sum_{j,n} dx/du_j^(n) (lam+d)^n G(j), the chain rule
+    in the second slot; over the row j of H with G(i) = A_i it is
+    {f_lam u_j} = sum_i H_ji(lam+d) A_i."""
+    out = LambdaPoly(row[0].ctx, {})
+    for j, entry in enumerate(row):
         if entry:
-            out = out + G(j).op_apply(entry)
+            y = G(j)
+            if y:
+                out = out + y.op_apply(entry)
     return out
 
 
 def _adjoint_symbol(f: Expression, i: int) -> LambdaPoly:
     """A_i = sum_m (-lam-d)^m df/du_i^(m): the symbol of the adjoint of
     the entry sum_m df/du_i^(m) d^m of D_f."""
-    return LambdaPoly(f.ctx, dict(frechet_entry(f, i))).subst_neg_shift()
-
-
-def _against_gen(H: MatrixDiffOp, A: Sequence[LambdaPoly], j: int) -> LambdaPoly:
-    """{f_lam u_j} = sum_i H_ji(lam+d) A_i, from the A_i of f."""
-    out = LambdaPoly(H.ctx, {})
-    for i, Ai in enumerate(A):
-        entry = H.entry(j, i)
-        if entry and not Ai.is_zero():
-            out = out + Ai.op_apply(entry)
-    return out
+    return frechet_entry(f, i).subst_neg_shift()
 
 
 def beltrami_bracket(f: Expression, g: Expression) -> LambdaPoly:
@@ -179,7 +175,7 @@ def _mirrored(X: MatrixDiffOp, bracket, i: int, j: int, k: int) -> BiLambdaPoly:
     bracket(a, x) = {u_a lam x}: T_ij(lam, mu) - T_ji(mu, lam) with
     T_ab = {u_a lam X_kb(mu)}, T_ii evaluated once."""
     def first(a: int, b: int) -> BiLambdaPoly:
-        return _lift(X.symbol(k, b), lambda x: bracket(a, x))
+        return _lift(X.entry(k, b), lambda x: bracket(a, x))
     t = first(i, j)
     return t - _swap(t if i == j else first(j, i))
 
@@ -194,8 +190,10 @@ def jacobi_triple_residual(H: MatrixDiffOp, i: int, j: int, k: int) -> BiLambdaP
     with {u_j mu u_k} = H_kj(mu).  The generator bracket {u_a lam x} is
     the right slot with G(h) = {u_a lam u_h} = H_ha(lam).
     """
-    res = _mirrored(H, lambda a, x: _right(lambda h: H.symbol(h, a), x), i, j, k)
-    return res - nested_bracket_composed(H, H.symbol(j, i), H.ctx.gen(k))
+    def bracket(a: int, x: Expression) -> LambdaPoly:
+        return _right(lambda h: H.entry(h, a), frechet((x,)).entries[0])
+    res = _mirrored(H, bracket, i, j, k)
+    return res - nested_bracket_composed(H, H.entry(j, i), H.ctx.gen(k))
 
 
 def _check_shape(H: MatrixDiffOp):
@@ -280,11 +278,10 @@ def symplectic_triple_residual(S: MatrixDiffOp, i: int, j: int, k: int) -> BiLam
     The first two are those of the Jacobi residual with i <-> j for the
     Beltrami bracket {u_a lam x}, the symbol of the Frechet entry of x.
     """
-    ctx = S.ctx
-    res = _mirrored(S, lambda a, x: LambdaPoly(ctx, dict(frechet_entry(x, a))), j, i, k)
+    res = _mirrored(S, lambda a, x: frechet_entry(x, a), j, i, k)
     # the third term: lam^a A_k(s_a) read at lam + mu, A_k of the
     # coefficient s_a of S_ij(lam) as in lambda_bracket
-    for a, sa in S.symbol(i, j).coeffs.items():
+    for a, sa in S.entry(i, j).coeffs.items():
         res = res + BiLambdaPoly.at_sum(_adjoint_symbol(sa, k), a)
     return res
 

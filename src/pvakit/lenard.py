@@ -37,7 +37,7 @@ from typing import Optional
 from .algebra import Expression, VectorExpr, vec_dot
 from .errors import LogRequired, NotClosed, NotExact, PlanMismatch
 from .fields import Coefficient, render
-from .operators import MatrixDiffOp, _entry_apply, _entry_compose, _entry_norm
+from .operators import LambdaPoly, MatrixDiffOp
 from .varcalc import (
     LocalFunctional,
     exactify,
@@ -80,13 +80,14 @@ def _factor(K: MatrixDiffOp, i: int, j: int):
     back to the entry."""
     ctx = K.ctx
     entry = K.entry(i, j)
-    r, top = entry[-1]
+    r = max(entry.coeffs)
+    top = entry.coeffs[r]
     if top.is_monomial():
-        below = dict(entry).get(r - 1, ctx.zero())
+        below = entry.coefficient(r - 1)
         m1 = _log_primitive(below / top.scale(r)) if r else ctx.one()
         if m1 is not None:
             m0 = top / m1
-            if _entry_norm(_entry_compose(((r, m0),), ((0, m1),))) == entry:
+            if LambdaPoly.of(m1).op_apply(LambdaPoly(ctx, {r: m0})) == entry:
                 return m0, r, m1
     raise PlanMismatch(
         "K entry (%d, %d) = %s is not m0 o d^r o m1 with monomials m0, m1"
@@ -111,7 +112,7 @@ class _TrianglePlan:
             rest = Y[i]
             for k, e in enumerate(self.K.entries[i]):
                 if e and k != j:
-                    rest = rest - _entry_apply(e, X[k])
+                    rest = rest - e.apply(X[k])
             if m0 is not None:
                 rest = rest / m0
             for _ in range(r):

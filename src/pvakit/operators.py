@@ -1,55 +1,46 @@
 """Matrix differential operators and polynomials in formal lambda/mu.
 
-A MatrixDiffOp is a matrix whose entries are finite sums a_k d^k with
-Expression coefficients, stored left-normalized (all derivatives to the
-right of coefficients).  LambdaPoly and BiLambdaPoly carry bracket values:
-polynomials in lambda (resp. lambda and mu) with Expression coefficients.
+A scalar differential operator sum_k a_k d^k with Expression coefficients,
+stored left-normalized (all derivatives to the right of coefficients), is
+one value with its symbol sum_k a_k lambda^k: a LambdaPoly.  It reads as
+its terms (k, a_k) in ascending k, and a MatrixDiffOp is a matrix of them;
+the bracket {u_i lambda u_j} = H_ji(lambda) is the entry itself.
+BiLambdaPoly carries two-variable bracket values, polynomials in lambda
+and mu with Expression coefficients.
 Every entry operation is built from one Leibniz step, d o x = x' + x d
 (``_d_after``), which stores no zero term.  A gap d^g o x takes such steps
 only while some coefficient is not constant, then moves every key by the
 rest of the gap at once (``_d_power_after``): composition builds d^p o B
 from the previous pivot's d^q o B with one gap, and the adjoint
 sum_k (-d)^k o a_k is read in Horner form down the orders the entry has,
-so d^p with a constant coefficient takes one step.  An entry and its
-symbol (d^k read as lambda^k) share this calculus: the adjoint is the
-substitution lambda -> -lambda - d and composition is d -> lambda + d, so
-LambdaPoly runs both on the entry routines below; the shift
-(lambda + d)^k is composition with d^k on the left.
-A two-variable value is a one-variable symbol read at lambda + mu
+so d^p with a constant coefficient takes one step.  On symbols the
+adjoint is the substitution lambda -> -lambda - d and composition is
+d -> lambda + d; the shift (lambda + d)^k is composition with d^k on the
+left.  A two-variable value is a one-variable symbol read at lambda + mu
 (BiLambdaPoly.at_sum), so d -> lambda + mu + d is never expanded in two
-variables.  One renderer, ``_render_symbol``, prints an entry and a symbol
-alike, with d^k or lambda^a mu^b as the last factor of a term.
+variables.  One renderer, ``_render_symbol``, prints an entry (ascending
+d^k) and a symbol (descending lambda^k) alike, with d^k or
+lambda^a mu^b as the last factor of a term.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Iterator, Optional
+from typing import Optional
 
 from .algebra import ONE_MONO, Context, Expression, VectorExpr, memoised
 from .fields import join_signed, rational
 
-Entry = tuple[tuple[int, Expression], ...]  # ((power, coeff), ...) sorted by power
 _UNIT = {ONE_MONO: 1}  # the terms of the coefficient 1
 
 
-def _entry_norm(items) -> Entry:
-    acc: dict[int, Expression] = {}
-    for p, a in items:
-        if a.is_zero():
-            continue
-        acc[p] = acc[p] + a if p in acc else a
-    return tuple(sorted((p, a) for p, a in acc.items() if not a.is_zero()))
-
-
-def _entry_apply(entry: Entry, f: Expression) -> Expression:
-    out = f.ctx.zero()
-    cache = f
-    last = 0
-    for p, a in entry:
-        cache = cache.total_derivative(p - last)
-        last = p
-        out = out + a * cache
+def _collect(items, out=None) -> dict:
+    """The (key, coeff) items summed over like keys, added into the dict
+    out when given; the LambdaPoly or BiLambdaPoly built from the sum
+    drops a key whose sum is zero."""
+    out = {} if out is None else out
+    for k, v in items:
+        out[k] = out[k] + v if k in out else v
     return out
 
 
@@ -75,25 +66,11 @@ def _d_power_after(x: dict, g: int) -> dict[int, Expression]:
     return {k + g: a for k, a in x.items() if a.terms} if g else x
 
 
-def _entry_adjoint(entry) -> dict[int, Expression]:
-    """Formal adjoint sum_k (-d)^k o a_k of a scalar entry, in Horner form
-    down the orders the entry has: (-1)^top a_top, then at each order k
-    below a d^(gap) on the left and (-1)^k a_k added, and a last d^k."""
-    a = dict(entry)
-    acc: dict[int, Expression] = {}
-    last = max(a, default=0)
-    for k in sorted(a, reverse=True):
-        acc = _d_power_after(acc, last - k)
-        last = k
-        v = -a[k] if k % 2 else a[k]
-        acc[0] = acc[0] + v if 0 in acc else v
-    return _d_power_after(acc, last)
-
-
-def _entry_compose(ea: Entry, eb) -> Iterator[tuple[int, Expression]]:
-    """(sum_p a_p d^p) o B as (power, coeff) items, d^p o B built from the
-    previous d^q o B by one d^(p-q); a unit a_p does not multiply."""
-    cur = dict(eb)
+def _entry_compose(ea: "LambdaPoly", eb: dict):
+    """(sum_p a_p d^p) o B as (power, coeff) items, for B = {k: b_k}:
+    d^p o B built from the previous d^q o B by one d^(p-q); a unit a_p
+    does not multiply."""
+    cur = eb
     last = 0
     for p, a in ea:
         cur = _d_power_after(cur, p - last)
@@ -104,22 +81,25 @@ def _entry_compose(ea: Entry, eb) -> Iterator[tuple[int, Expression]]:
 
 
 class MatrixDiffOp:
+    """A matrix of LambdaPoly entries.  A row may give an entry as a
+    LambdaPoly, an Expression (order zero) or (power, coeff) pairs in any
+    order, like powers summed."""
+
     __slots__ = ("ctx", "entries")
 
     def __init__(self, ctx: Context, rows):
         self.ctx = ctx
-        norm = []
-        for row in rows:
-            norm.append(tuple(self._coerce(e) for e in row))
-        self.entries = tuple(norm)
+        self.entries = tuple(tuple(self._coerce(e) for e in row) for row in rows)
         width = {len(r) for r in self.entries}
         if len(width) > 1:
             raise ValueError("ragged operator matrix")
 
-    def _coerce(self, e) -> Entry:
+    def _coerce(self, e) -> "LambdaPoly":
+        if isinstance(e, LambdaPoly):
+            return e
         if isinstance(e, Expression):
-            return _entry_norm([(0, e)])
-        return _entry_norm(e)
+            return LambdaPoly.of(e)
+        return LambdaPoly(self.ctx, _collect(e))
 
     # -- constructors ----------------------------------------------------
 
@@ -157,7 +137,8 @@ class MatrixDiffOp:
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def entry(self, i: int, j: int) -> Entry:
+    def entry(self, i: int, j: int) -> "LambdaPoly":
+        """The entry (i, j), which is also its symbol."""
         return self.entries[i][j]
 
     def is_zero(self) -> bool:
@@ -188,16 +169,15 @@ class MatrixDiffOp:
         for row in self.entries:
             s = self.ctx.zero()
             for e, f in zip(row, vec):
-                s = s + _entry_apply(e, f)
+                s = s + e.apply(f)
             out.append(s)
         return tuple(out)
 
     def __add__(self, other: "MatrixDiffOp") -> "MatrixDiffOp":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("operator size mismatch")
-        rows = []
-        for ra, rb in zip(self.entries, other.entries):
-            rows.append([list(ea) + list(eb) for ea, eb in zip(ra, rb)])
+        rows = [[ea + eb for ea, eb in zip(ra, rb)]
+                for ra, rb in zip(self.entries, other.entries)]
         return MatrixDiffOp(self.ctx, rows)
 
     def __neg__(self) -> "MatrixDiffOp":
@@ -208,13 +188,14 @@ class MatrixDiffOp:
 
     def scale(self, q) -> "MatrixDiffOp":
         q = rational(q)
-        rows = [[[(p, a.scale(q)) for p, a in e] for e in row] for row in self.entries]
+        rows = [[[(p, a.scale(q)) for p, a in e.coeffs.items()] for e in row]
+                for row in self.entries]
         return MatrixDiffOp(self.ctx, rows)
 
     def adjoint(self) -> "MatrixDiffOp":
         n, m = self.nrows, self.ncols
         rows = [
-            [_entry_adjoint(self.entries[j][i]).items() for j in range(n)]
+            [self.entries[j][i].subst_neg_shift() for j in range(n)]
             for i in range(m)
         ]
         return MatrixDiffOp(self.ctx, rows)
@@ -229,17 +210,11 @@ class MatrixDiffOp:
                 items: list[tuple[int, Expression]] = []
                 for k in range(self.ncols):
                     items.extend(
-                        _entry_compose(self.entries[i][k], other.entries[k][j])
+                        _entry_compose(self.entries[i][k], other.entries[k][j].coeffs)
                     )
                 row.append(items)
             rows.append(row)
         return MatrixDiffOp(self.ctx, rows)
-
-    # -- symbols ---------------------------------------------------------
-
-    def symbol(self, i: int, j: int) -> "LambdaPoly":
-        """The entry (i, j) with d^k replaced by lambda^k."""
-        return LambdaPoly(self.ctx, {p: a for p, a in self.entries[i][j]})
 
     # -- rendering -----------------------------------------------------------
 
@@ -267,16 +242,13 @@ class _SymbolPoly:
 
     def __init__(self, ctx: Context, coeffs: dict):
         self.ctx = ctx
-        self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
+        self.coeffs = {k: v for k, v in coeffs.items() if v.terms}
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out[k] + v if k in out else v
-        return type(self)(self.ctx, out)
+        return type(self)(self.ctx, _collect(other.coeffs.items(), dict(self.coeffs)))
 
     def __neg__(self):
         return type(self)(self.ctx, {k: -v for k, v in self.coeffs.items()})
@@ -322,8 +294,9 @@ def _render_symbol(items) -> str:
 
 
 class LambdaPoly(_SymbolPoly):
-    """Polynomial in lambda with Expression coefficients; as the symbol of
-    an operator entry, lambda^k stands for d^k."""
+    """A scalar differential operator sum_k a_k d^k and its symbol
+    sum_k a_k lambda^k, one value: it reads as its terms (k, a_k) in
+    ascending k and prints as a symbol."""
 
     __slots__ = ()
 
@@ -335,29 +308,52 @@ class LambdaPoly(_SymbolPoly):
     def _power(k: int) -> str:
         return _var_power("lam", k)
 
+    def __iter__(self):
+        return iter(sorted(self.coeffs.items()))
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
     def coefficient(self, k: int) -> Expression:
         return self.coeffs.get(k, self.ctx.zero())
+
+    def apply(self, f: Expression) -> Expression:
+        """sum_k a_k d^k f, one total derivative per gap between orders."""
+        out = f.ctx.zero()
+        last = 0
+        for p, a in self:
+            f = f.total_derivative(p - last)
+            last = p
+            out = out + a * f
+        return out
 
     def shift_apply(self, times: int = 1) -> "LambdaPoly":
         """Apply (lambda + d)^times, with d acting on coefficients: the
         symbol of d^times composed with this one."""
         if times == 0:
             return self
-        return self.op_apply(((times, self.ctx.one()),))
+        return self.op_apply(LambdaPoly(self.ctx, {times: self.ctx.one()}))
 
     def subst_neg_shift(self) -> "LambdaPoly":
         """Substitute lambda -> -lambda - d, the derivative acting on the
-        coefficient it lands on: the symbol of the adjoint entry."""
-        return LambdaPoly(self.ctx, _entry_adjoint(self.coeffs))
+        coefficient it lands on: the adjoint sum_k (-d)^k o a_k of the
+        entry, in Horner form down the orders it has: (-1)^top a_top, then
+        at each order k below a d^(gap) on the left and (-1)^k a_k added,
+        and a last d^k."""
+        a = self.coeffs
+        acc: dict[int, Expression] = {}
+        last = max(a, default=0)
+        for k in sorted(a, reverse=True):
+            acc = _d_power_after(acc, last - k)
+            last = k
+            v = -a[k] if k % 2 else a[k]
+            acc[0] = acc[0] + v if 0 in acc else v
+        return LambdaPoly(self.ctx, _d_power_after(acc, last))
 
-    def op_apply(self, entry: Entry) -> "LambdaPoly":
+    def op_apply(self, entry: "LambdaPoly") -> "LambdaPoly":
         """Apply an operator entry with d replaced by (lambda + d), acting
-        to the right on this polynomial: the symbol of the entry composed
-        with this one."""
-        out: dict[int, Expression] = {}
-        for k, v in _entry_compose(entry, self.coeffs.items()):
-            out[k] = out[k] + v if k in out else v
-        return LambdaPoly(self.ctx, out)
+        to the right on this polynomial: the entry composed with this one."""
+        return LambdaPoly(self.ctx, _collect(_entry_compose(entry, self.coeffs)))
 
 
 class BiLambdaPoly(_SymbolPoly):
@@ -373,20 +369,19 @@ class BiLambdaPoly(_SymbolPoly):
     def at_sum(x: LambdaPoly, a: int = 0, b: int = 0) -> "BiLambdaPoly":
         """lambda^a mu^b x(lambda + mu): each x_k nu^k spread binomially
         over lambda^j mu^(k-j); no coefficient is differentiated."""
-        out: dict[tuple[int, int], Expression] = {}
-        for k, v in x.coeffs.items():
-            for j in range(k + 1):
-                key = (a + j, b + k - j)
-                term = v.scale(comb(k, j)) if 0 < j < k else v
-                out[key] = out[key] + term if key in out else term
-        return BiLambdaPoly(x.ctx, out)
+        return BiLambdaPoly(x.ctx, _collect(
+            ((a + j, b + k - j), v.scale(comb(k, j)) if 0 < j < k else v)
+            for k, v in x.coeffs.items()
+            for j in range(k + 1)
+        ))
 
     def shift_both_neg(self, times: int = 1) -> "BiLambdaPoly":
         """(-lambda - mu - d)^times, the entry (-1)^times d^times read at
         lambda + mu as op_apply_both does."""
-        return self.op_apply_both(((times, self.ctx.num((-1) ** times)),))
+        sign = self.ctx.num((-1) ** times)
+        return self.op_apply_both(LambdaPoly(self.ctx, {times: sign}))
 
-    def op_apply_both(self, entry: Entry) -> "BiLambdaPoly":
+    def op_apply_both(self, entry: LambdaPoly) -> "BiLambdaPoly":
         """Apply an operator entry with d replaced by (lambda + mu + d): on
         each term v lambda^a mu^b, the one-variable symbol of the entry
         composed with v, read at lambda + mu."""

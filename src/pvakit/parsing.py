@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .algebra import Context, Expression
 from .errors import NonMonomialDivisor, ParseError
-from .operators import Entry, MatrixDiffOp, _entry_compose, _entry_norm
+from .operators import LambdaPoly, MatrixDiffOp
 
 _OPS = set("+-*/^()")
 # nesting of unary signs and parentheses, well inside the recursion limit
@@ -92,8 +92,8 @@ class _Tokens:
 
 
 class _Parser:
-    """Parses operator entries.  A value is a normalized operators.Entry, or
-    an Expression while made of d-free operands only, so d-free text runs on
+    """Parses operator entries.  A value is an operators.LambdaPoly, or an
+    Expression while made of d-free operands only, so d-free text runs on
     Expression arithmetic alone.  With `with_d`, d is the total derivative;
     `names` maps parameter names to constants (see the module docstring)."""
 
@@ -113,10 +113,10 @@ class _Parser:
         while self.toks.peek()[0] in ("+", "-"):
             op = self.toks.next()[0]
             rhs = self.term()
-            terms.append(_neg(rhs) if op == "-" else rhs)
+            terms.append(-rhs if op == "-" else rhs)
         if len(terms) == 1 or all(isinstance(t, Expression) for t in terms):
             return sum(terms[1:], terms[0])
-        return _entry_norm(item for t in terms for item in _entry(t))
+        return sum(map(_entry, terms[1:]), _entry(terms[0]))
 
     def term(self):
         value = self.factor()
@@ -143,7 +143,7 @@ class _Parser:
             self.toks.next()
             value = self.factor()
             if tok[0] == "-":
-                value = _neg(value)
+                value = -value
         else:
             value = self.power()
         self.depth -= 1
@@ -160,10 +160,12 @@ class _Parser:
             if e.denominator != 1 or e < 0:
                 raise ParseError("d powers must be nonnegative integers", pos)
             k = int(e)
-            if k and len(value) == 1 and value[0][1].is_constant():
-                p, c = value[0]  # (c*d^p)^k = c^k*d^(p*k)
-                value = ((p * k, _arith(operator.pow, c, e, pos)),)
-                continue
+            if k and len(value) == 1:
+                ((p, c),) = value
+                if c.is_constant():  # (c*d^p)^k = c^k*d^(p*k)
+                    c = _arith(operator.pow, c, e, pos)
+                    value = LambdaPoly(self.ctx, {p * k: c})
+                    continue
             # value o value^(k-1): each step differentiates only to value's order
             out = self.ctx.one()
             for _ in range(k):
@@ -209,7 +211,7 @@ class _Parser:
     def _name_atom(self, tok):
         name = tok[1]
         if self.with_d and name == "d":
-            return ((1, self.ctx.one()),)
+            return LambdaPoly(self.ctx, {1: self.ctx.one()})
         if name in self.ctx.var_names:
             if self.toks.peek()[0] == "prime":
                 return self.ctx.gen(name, self.toks.next()[1])
@@ -232,22 +234,15 @@ class _Parser:
         return value
 
 
-def _entry(value) -> Entry:
-    """value as (power, coeff) items; a d-free value multiplies."""
-    return ((0, value),) if isinstance(value, Expression) else value
+def _entry(value) -> LambdaPoly:
+    """value as an entry; a d-free value multiplies."""
+    return LambdaPoly.of(value) if isinstance(value, Expression) else value
 
 
 def _compose(a, b, pos):
-    if not isinstance(a, Expression):
-        return _entry_norm(_entry_compose(a, _entry(b)))
-    if isinstance(b, Expression):
+    if isinstance(a, Expression) and isinstance(b, Expression):
         return _arith(operator.mul, a, b, pos)
-    # a function times an operator: nonzero factors have nonzero products
-    return tuple((p, a * c) for p, c in b) if not a.is_zero() else ()
-
-
-def _neg(value):
-    return -value if isinstance(value, Expression) else tuple((p, -a) for p, a in value)
+    return _entry(b).op_apply(_entry(a))
 
 
 def _arith(op, a, b, pos):
@@ -266,10 +261,9 @@ def parse_expression(text: str, ctx: Context, names=None) -> Expression:
     return p.finish(p.sum())
 
 
-def parse_operator_entry(text: str, ctx: Context, names=None) -> Entry:
+def parse_operator_entry(text: str, ctx: Context, names=None) -> LambdaPoly:
     p = _Parser(text, ctx, with_d=True, names=names)
-    value = p.finish(p.sum())
-    return value if isinstance(value, tuple) else _entry_norm([(0, value)])
+    return _entry(p.finish(p.sum()))
 
 
 def _split_top(text: str, sep: str, offset: int = 0) -> list[tuple[int, str]]:

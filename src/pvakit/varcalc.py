@@ -27,7 +27,7 @@ from .algebra import (
 )
 from .errors import LogRequired, NotClosed, NotExact, OrderViolation
 from .fields import _norm
-from .operators import Entry, MatrixDiffOp
+from .operators import LambdaPoly, MatrixDiffOp
 
 
 def variational_derivative(f: Expression) -> VectorExpr:
@@ -45,7 +45,7 @@ def euler_operator(f: Expression, i: int, m: int) -> Expression:
     evaluated in Horner form down the slices of D_f: the gap between two
     orders of u_i in f is one total derivative of the accumulator."""
     acc, last = f.ctx.zero(), m
-    for n, p in reversed(frechet_entry(f, i)):
+    for n, p in sorted(frechet_entry(f, i).coeffs.items(), reverse=True):
         if n < m:
             break
         q = (-1) ** n * comb(n, m)
@@ -54,12 +54,12 @@ def euler_operator(f: Expression, i: int, m: int) -> Expression:
     return acc.total_derivative(last - m)
 
 
-def frechet_entry(f: Expression, j: int) -> Entry:
-    """The entry sum_n (df/du_j^(n)) d^n of D_f, as its nonzero slices
-    (n, df/du_j^(n)) in ascending n: one partial per order of u_j in f,
-    none of which is zero, as ``partial`` cancels no term."""
+def frechet_entry(f: Expression, j: int) -> LambdaPoly:
+    """The entry sum_n (df/du_j^(n)) d^n of D_f, from its nonzero slices:
+    one partial per order of u_j in f, none of which is zero, as
+    ``partial`` cancels no term."""
     orders = {h[0] for mono in f.terms for h, _ in mono if h[1] == j}
-    return tuple((n, f.partial(j, n)) for n in sorted(orders))
+    return LambdaPoly(f.ctx, {n: f.partial(j, n) for n in orders})
 
 
 def frechet(F: VectorExpr, adjoint: bool = False) -> MatrixDiffOp:

@@ -19,11 +19,14 @@ lambda_bracket.  _nls_steps writes out the coupled NLS recursion; the
 library runs the NLS Dirac pair (H, K) through lenard_extend.  is_closed
 always builds the defect operator, and exactify decides closedness by it
 before it looks for a potential; the library first certifies closedness
-by delta of the scaling potential.  The symbol
-routines below carry their own binomial and shift loops, and the nested
-brackets and structure checks one loop per slot; the library runs symbols
-on the operator-entry routines, reads the slices of an expression off its
-Frechet entries, and shares one lift and one triple checker.  shift applies (lambda + mu + d) once per step, the
+by delta of the scaling potential.  entry_norm sums like powers of
+(power, coeff) items by hand; the library's entry is one LambdaPoly, the
+entry and its symbol alike, which reads as its terms in ascending power.
+The symbol routines below carry their own binomial and shift loops, and
+the nested brackets and structure checks one loop per slot; the library
+runs symbols on the operator-entry routines, reads the slices of an
+expression off its Frechet entries, and shares one lift and one triple
+checker.  shift applies (lambda + mu + d) once per step, the
 triple residuals shift every slice in two variables, nested_bracket_composed
 spreads each term binomially on its own, and check_pva and
 check_symplectic evaluate every triple; the library reads one-variable
@@ -220,6 +223,15 @@ def euler_operator(f, i, m):
     return acc
 
 
+def entry_norm(items):
+    """(power, coeff) items as an entry's terms: like powers summed, zero
+    sums dropped, in ascending power."""
+    acc = {}
+    for p, a in items:
+        acc[p] = acc[p] + a if p in acc else a
+    return tuple(sorted((p, a) for p, a in acc.items() if not a.is_zero()))
+
+
 def entry_adjoint(entry):
     """sum_k (-d)^k o a_k expanded, as (power, coeff) pairs."""
     out = []
@@ -343,7 +355,7 @@ def gen_bracket(H, i, x):
     ctx = x.ctx
     out = LambdaPoly(ctx, {})
     for h in range(ctx.nvars):
-        sym = H.symbol(h, i)
+        sym = H.entry(h, i)
         if sym.is_zero():
             continue
         shifted = sym
@@ -362,13 +374,13 @@ def jacobi_triple_residual(H, i, j, k):
     """The generator-triple Jacobi residual, built on gen_bracket."""
     ctx = H.ctx
     res = BiLambdaPoly(ctx, {})
-    for b, xb in H.symbol(k, j).coeffs.items():
+    for b, xb in H.entry(k, j).coeffs.items():
         lp = gen_bracket(H, i, xb)
         res = res + BiLambdaPoly(ctx, {(a, b): v for a, v in lp.coeffs.items()})
-    for a, ya in H.symbol(k, i).coeffs.items():
+    for a, ya in H.entry(k, i).coeffs.items():
         lp = gen_bracket(H, j, ya)
         res = res - BiLambdaPoly(ctx, {(a, b): v for b, v in lp.coeffs.items()})
-    for a, za in H.symbol(j, i).coeffs.items():
+    for a, za in H.entry(j, i).coeffs.items():
         for h in range(ctx.nvars):
             entry = H.entry(k, h)
             if not entry:
@@ -432,17 +444,17 @@ def symplectic_triple_residual(S, i, j, k):
     """The two-form closedness residual, one slice loop per term."""
     ctx = S.ctx
     res = BiLambdaPoly(ctx, {})
-    for b, sb in S.symbol(k, i).coeffs.items():
+    for b, sb in S.entry(k, i).coeffs.items():
         for n in range(sb.max_order() + 1):
             p = sb.partial(j, n)
             if not p.is_zero():
                 res = res + BiLambdaPoly(ctx, {(n, b): p})
-    for a, sa in S.symbol(k, j).coeffs.items():
+    for a, sa in S.entry(k, j).coeffs.items():
         for n in range(sa.max_order() + 1):
             p = sa.partial(i, n)
             if not p.is_zero():
                 res = res - BiLambdaPoly(ctx, {(a, n): p})
-    for a, sa in S.symbol(i, j).coeffs.items():
+    for a, sa in S.entry(i, j).coeffs.items():
         for n in range(sa.max_order() + 1):
             p = sa.partial(k, n)
             if not p.is_zero():

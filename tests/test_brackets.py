@@ -52,7 +52,7 @@ def test_beltrami_values(ctx1c):
     up = ctx1c.gen(0, 1)
     F = ((up ** -1).scale(Fraction(-1, 2)),)
     D = frechet(F)
-    assert beltrami_bracket(u, F[0]) == D.symbol(0, 0)
+    assert beltrami_bracket(u, F[0]) == D.entry(0, 0)
 
 
 def test_beltrami_collects_euler_operators(ctx2):

@@ -540,6 +540,39 @@ def test_out_of_memory_is_a_one_line_error():
     assert stderr == "error: out of memory\n"
 
 
+@pytest.mark.skipif(
+    resource is None or not sys.platform.startswith("linux"),
+    reason="RLIMIT_AS of a child process needs Linux",
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["vder", "2^99999999999999999999*u"],
+        ["check-pva", "--op", "(2*d)^99999999999999999999"],
+    ],
+)
+def test_a_power_of_a_number_past_any_memory_is_refused_at_once(argv):
+    """2^(10^20) has 10^20 bits: the power is refused before the first
+    multiplication, so the run ends with the out-of-memory line at once
+    instead of squaring 2 until a 400 MB address space runs out (about
+    4 s of CPU time, past the 2 s the child may use)."""
+    root = os.path.dirname(os.path.dirname(pvakit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+        resource.setrlimit(resource.RLIMIT_CPU, (2, 2))
+
+    r = subprocess.run(
+        [sys.executable, "-m", "pvakit.cli"] + argv,
+        capture_output=True, env=env, preexec_fn=capped, timeout=20,
+    )
+    stderr = r.stderr.decode()
+    assert r.returncode == 1, stderr[-2000:]
+    assert stderr.strip().splitlines()[-1] == "error: out of memory"
+
+
 @pytest.mark.parametrize(
     "argv, out",
     [

@@ -54,10 +54,10 @@ def test_symbol(ctx1c):
     H = MatrixDiffOp.single(
         ctx1c, [(0, u.total_derivative()), (1, u.scale(2)), (3, ctx1c.param("c"))]
     )
-    assert H.symbol(0, 0).render() == "c*lam^3 + 2*u*lam + u'"
-    assert MatrixDiffOp.zero(ctx1c, 1).symbol(0, 0).is_zero()
+    assert H.entry(0, 0).render() == "c*lam^3 + 2*u*lam + u'"
+    assert MatrixDiffOp.zero(ctx1c, 1).entry(0, 0).is_zero()
     d2 = MatrixDiffOp.derivative(ctx1c, 2)
-    assert d2.adjoint().symbol(0, 0).render() == "lam^2"
+    assert d2.adjoint().entry(0, 0).render() == "lam^2"
 
 
 def test_adjoint_antihomomorphism(ctx2):
@@ -102,10 +102,10 @@ def test_render_matrix(ctx2):
 def test_symbol_matrix(ctx2):
     v = ctx2.gen(1)
     op = MatrixDiffOp(ctx2, [[[(1, ctx2.one())], [(1, v)]], [[], [(0, v)]]])
-    assert op.symbol(0, 0).render() == "lam"
-    assert op.symbol(0, 1).render() == "v*lam"
-    assert op.symbol(1, 0).is_zero()
-    assert op.symbol(1, 1).render() == "v"
+    assert op.entry(0, 0).render() == "lam"
+    assert op.entry(0, 1).render() == "v*lam"
+    assert op.entry(1, 0).is_zero()
+    assert op.entry(1, 1).render() == "v"
 
 
 @settings(max_examples=40, deadline=None)
@@ -121,4 +121,4 @@ def test_symbol_of_sum_is_additive(seed):
     B = rand_operator(rng, ctx)
     for i in range(2):
         for j in range(2):
-            assert (A + B).symbol(i, j) == A.symbol(i, j) + B.symbol(i, j)
+            assert (A + B).entry(i, j) == A.entry(i, j) + B.entry(i, j)

@@ -5,7 +5,9 @@ Horner variational derivative and Euler operators equal their
 slice-by-slice references, the Frechet entries, one partial per order
 that f has, equal the scan of every order, the operator adjoint and composition, built
 from one Leibniz step d o x = x' + x d, equal the binomial expansions in
-reference.py (symbol keys in any order), the lambda-bracket is the symbol
+reference.py (symbol keys in any order), an entry reads as its terms
+summed and sorted as in reference.py, applies as sum_k a_k d^k and is the
+bracket of two generators, the lambda-bracket is the symbol
 of D_g o H o D_f^* and the generator bracket that of D_x o H,
 certificate-first closedness and exactify agree
 with the defect-first references, the symbol routines, nested brackets and
@@ -234,7 +236,7 @@ def test_frechet_entry_visits_the_orders_f_has(data):
     ctx = data.draw(contexts)
     f = data.draw(expressions(ctx, max_order=8))
     j = data.draw(st.integers(0, ctx.nvars - 1))
-    assert frechet_entry(f, j) == reference.frechet_entry(f, j)
+    assert tuple(frechet_entry(f, j)) == reference.frechet_entry(f, j)
 
 
 @settings(max_examples=80, deadline=None)
@@ -291,6 +293,39 @@ def test_chained_compose(data):
     assert a.compose(b) == want
 
 
+@st.composite
+def raw_entries(draw, ctx):
+    """Items of an entry as a row may give them: those of `entries`, some
+    repeated or negated (like powers that add up or cancel) and some with
+    a zero coefficient, shuffled."""
+    items = draw(entries(ctx))
+    if items:
+        items += draw(st.lists(st.sampled_from(items), max_size=2))
+        items += [(p, -a) for p, a in draw(st.lists(st.sampled_from(items), max_size=1))]
+    items += [(draw(st.integers(0, 3)), ctx.zero()) for _ in range(draw(st.integers(0, 2)))]
+    return draw(st.permutations(items))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_an_entry_is_its_terms_and_its_symbol(data):
+    """An entry reads as its normalised terms in ascending power, applies
+    as sum_k a_k d^k f, and is the lambda-bracket of two generators,
+    {u_i lam u_j} = H_ji(lam)."""
+    ctx = data.draw(contexts)
+    items = data.draw(raw_entries(ctx))
+    entry = MatrixDiffOp(ctx, [[items]]).entry(0, 0)
+    assert tuple(entry) == reference.entry_norm(items)
+    f = data.draw(expressions(ctx))
+    want = ctx.zero()
+    for p, a in items:
+        want = want + a * reference.total_derivative(f, p)
+    assert entry.apply(f) == want
+    H = data.draw(operators(ctx))
+    i, j = (data.draw(st.integers(0, ctx.nvars - 1)) for _ in range(2))
+    assert lambda_bracket(H, ctx.gen(i), ctx.gen(j)) == H.entry(j, i)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_horner_lambda_bracket(data):
@@ -312,9 +347,9 @@ def test_brackets_are_symbols_of_compositions(data):
     g = data.draw(expressions(ctx, 2))
     DgH = frechet((g,)).compose(H)
     want = DgH.compose(frechet((f,), adjoint=True))
-    assert lambda_bracket(H, f, g) == want.symbol(0, 0)
+    assert lambda_bracket(H, f, g) == want.entry(0, 0)
     i = data.draw(st.integers(0, ctx.nvars - 1))
-    assert lambda_bracket(H, ctx.gen(i), g) == DgH.symbol(0, i)
+    assert lambda_bracket(H, ctx.gen(i), g) == DgH.entry(0, i)
 
 
 def test_leibniz_step_is_linear_for_constant_coefficients(monkeypatch):
@@ -350,7 +385,7 @@ def test_symbol_keys_in_any_order():
     items = list(x.coeffs.items())
     entry = ((1, u), (3, ctx.one()))
     want = MatrixDiffOp.single(ctx, reference.entry_compose(entry, items))
-    assert x.op_apply(entry) == want.symbol(0, 0)
+    assert x.op_apply(entry) == want.entry(0, 0)
     assert x.subst_neg_shift() == reference.subst_neg_shift(x)
 
 
@@ -390,9 +425,9 @@ def test_jacobi_residual_is_the_nested_bracket_identity(data):
     H = data.draw(structure_operators(ctx))
     i, j, k = (data.draw(st.integers(0, ctx.nvars - 1)) for _ in range(3))
     want = (
-        nested_bracket_left(H, ctx.gen(i), H.symbol(k, j))
-        - nested_bracket_right(H, ctx.gen(j), H.symbol(k, i))
-        - nested_bracket_composed(H, H.symbol(j, i), ctx.gen(k))
+        nested_bracket_left(H, ctx.gen(i), H.entry(k, j))
+        - nested_bracket_right(H, ctx.gen(j), H.entry(k, i))
+        - nested_bracket_composed(H, H.entry(j, i), ctx.gen(k))
     )
     assert jacobi_triple_residual(H, i, j, k) == want
 
