@@ -46,6 +46,7 @@ from .lenard import (
     Verification,
     lenard_extend,
     make_plan,
+    run_chain,
     verify_sequence,
 )
 from .operators import BiLambdaPoly, LambdaPoly, MatrixDiffOp

@@ -237,6 +237,51 @@ def mono_bump(a: Monomial, idx: int) -> Monomial:
     return a[:j] + ((up, x),) + a[j + 1:idx] + rest
 
 
+def refuse_huge_power(f: "Expression", k: int) -> None:
+    """Raise MemoryError, before any multiplication, when f^k has a
+    coefficient that no machine can hold: that of the largest or of the
+    smallest term of f is a plain number c with |c| != 1 and k times the
+    larger bit length b of its numerator and denominator passes
+    sys.maxsize.
+
+    Order monomials by their exponent vectors, read lexicographically
+    with the generators in descending order.  The exponent vector of a
+    product is the sum of those of its factors, and for rational vectors
+    v < w implies v + x < w + x, so the order is total and multiplication
+    preserves it.  Hence the product of the largest terms of f and g is
+    larger than every other product of a term of f and one of g, nothing
+    cancels it, and its coefficient lc(f) lc(g) is not zero: the largest
+    term of f g is the product of the largest terms.  By induction the
+    largest term of f^k is that of f raised to k, with coefficient lc^k,
+    and so is the smallest.  The larger of the numerator and denominator
+    of c^k is that of c (at least 2, of b >= 2 bits) raised to k, so it
+    has at least k (b - 1) + 1 > k b / 2 bits: past sys.maxsize / 2,
+    more than any memory holds.
+
+    For an operator A with top coefficient a (the coefficient of its
+    highest d^r), a d^r o b d^s = a b d^(r+s) plus lower powers, and a b
+    is not zero by the above, so the top coefficient of A^k is a^k, and
+    the test applied to a refuses A^k in the same way.
+
+    The test runs only for k > sys.maxsize >> 32: a smaller k passes
+    sys.maxsize only with a coefficient of more than 2^32 bits, which
+    alone fills 512 MB, so u^2 does no extra work."""
+    if k <= sys.maxsize >> 32 or not f.terms:
+        return
+    gens = sorted({g for m in f.terms for g, _ in m}, reverse=True)
+
+    def exponents(m):
+        e = dict(m)
+        return tuple(e.get(g, 0) for g in gens)
+
+    for m in (max(f.terms, key=exponents), min(f.terms, key=exponents)):
+        c = f.terms[m]
+        if isinstance(c, (int, Fraction)) and abs(c) != 1:
+            bits = max(c.numerator.bit_length(), c.denominator.bit_length())
+            if k * bits > sys.maxsize:
+                raise MemoryError("a %d-bit number to the power %d" % (bits, k))
+
+
 class Context:
     """Ambient algebra: variable names and coefficient parameters."""
 
@@ -354,10 +399,6 @@ class Expression:
                 top = m[0][0]
         return top
 
-    def max_order(self) -> int:
-        g = self.diff_order()
-        return g[0] if g else 0
-
     def degree_components(self) -> list[tuple[Fraction, "Expression"]]:
         """Split into eigencomponents of the exponent-sum grading."""
         buckets: dict = {}
@@ -366,11 +407,6 @@ class Expression:
         return [
             (Fraction(d), Expression(self.ctx, t)) for d, t in sorted(buckets.items())
         ]
-
-    def is_polynomial(self) -> bool:
-        return all(
-            isinstance(e, int) and e > 0 for m in self.terms for _, e in m
-        )
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -443,15 +479,10 @@ class Expression:
     def __pow__(self, k):
         k = _exp_arg(k)
         if k.denominator == 1 and k >= 0:
+            n = int(k)
+            refuse_huge_power(self, n)
             out = self.ctx.one()
             base = self
-            n = int(k)
-            # refuse at once a power of a plain number that no machine holds
-            c = self.terms.get(ONE_MONO) if len(self.terms) == 1 else None
-            if isinstance(c, (int, Fraction)) and abs(c) != 1:
-                bits = max(c.numerator.bit_length(), c.denominator.bit_length())
-                if n * bits > sys.maxsize:
-                    raise MemoryError("a %d-bit number to the power %d" % (bits, n))
             while n:
                 if n & 1:
                     out = out * base

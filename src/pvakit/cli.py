@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import click
 
-from .algebra import Context, memo_scope
+from .algebra import Context
 from .brackets import (
     check_compatible,
     check_pva,
@@ -32,7 +32,7 @@ from .hierarchies import (
     generate,
     golden_verify,
 )
-from .lenard import lenard_extend, verify_sequence
+from .lenard import run_chain
 from .operators import MatrixDiffOp
 from .parsing import parse_expression, parse_operator
 from .varcalc import exactify, frechet, integrate_total, variational_derivative
@@ -255,9 +255,7 @@ def lenard_cmd(ctx, h_text, k_text, seed_texts, depth, kind, as_json):
     H = _parse_op(ctx, h_text)
     K = _parse_op(ctx, k_text)
     seeds = [_parse_vector(ctx, text.split(",")) for text in seed_texts]
-    with memo_scope():
-        rec = lenard_extend(H, K, seeds, depth, name="lenard", kind=kind)
-        verify_sequence(H, K, rec)
+    rec = run_chain(H, K, seeds, depth, name="lenard", kind=kind)
     if as_json:
         _echo_json(rec)
     else:

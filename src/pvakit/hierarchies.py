@@ -6,9 +6,10 @@ kind, the start index and the default depth, and the reference values.
 generate reads a row's texts straight into the record's context, each
 parameter name as its bound value or as the symbolic parameter it shows
 as, runs the Lenard recursion, whose solver is read off K, and verifies
-the chain, both in one memo_scope (see lenard).  The one "dirac" row,
-NLS, is the Dirac structure L_{H,K} = {(H P, K P)} paired with the graph
-of J = (0, -1; 1, 0), and its solver is read off J o K.
+the chain, both through lenard.run_chain, the one place where a run opens
+its memo.  The one "dirac" row, NLS, is the Dirac structure
+L_{H,K} = {(H P, K P)} paired with the graph of J = (0, -1; 1, 0), and
+its solver is read off J o K.
 
 golden_verify compares a generated record against the reference values,
 which hold for every binding of the family's parameters: exact equality
@@ -23,11 +24,11 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional
 
-from .algebra import Context, memo_scope
+from .algebra import Context
 from .brackets import CheckFailure, CheckReport
 from .errors import PvakitError
 from .fields import rational
-from .lenard import HierarchyRecord, lenard_extend, verify_sequence
+from .lenard import HierarchyRecord, run_chain
 from .operators import MatrixDiffOp
 from .parsing import parse_expression, parse_operator
 from .varcalc import LocalFunctional
@@ -369,9 +370,7 @@ def generate(spec: HierarchySpec) -> HierarchyRecord:
     K = read.operator(fam.K)
     seeds = [read.vector(s) for s in fam.seeds]
     params = _params_json(spec.params)
-    with memo_scope():
-        rec = lenard_extend(H, K, seeds, spec.depth, fam.start, spec.name, fam.kind, params)
-        return verify_sequence(H, K, rec)
+    return run_chain(H, K, seeds, spec.depth, fam.start, spec.name, fam.kind, params)
 
 
 def _golden_data(spec: HierarchySpec, read: _Binding):

@@ -19,14 +19,14 @@ density's variational derivative is not its step's gradient.  The
 verifier's state is linear in the depth plus the number of nonzero
 pairings.
 
-One run (hierarchies.generate, the lenard command) extends and verifies
-inside one algebra.memo_scope, so each value is computed once for that
-run: delta of a density, which attaching it certifies and the gradient
-check reads again, and each image op . F^n, which the recursion and the
-witness check of the verifier read again.  The memo is keyed by the
-identity of the density or of the operator and tuple, and dropped when
-the run ends.  A record changed in between carries new objects, so its
-values are computed afresh; nothing the verifier checks is trusted.
+run_chain, the one place where a run (hierarchies.generate, the lenard
+command) opens its algebra.memo_scope, extends and verifies inside it, so
+each value is computed once for that run: delta of a density, which
+attaching it certifies and the gradient check reads again, and each image
+op . F^n (_image), which the recursion, the flows and the verifier read
+again.  The memo is keyed by the identity of the arguments and dropped
+when the run ends; a record changed in between carries new objects, so
+its values are computed afresh and nothing the verifier checks is trusted.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebra import Expression, VectorExpr, vec_dot
+from .algebra import Expression, VectorExpr, memo_scope, memoised, vec_dot
 from .errors import LogRequired, NotClosed, NotExact, PlanMismatch
 from .fields import Coefficient, render
 from .operators import LambdaPoly, MatrixDiffOp
@@ -45,6 +45,12 @@ from .varcalc import (
     is_closed,
     variational_derivative,
 )
+
+
+def _image(op: MatrixDiffOp, vec) -> VectorExpr:
+    """op . vec, once per operator and vector in a memo_scope; tuple() of a
+    tuple is itself, so a list gets a new key and is applied afresh."""
+    return memoised(type(op).apply, op, tuple(vec))
 
 
 def _invert_total(f: Expression) -> Expression:
@@ -262,7 +268,7 @@ def lenard_extend(
     slack is fixed by zero integration constants: the solver works by
     monomial division and d^{-1}, both homogeneous for the exponent-sum
     grading, so a homogeneous step stays homogeneous without any
-    projection.  The flows reuse the images H F^n that the solver reads.
+    projection.  In a run_chain the flows reuse the solver's images H F^n.
 
     A "dirac" chain pairs the Dirac structure L_{H,K} = {(H P, K P)},
     isotropic when K^* H + H^* K = 0, with the graph of J (_dirac_J): each
@@ -275,24 +281,19 @@ def lenard_extend(
         raise ValueError("kind %r is not hamiltonian, symplectic or dirac" % (kind,))
     plan = make_plan(_dirac_J(K.ctx).compose(K) if kind == "dirac" else K)
     chain = [tuple(s) for s in seeds]
-    HF = [H.apply(F) for F in chain[:-1]]
-    for F, image in zip(chain[1:], HF):
-        if plan.K.apply(F) != image:
-            raise NotExact("seed vectors do not satisfy the recursion")
+    if any(_image(H, F) != _image(plan.K, G) for F, G in zip(chain, chain[1:])):
+        raise NotExact("seed vectors do not satisfy the recursion")
     while len(chain) <= depth - start_index:
-        HF.append(H.apply(chain[-1]))
         try:
-            chain.append(plan.solve(HF[-1]))
+            chain.append(plan.solve(_image(H, chain[-1])))
         except (NotExact, LogRequired) as exc:
             raise type(exc)(
                 "step %d: %s" % (start_index + len(chain), exc)
             ) from exc
-    keep = max(depth - start_index + 1, 0)
-    chain, HF = chain[:keep], HF[:keep]
-    flows = chain if kind == "symplectic" else HF + [H.apply(F) for F in chain[len(HF):]]
     steps = []
-    for n, (F, flow) in enumerate(zip(chain, flows), start_index):
-        gradient = F if kind == "hamiltonian" else K.apply(F)
+    for n, F in enumerate(chain[:max(depth - start_index + 1, 0)], start_index):
+        gradient = F if kind == "hamiltonian" else _image(K, F)
+        flow = F if kind == "symplectic" else _image(H, F)
         h = _attach_density(gradient)
         P = F if kind == "dirac" else None
         steps.append(HierarchyStep(n, F if P is None else gradient, h, flow, P))
@@ -306,7 +307,7 @@ def _witnessed(H: MatrixDiffOp, K: MatrixDiffOp, steps) -> bool:
         all(s.P is not None for s in steps)
         and (K.adjoint().compose(H) + H.adjoint().compose(K)).is_zero()
         and all(
-            K.apply(s.P) == tuple(s.F) and H.apply(s.P) == tuple(s.flow)
+            _image(K, s.P) == tuple(s.F) and _image(H, s.P) == tuple(s.flow)
             for s in steps
         )
     )
@@ -385,7 +386,7 @@ def verify_sequence(
     kind = record.kind
     Fs = [s.F for s in steps]
     ops = (_dirac_J(K.ctx),) if kind == "dirac" else (H, K)
-    images = [[op.apply(F) for F in Fs] for op in ops]
+    images = [[_image(op, F) for F in Fs] for op in ops]
     KF = images[-1]
     targets = [s.flow for s in steps] if kind == "dirac" else images[0]
     ver.chain = all(KF[m + 1] == targets[m] for m in range(len(Fs) - 1))
@@ -412,7 +413,7 @@ def verify_sequence(
         inexact = [n for n in hs if not exact[n]]
         involution = []
         for op, S, opF, is_skew in zip(ops, nonzero, images, skew):
-            op_dh = {m: opF[m] if exact[m] else op.apply(deltas[m]) for m in hs}
+            op_dh = {m: opF[m] if exact[m] else _image(op, deltas[m]) for m in hs}
             # a pair of exact densities is walked only when its pairing fails
             pairs = [(m, n) for n, m in S if exact[m] and exact[n]]
             pairs += [(m, n) for m in hs for n in (inexact if exact[m] else hs)]
@@ -426,3 +427,19 @@ def verify_sequence(
             )
     ver.involution_h, ver.involution_k = involution[0], involution[-1]
     return record
+
+
+def run_chain(
+    H: MatrixDiffOp,
+    K: MatrixDiffOp,
+    seeds,
+    depth: int,
+    start_index: int = 0,
+    name: str = "",
+    kind: str = "hamiltonian",
+    params: Optional[dict] = None,
+) -> HierarchyRecord:
+    """One run: lenard_extend, then verify_sequence, in one memo_scope."""
+    with memo_scope():
+        rec = lenard_extend(H, K, seeds, depth, start_index, name, kind, params)
+        return verify_sequence(H, K, rec)

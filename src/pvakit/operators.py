@@ -28,7 +28,7 @@ from __future__ import annotations
 from math import comb
 from typing import Optional
 
-from .algebra import ONE_MONO, Context, Expression, VectorExpr, memoised
+from .algebra import ONE_MONO, Context, Expression, VectorExpr
 from .fields import join_signed, rational
 
 _UNIT = {ONE_MONO: 1}  # the terms of the coefficient 1
@@ -156,13 +156,7 @@ class MatrixDiffOp:
     # -- algebra -----------------------------------------------------------
 
     def apply(self, vec: VectorExpr) -> VectorExpr:
-        """The image op . vec, computed once per operator and tuple within a
-        memo_scope; a list is applied afresh."""
-        if vec.__class__ is tuple:
-            return memoised(MatrixDiffOp._image, self, vec)
-        return self._image(vec)
-
-    def _image(self, vec) -> VectorExpr:
+        """The image op . vec."""
         if len(vec) != self.ncols:
             raise ValueError("operator/vector size mismatch")
         out = []

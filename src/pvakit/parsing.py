@@ -24,7 +24,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .algebra import Context, Expression
+from .algebra import Context, Expression, refuse_huge_power
 from .errors import NonMonomialDivisor, ParseError
 from .operators import LambdaPoly, MatrixDiffOp
 
@@ -166,6 +166,8 @@ class _Parser:
                     c = _arith(operator.pow, c, e, pos)
                     value = LambdaPoly(self.ctx, {p * k: c})
                     continue
+            if value:  # the top coefficient of value^k is value's to the k
+                refuse_huge_power(value.coefficient(max(value.coeffs)), k)
             # value o value^(k-1): each step differentiates only to value's order
             out = self.ctx.one()
             for _ in range(k):

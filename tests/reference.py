@@ -81,6 +81,12 @@ from pvakit.varcalc import (
 )
 
 
+def _max_order(f):
+    """The highest derivative order in f, 0 for a constant."""
+    g = f.diff_order()
+    return g[0] if g else 0
+
+
 def mono_degree(a):
     """Total exponent sum, summed from Fraction(0) and made canonical."""
     d = Fraction(0)
@@ -198,7 +204,7 @@ def variational_derivative(f):
     out = []
     for i in range(ctx.nvars):
         acc = ctx.zero()
-        for n in range(f.max_order() + 1):
+        for n in range(_max_order(f) + 1):
             p = f.partial(i, n)
             if not p.is_zero():
                 acc = acc + p.total_derivative(n).scale((-1) ** n)
@@ -209,14 +215,14 @@ def variational_derivative(f):
 def frechet_entry(f, j):
     """The nonzero slices (n, df/du_j^(n)) of D_f, a partial at every order
     up to the top."""
-    slices = ((n, f.partial(j, n)) for n in range(f.max_order() + 1))
+    slices = ((n, f.partial(j, n)) for n in range(_max_order(f) + 1))
     return tuple((n, p) for n, p in slices if not p.is_zero())
 
 
 def euler_operator(f, i, m):
     """sum_n C(n,m) (-1)^n d^(n-m) (df/du_i^(n))."""
     acc = f.ctx.zero()
-    for n in range(m, f.max_order() + 1):
+    for n in range(m, _max_order(f) + 1):
         p = f.partial(i, n)
         if not p.is_zero():
             acc = acc + p.total_derivative(n - m).scale((-1) ** n * comb(n, m))
@@ -322,7 +328,7 @@ def lambda_bracket(H, f, g):
     A = []
     for i in range(ctx.nvars):
         acc = zero
-        for m in range(f.max_order() + 1):
+        for m in range(_max_order(f) + 1):
             p = f.partial(i, m)
             if p.is_zero():
                 continue
@@ -340,7 +346,7 @@ def lambda_bracket(H, f, g):
                 cj = cj + op_apply(A[i], entry)
         shifted = cj
         last = 0
-        for n in range(g.max_order() + 1):
+        for n in range(_max_order(g) + 1):
             p = g.partial(j, n)
             if p.is_zero():
                 continue
@@ -360,7 +366,7 @@ def gen_bracket(H, i, x):
             continue
         shifted = sym
         last = 0
-        for n in range(x.max_order() + 1):
+        for n in range(_max_order(x) + 1):
             p = x.partial(h, n)
             if p.is_zero():
                 continue
@@ -385,7 +391,7 @@ def jacobi_triple_residual(H, i, j, k):
             entry = H.entry(k, h)
             if not entry:
                 continue
-            for n in range(za.max_order() + 1):
+            for n in range(_max_order(za) + 1):
                 p = za.partial(h, n)
                 if p.is_zero():
                     continue
@@ -445,17 +451,17 @@ def symplectic_triple_residual(S, i, j, k):
     ctx = S.ctx
     res = BiLambdaPoly(ctx, {})
     for b, sb in S.entry(k, i).coeffs.items():
-        for n in range(sb.max_order() + 1):
+        for n in range(_max_order(sb) + 1):
             p = sb.partial(j, n)
             if not p.is_zero():
                 res = res + BiLambdaPoly(ctx, {(n, b): p})
     for a, sa in S.entry(k, j).coeffs.items():
-        for n in range(sa.max_order() + 1):
+        for n in range(_max_order(sa) + 1):
             p = sa.partial(i, n)
             if not p.is_zero():
                 res = res - BiLambdaPoly(ctx, {(a, n): p})
     for a, sa in S.entry(i, j).coeffs.items():
-        for n in range(sa.max_order() + 1):
+        for n in range(_max_order(sa) + 1):
             p = sa.partial(k, n)
             if not p.is_zero():
                 res = res + shift_both_neg(BiLambdaPoly(ctx, {(a, 0): p}), n)

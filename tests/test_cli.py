@@ -549,13 +549,19 @@ def test_out_of_memory_is_a_one_line_error():
     [
         ["vder", "2^99999999999999999999*u"],
         ["check-pva", "--op", "(2*d)^99999999999999999999"],
+        ["vder", "(2*u)^99999999999999999999"],
+        ["vder", "(u+2)^99999999999999999999"],
+        ["check-pva", "--op", "(2*u*d)^99999999999999999999"],
     ],
 )
 def test_a_power_of_a_number_past_any_memory_is_refused_at_once(argv):
     """2^(10^20) has 10^20 bits: the power is refused before the first
     multiplication, so the run ends with the out-of-memory line at once
     instead of squaring 2 until a 400 MB address space runs out (about
-    4 s of CPU time, past the 2 s the child may use)."""
+    4 s of CPU time, past the 2 s the child may use).  So is a power of a
+    base whose largest or smallest term has the coefficient 2, which its
+    power raises to 2^(10^20): 2*u, u + 2 (whose smallest term is 2), and
+    the operator 2*u*d, whose power has the top coefficient (2*u)^(10^20)."""
     root = os.path.dirname(os.path.dirname(pvakit.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))

@@ -1,14 +1,15 @@
 """One Lenard run computes each value once: inside the memo_scope that
-hierarchies.generate and the lenard command open, delta of a density and
-an image op . F are memoised by the identity of their arguments.  The
-record equals the one built with no memo, and each run starts empty."""
+lenard.run_chain opens, the one place where a run (hierarchies.generate,
+the lenard command) opens its memo, delta of a density and an image
+op . F are memoised by the identity of their arguments.  The record
+equals the one built with no memo, and each run starts empty."""
 
 import threading
 
 import pytest
 from click.testing import CliRunner
 
-from pvakit import algebra, hierarchies, lenard, varcalc
+from pvakit import Context, algebra, lenard, parse_expression, parse_operator, varcalc
 from pvakit.algebra import memo_scope
 from pvakit.cli import main
 from pvakit.hierarchies import (
@@ -25,7 +26,7 @@ def _counted(monkeypatch):
     """Record the arguments of every delta and every image computed (not
     read from the memo); the lists keep them alive, so ids stay unique."""
     vders, images = [], []
-    vder, image = varcalc._variational_derivative, MatrixDiffOp._image
+    vder, image = varcalc._variational_derivative, MatrixDiffOp.apply
 
     def counted_vder(f):
         vders.append(f)
@@ -36,7 +37,7 @@ def _counted(monkeypatch):
         return image(op, vec)
 
     monkeypatch.setattr(varcalc, "_variational_derivative", counted_vder)
-    monkeypatch.setattr(MatrixDiffOp, "_image", counted_image)
+    monkeypatch.setattr(MatrixDiffOp, "apply", counted_image)
     return vders, images
 
 
@@ -83,13 +84,13 @@ def test_memoised_run_equals_the_unscoped_one(name):
 
 def test_each_generate_starts_with_an_empty_memo(monkeypatch):
     sizes = []
-    extend = hierarchies.lenard_extend
+    extend = lenard.lenard_extend
 
     def sized(*args):
         sizes.append(len(algebra._memo.get()))
         return extend(*args)
 
-    monkeypatch.setattr(hierarchies, "lenard_extend", sized)
+    monkeypatch.setattr(lenard, "lenard_extend", sized)
     first = generate(HierarchySpec("kdv")).to_json()
     assert generate(HierarchySpec("kdv")).to_json() == first
     assert sizes == [0, 0]
@@ -104,7 +105,7 @@ def test_lenard_command_runs_in_one_scope(monkeypatch):
         seen.append(len(algebra._memo.get()))
         return verify(H, K, rec)
 
-    monkeypatch.setattr("pvakit.cli.verify_sequence", scoped)
+    monkeypatch.setattr("pvakit.lenard.verify_sequence", scoped)
     argv = ["lenard", "--op-h", "u' + 2*u*d", "--op-k", "d", "--seed", "1"]
     r = CliRunner().invoke(main, argv)
     assert r.exit_code == 0, r.output
@@ -113,23 +114,49 @@ def test_lenard_command_runs_in_one_scope(monkeypatch):
 
 
 def test_outside_a_scope_and_for_a_list_nothing_is_kept(ctx1, monkeypatch):
+    """MatrixDiffOp.apply memoises nothing, in a scope or not; lenard's
+    images are kept only in a scope and only for a tuple."""
     vders, images = _counted(monkeypatch)
     u = ctx1.gen(0)
     f = u * u
     op = MatrixDiffOp.derivative(ctx1)
+    vec = (u,)
     for _ in range(2):
         varcalc.variational_derivative(f)
-        op.apply((u,))
+        lenard._image(op, vec)
     assert len(vders) == 2 and len(images) == 2
     with memo_scope():
-        vec = [u]
         assert op.apply(vec) == op.apply(vec) == (ctx1.gen(0, 1),)
+        assert len(images) == 4 and algebra._memo.get() == {}
+        assert lenard._image(op, vec) is lenard._image(op, vec)
+        listed = [u]
+        assert lenard._image(op, listed) == lenard._image(op, listed)
         assert varcalc.variational_derivative(f) is varcalc.variational_derivative(f)
         with memo_scope():
             assert len(algebra._memo.get()) == 0
             varcalc.variational_derivative(f)
-        assert len(algebra._memo.get()) == 1
-    assert len(vders) == 4 and len(images) == 4
+        assert len(algebra._memo.get()) == 4
+    assert len(vders) == 4 and len(images) == 7
+    assert algebra._memo.get() is None
+
+
+# the README's two lenard examples: (session parameters, H, K, seed, depth)
+README_CHAINS = [
+    (("c",), "u' + 2*u*d + c*d^3", "d", "1", 3),
+    (("alpha", "beta"), "alpha*d + beta*d^3", "u' + 2*u*d", "u^(-1/2)", 2),
+]
+
+
+@pytest.mark.parametrize("params, h, k, seed, depth", README_CHAINS)
+def test_run_chain_equals_the_unscoped_run(params, h, k, seed, depth):
+    ctx = Context(("u",), params)
+    H, K = parse_operator(h, ctx), parse_operator(k, ctx)
+    seeds = [(parse_expression(seed, ctx),)]
+    want = lenard.verify_sequence(
+        H, K, lenard.lenard_extend(H, K, seeds, depth, name="lenard")
+    )
+    got = lenard.run_chain(H, K, seeds, depth, name="lenard")
+    assert got.to_json() == want.to_json()
     assert algebra._memo.get() is None
 
 
