@@ -178,9 +178,7 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 def mono_pow(a: Monomial, k) -> Monomial:
-    k = _exp(_exp_arg(k))
-    if k == 0:
-        return ONE_MONO
+    """a^k for a nonzero int or Fraction k."""
     return tuple((g, _exp(e * k)) for g, e in a)
 
 
@@ -239,10 +237,10 @@ def mono_bump(a: Monomial, idx: int) -> Monomial:
 
 def refuse_huge_power(f: "Expression", k: int) -> None:
     """Raise MemoryError, before any multiplication, when f^k has a
-    coefficient that no machine can hold: that of the largest or of the
-    smallest term of f is a plain number c with |c| != 1 and k times the
-    larger bit length b of its numerator and denominator passes
-    sys.maxsize.
+    coefficient that no machine can hold: the largest or the smallest term
+    of f has a scale c (a plain number, or the q of a Coefficient q N/D)
+    with |c| != 1, and k times the larger bit length b of the numerator
+    and denominator of c passes sys.maxsize.
 
     Order monomials by their exponent vectors, read lexicographically
     with the generators in descending order.  The exponent vector of a
@@ -256,7 +254,8 @@ def refuse_huge_power(f: "Expression", k: int) -> None:
     and so is the smallest.  The larger of the numerator and denominator
     of c^k is that of c (at least 2, of b >= 2 bits) raised to k, so it
     has at least k (b - 1) + 1 > k b / 2 bits: past sys.maxsize / 2,
-    more than any memory holds.
+    more than any memory holds.  By Gauss's lemma (q N/D)^k = q^k N^k/D^k
+    is already canonical, so its scale is q^k.
 
     For an operator A with top coefficient a (the coefficient of its
     highest d^r), a d^r o b d^s = a b d^(r+s) plus lower powers, and a b
@@ -276,7 +275,9 @@ def refuse_huge_power(f: "Expression", k: int) -> None:
 
     for m in (max(f.terms, key=exponents), min(f.terms, key=exponents)):
         c = f.terms[m]
-        if isinstance(c, (int, Fraction)) and abs(c) != 1:
+        if c.__class__ is Coefficient:
+            c = c._k
+        if abs(c) != 1:
             bits = max(c.numerator.bit_length(), c.denominator.bit_length())
             if k * bits > sys.maxsize:
                 raise MemoryError("a %d-bit number to the power %d" % (bits, k))
@@ -481,14 +482,13 @@ class Expression:
         if k.denominator == 1 and k >= 0:
             n = int(k)
             refuse_huge_power(self, n)
-            out = self.ctx.one()
-            base = self
-            while n:
+            out, base = self.ctx.one(), self
+            while n > 1:  # no square after the top bit
                 if n & 1:
                     out = out * base
                 base = base * base
                 n >>= 1
-            return out
+            return out * base if n else out
         if not self.terms and k < 0:
             raise NonMonomialDivisor("division by zero")
         if not self.is_monomial():
@@ -496,13 +496,11 @@ class Expression:
                 "fractional or negative powers need a single-term base"
             )
         (m, c), = self.terms.items()
-        if c != 1:
-            if k.denominator != 1:
-                raise NonMonomialDivisor(
-                    "fractional powers need a unit monomial base"
-                )
-            c = _norm((_F1 / c) ** int(-k))  # k < 0; int ** k would be a float
-        return Expression(self.ctx, {mono_pow(m, k): c})
+        if c == 1:
+            return Expression(self.ctx, {mono_pow(m, k): 1})
+        if k.denominator != 1:
+            raise NonMonomialDivisor("fractional powers need a unit monomial base")
+        return Expression(self.ctx, {mono_pow(m, -1): _norm(_F1 / c)}) ** -k
 
     def __truediv__(self, other):
         if isinstance(other, _NUMBERS):

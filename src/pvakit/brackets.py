@@ -100,7 +100,7 @@ def nested_bracket_left(H: MatrixDiffOp, f: Expression, x: LambdaPoly) -> BiLamb
 
 def nested_bracket_right(H: MatrixDiffOp, f: Expression, x: LambdaPoly) -> BiLambdaPoly:
     """{f_mu x} applied to the coefficients of x, whose degrees are read
-    as powers of lambda."""
+    as powers of lambda; only tests call it (acceptance criterion 11i)."""
     return _swap(nested_bracket_left(H, f, x))
 
 

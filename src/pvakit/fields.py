@@ -28,7 +28,8 @@ adds the two polynomials brought to one integer scale and pulls the
 integer content out with ``math.gcd``; when N1 is N2 (like terms
 q1*c + q2*c) it only adds k1 + k2.  A non-constant D is the rare path:
 the polynomial gcd and exact division run on integer polynomials
-(primitive pseudo-remainder sequence).
+(primitive pseudo-remainder sequence).  A power is taken of the constant
+``ctx.coeff_expr(c)``, through ``Expression.__pow__`` and its size guard.
 
 ``num`` and ``den`` are read-only views in the normalized form that
 ``render`` reads: a denominator monic in its leading monomial, int or
@@ -420,14 +421,6 @@ class Coefficient:
         if not q:
             return 0
         return _parametric(_norm(self._k * q), self._n, self._d, self.nvars)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return 1 / self ** -k
-        out = 1
-        for _ in range(k):
-            out = self * out
-        return out
 
     # -- identity ------------------------------------------------------
 

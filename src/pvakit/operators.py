@@ -25,6 +25,7 @@ lambda^a mu^b as the last factor of a term.
 
 from __future__ import annotations
 
+import sys
 from math import comb
 from typing import Optional
 
@@ -59,8 +60,14 @@ def _d_after(x: dict) -> dict[int, Expression]:
 def _d_power_after(x: dict, g: int) -> dict[int, Expression]:
     """d^g o x for the entry x = {k: x_k}: Leibniz steps while some x_k is
     not constant, then, as d o c = c d for a constant c, every key moved by
-    the rest of the gap in one step.  A last single d needs no test."""
+    the rest of the gap in one step.  A last single d needs no test.  One
+    key b d^k, b not constant, gives sum_j C(g, j) b^(j) d^(g+k-j): g + 1
+    nonzero terms, refused past sys.maxsize (no dict holds more), since
+    no b^(j) is constant: with u_i^(n) of top order in b, b' holds
+    u_i^(n+1) only in (db/du_i^(n)) u_i^(n+1) != 0.  Two keys may cancel."""
     while g and (g == 1 or not all(a.is_constant() for a in x.values())):
+        if g > sys.maxsize and len(x) == 1:
+            raise MemoryError("d^%d o a non-constant coefficient" % g)
         x = _d_after(x)
         g -= 1
     return {k + g: a for k, a in x.items() if a.terms} if g else x
@@ -251,6 +258,7 @@ class _SymbolPoly:
         return self + (-other)
 
     def mul_expr(self, f: Expression):
+        """f times every coefficient; only tests call it (criterion 11c)."""
         return type(self)(self.ctx, {k: f * v for k, v in self.coeffs.items()})
 
     def __eq__(self, other):

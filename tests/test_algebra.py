@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pvakit import Context, NonRationalExponent
+from pvakit import Context, NonMonomialDivisor, NonRationalExponent
 
 from conftest import rand_expr
+from test_fastpaths import CTXS3, EXPONENTS, coefficients
 
 
 def test_normalization_merges_and_cancels(ctx1):
@@ -156,12 +157,37 @@ def test_division_and_powers(ctx2):
     assert (u * v + v * v) / v == u + v
     e = (u + v) ** 2
     assert e == u * u + (u * v).scale(2) + v * v
-    from pvakit import NonMonomialDivisor
-
     with pytest.raises(NonMonomialDivisor):
         u / (u + v)
     with pytest.raises(NonMonomialDivisor):
         (u + v) ** Fraction(1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(-4, -1))
+def test_a_negative_power_is_the_power_of_the_inverse(data, k):
+    """x^k for a monomial x with a plain or parametric coefficient, k < 0,
+    is 1 / x^(-k): the one square-and-multiply loop serves both signs."""
+    ctx = data.draw(st.sampled_from(CTXS3))
+    x = ctx.coeff_expr(data.draw(coefficients(ctx, fractions_of_c=True)))
+    for _ in range(data.draw(st.integers(0, 3))):
+        g = ctx.gen(data.draw(st.integers(0, ctx.nvars - 1)), data.draw(st.integers(0, 3)))
+        x = x * g ** data.draw(st.sampled_from(EXPONENTS))
+    assert x ** k == x.ctx.one() / x ** -k
+
+
+def test_power_errors_keep_their_order(ctx2):
+    """Zero, then a sum, then a non-unit coefficient under a fractional power."""
+    u, v = ctx2.gen(0), ctx2.gen(1)
+    for base, k, message in [
+        (ctx2.zero(), -1, "division by zero"),
+        (ctx2.zero(), Fraction(1, 2), "single-term base"),
+        (u + v, -1, "single-term base"),
+        (u.scale(2), Fraction(1, 2), "unit monomial base"),
+        (u.scale(2), Fraction(-1, 2), "unit monomial base"),
+    ]:
+        with pytest.raises(NonMonomialDivisor, match=message):
+            base ** k
 
 
 def test_context_rules():

@@ -552,6 +552,13 @@ def test_out_of_memory_is_a_one_line_error():
         ["vder", "(2*u)^99999999999999999999"],
         ["vder", "(u+2)^99999999999999999999"],
         ["check-pva", "--op", "(2*u*d)^99999999999999999999"],
+        ["vder", "2^(-99999999999999999999)*u"],
+        ["vder", "(2*u)^(-99999999999999999999)"],
+        ["--params", "c", "vder", "(2*c*u)^99999999999999999999"],
+        ["--params", "c", "vder", "(2*c)^(-99999999999999999999)*u"],
+        ["--params", "c", "check-pva", "--op", "(2*c*u*d)^99999999999999999999"],
+        ["frechet", "--adjoint", "u^(99999999999999999999)*u"],
+        ["check-pva", "--op", "u*d^99999999999999999999"],
     ],
 )
 def test_a_power_of_a_number_past_any_memory_is_refused_at_once(argv):
@@ -559,9 +566,23 @@ def test_a_power_of_a_number_past_any_memory_is_refused_at_once(argv):
     multiplication, so the run ends with the out-of-memory line at once
     instead of squaring 2 until a 400 MB address space runs out (about
     4 s of CPU time, past the 2 s the child may use).  So is a power of a
-    base whose largest or smallest term has the coefficient 2, which its
-    power raises to 2^(10^20): 2*u, u + 2 (whose smallest term is 2), and
-    the operator 2*u*d, whose power has the top coefficient (2*u)^(10^20)."""
+    base whose largest or smallest term has the coefficient 2, or a
+    parametric coefficient of scale 2, which its power raises to
+    2^(10^20): 2*u, u + 2 (whose smallest term is 2), 2*c*u, and the
+    operators 2*u*d and 2*c*u*d, whose powers have the top coefficient
+    (2*u)^(10^20) or (2*c*u)^(10^20).  A negative power is the power of
+    the inverse, whose coefficient 1/2 or 1/(2*c) has as many bits.  A
+    gap d^(10^20) over the one non-constant coefficient u, in the adjoint
+    of u^(N)*u's Frechet derivative and of u*d^N, has 10^20 + 1 terms."""
+    r = _run_capped(argv)
+    stderr = r.stderr.decode()
+    assert r.returncode == 1, stderr[-2000:]
+    assert stderr.strip().splitlines()[-1] == "error: out of memory"
+
+
+def _run_capped(argv):
+    """pvakit argv in a child limited to 400 MB of address space and 2 s
+    of CPU time."""
     root = os.path.dirname(os.path.dirname(pvakit.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
@@ -570,13 +591,32 @@ def test_a_power_of_a_number_past_any_memory_is_refused_at_once(argv):
         resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
         resource.setrlimit(resource.RLIMIT_CPU, (2, 2))
 
-    r = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "pvakit.cli"] + argv,
         capture_output=True, env=env, preexec_fn=capped, timeout=20,
     )
-    stderr = r.stderr.decode()
-    assert r.returncode == 1, stderr[-2000:]
-    assert stderr.strip().splitlines()[-1] == "error: out of memory"
+
+
+@pytest.mark.skipif(
+    resource is None or not sys.platform.startswith("linux"),
+    reason="RLIMIT_AS of a child process needs Linux",
+)
+@pytest.mark.parametrize(
+    "text, out",
+    [
+        ("c^(-99999999999999999999)*u", "1/c^99999999999999999999"),
+        (
+            "(c*u)^(-99999999999999999999)",
+            "-99999999999999999999/c^99999999999999999999*u^(-100000000000000000000)",
+        ),
+    ],
+)
+def test_a_negative_power_of_a_unit_scale_answers_at_once(text, out):
+    """c^(-N) is (1/c)^N, squared and multiplied as a constant of scale 1
+    in about 2 log2 N steps, which the power guard does not refuse."""
+    r = _run_capped(["--params", "c", "vder", text])
+    assert r.returncode == 0, r.stderr.decode()[-2000:]
+    assert r.stdout.decode() == out + "\n"
 
 
 @pytest.mark.parametrize(
