@@ -442,6 +442,7 @@ class Expression:
         return Expression(self.ctx, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
+        # a number is read exactly before it is negated: -Decimal rounds
         if other.__class__ is not Expression and isinstance(other, _COEFFICIENTS):
             other = self.ctx.coeff_expr(other)
         return self + (-other)

@@ -15,8 +15,9 @@ the nested-bracket identity on a generator triple.
 On top of it sit the Beltrami bracket (H = identity), brackets of local
 functionals, and the checkers for Hamiltonian, compatible and symplectic
 operators; the latter two report residual witnesses per generator triple.
-Both triple residuals read T_ij(lam, mu) - T_ji(mu, lam) and a third term,
-T from the generator bracket of H, resp. the Beltrami bracket.
+Both triple residuals read T_ij(lam, mu) - T_ji(mu, lam) (``_mirrored``)
+and a third term {X_ij(lam) _(lam+mu) u_k} (``_composed``), both from the
+generator bracket of H, resp. the Beltrami bracket.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional, Sequence, Union
 
 from .algebra import Expression, VectorExpr, vec_dot, vec_sub
 from .errors import IndividualFailure
-from .operators import BiLambdaPoly, LambdaPoly, MatrixDiffOp
+from .operators import BiLambdaPoly, LambdaPoly, MatrixDiffOp, _collect
 from .varcalc import (
     LocalFunctional,
     frechet,
@@ -87,6 +88,15 @@ def _lift(x: LambdaPoly, bracket) -> BiLambdaPoly:
     return BiLambdaPoly(x.ctx, out)
 
 
+def _composed(x: LambdaPoly, bracket) -> BiLambdaPoly:
+    """sum_a lam^a bracket(x_a)(lam + mu) over the coefficients x_a of x:
+    {x(lam) _(lam+mu) y} from the brackets bracket(z) = {z_nu y}."""
+    out = {}
+    for a, xa in x.coeffs.items():
+        _collect(BiLambdaPoly.at_sum(bracket(xa), a).coeffs.items(), out)
+    return BiLambdaPoly(x.ctx, out)
+
+
 def _swap(x: BiLambdaPoly) -> BiLambdaPoly:
     """x(mu, lam): the two slots exchanged."""
     return BiLambdaPoly(x.ctx, {(b, a): v for (a, b), v in x.coeffs.items()})
@@ -109,10 +119,7 @@ def nested_bracket_composed(
 ) -> BiLambdaPoly:
     """{x(lam)_{lam+mu} g}: the bracket of each coefficient x_a against g,
     read at lam + mu and times lam^a."""
-    out = BiLambdaPoly(g.ctx, {})
-    for a, xa in x.coeffs.items():
-        out = out + BiLambdaPoly.at_sum(lambda_bracket(H, xa, g), a)
-    return out
+    return _composed(x, lambda z: lambda_bracket(H, z, g))
 
 
 def functional_bracket(
@@ -279,11 +286,8 @@ def symplectic_triple_residual(S: MatrixDiffOp, i: int, j: int, k: int) -> BiLam
     Beltrami bracket {u_a lam x}, the symbol of the Frechet entry of x.
     """
     res = _mirrored(S, lambda a, x: frechet_entry(x, a), j, i, k)
-    # the third term: lam^a A_k(s_a) read at lam + mu, A_k of the
-    # coefficient s_a of S_ij(lam) as in lambda_bracket
-    for a, sa in S.entry(i, j).coeffs.items():
-        res = res + BiLambdaPoly.at_sum(_adjoint_symbol(sa, k), a)
-    return res
+    # the third term, with A_k of each coefficient as in lambda_bracket
+    return res + _composed(S.entry(i, j), lambda z: _adjoint_symbol(z, k))
 
 
 def check_symplectic(S: MatrixDiffOp) -> CheckReport:

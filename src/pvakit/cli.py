@@ -288,7 +288,7 @@ def hierarchy_cmd(name, param_texts, depth, do_verify, as_json):
     """Generate a shipped hierarchy (and optionally check its goldens)."""
     params = dict(_parse_binding(t) for t in param_texts)
     try:
-        spec = HierarchySpec(name, params, depth).normalized()
+        spec = HierarchySpec(name, params, depth)
     except PvakitError as exc:
         raise click.UsageError(str(exc))
     rec = generate(spec)

@@ -375,6 +375,8 @@ class Coefficient:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if other.__class__ is not Coefficient and isinstance(other, _NUMBERS):
+            other = rational(other)  # read exactly before negating: -Decimal rounds
         return self + (-other)
 
     def __rsub__(self, other):

@@ -11,6 +11,7 @@ its memo.  The one "dirac" row, NLS, is the Dirac structure
 L_{H,K} = {(H P, K P)} paired with the graph of J = (0, -1; 1, 0), and
 its solver is read off J o K.
 
+A HierarchySpec, the request for one row, is complete once it is made.
 golden_verify compares a generated record against the reference values,
 which hold for every binding of the family's parameters: exact equality
 for gradient vectors and flows, equality modulo total derivatives for
@@ -299,18 +300,20 @@ class HierarchySpec:
 
     A parameter bound to None stays symbolic; a Fraction fixes its value.
     cnw_hd also accepts the single binding "c", shorthand for alpha = 1,
-    beta = c.
+    beta = c.  Making a spec checks it and sets ``params`` to a new dict of
+    every family parameter (None or a Fraction) and ``depth`` to an int;
+    a complete spec is its own completion, so ``replace`` re-checks it.
     """
 
     name: str
     params: dict = field(default_factory=dict)
     depth: Optional[int] = None
 
-    def normalized(self) -> "HierarchySpec":
+    def __post_init__(self):
         fam = FAMILIES.get(self.name)
         if fam is None:
             raise PvakitError("unknown hierarchy %r" % self.name)
-        params = dict(self.params)
+        params = self.params
         by_shown = {v: k for k, v in fam.shown.items()}
         if by_shown.keys() & params.keys():
             if fam.params.keys() & params.keys():
@@ -326,13 +329,12 @@ class HierarchySpec:
                 % (self.name, "parameters " + names if names else "no parameters")
             )
         full = {k: params.get(k, v) for k, v in fam.params.items()}
-        full = {
+        self.params = {
             k: (v if v is None else Fraction(rational(v))) for k, v in full.items()
         }
-        depth = self.depth if self.depth is not None else fam.depth
-        if depth < 1:
+        self.depth = self.depth if self.depth is not None else fam.depth
+        if self.depth < 1:
             raise PvakitError("depth must be at least 1")
-        return HierarchySpec(self.name, full, depth)
 
 
 def _params_json(params: dict) -> dict:
@@ -340,9 +342,9 @@ def _params_json(params: dict) -> dict:
 
 
 class _Binding:
-    """A family's text read in the context of one normalized spec, the
-    record's: each parameter name reads as its bound value, or as the
-    symbolic parameter of the context under the name it shows as."""
+    """A family's text read in the context of one spec, the record's: each
+    parameter name reads as its bound value, or as the symbolic parameter
+    of the context under the name it shows as."""
 
     def __init__(self, fam: Family, params: dict):
         shown = {k: fam.shown.get(k, k) for k, v in params.items() if v is None}
@@ -363,7 +365,6 @@ class _Binding:
 
 
 def generate(spec: HierarchySpec) -> HierarchyRecord:
-    spec = spec.normalized()
     fam = FAMILIES[spec.name]
     read = _Binding(fam, spec.params)
     H = read.operator(fam.H)
@@ -371,18 +372,6 @@ def generate(spec: HierarchySpec) -> HierarchyRecord:
     seeds = [read.vector(s) for s in fam.seeds]
     params = _params_json(spec.params)
     return run_chain(H, K, seeds, spec.depth, fam.start, spec.name, fam.kind, params)
-
-
-def _golden_data(spec: HierarchySpec, read: _Binding):
-    golden = FAMILIES[spec.name].golden
-    if callable(golden):
-        return golden(read.ctx, spec.depth)
-    F, h, flow = golden
-    return (
-        {n: read.vector(v) for n, v in F.items()},
-        {n: read.expr(t) for n, t in h.items()},
-        {n: read.vector(v) for n, v in flow.items()},
-    )
 
 
 def golden_verify(
@@ -393,18 +382,22 @@ def golden_verify(
     ``record`` is the result of ``generate(spec)`` when the caller already
     has it; without it the hierarchy is generated here.  Gradient vectors
     and flows must match exactly; densities are compared modulo total
-    derivatives.  The chain verification flags must all pass.
+    derivatives.  The chain verification flags must all pass.  Failures
+    come part by part (F, h, flow), each in the record's step order.
     """
-    spec = spec.normalized()
     rec = generate(spec) if record is None else record
-    gF, gh, gflow = _golden_data(spec, _Binding(FAMILIES[spec.name], spec.params))
+    fam = FAMILIES[spec.name]
+    read = _Binding(fam, spec.params)
+    text = not callable(fam.golden)
+    golden = fam.golden if text else fam.golden(read.ctx, spec.depth)
     failures = []
-    present = {s.n for s in rec.steps}
-    for part, wanted in (("F", gF), ("h", gh), ("flow", gflow)):
-        for n, want in wanted.items():
-            if n not in present:
+    for part, refs in zip(("F", "h", "flow"), golden):
+        parse = read.expr if part == "h" else read.vector
+        for step in rec.steps:
+            if step.n not in refs:
                 continue
-            got = getattr(rec.step(n), part)
+            want = parse(refs[step.n]) if text else refs[step.n]
+            got = getattr(step, part)
             if part != "h":
                 if tuple(got) == tuple(want):
                     continue
@@ -414,7 +407,7 @@ def golden_verify(
             else:
                 texts = (want.render(), got.rep.render() if got else None)
             failures.append(
-                CheckFailure("golden", (n, part), "want %s, got %s" % texts)
+                CheckFailure("golden", (step.n, part), "want %s, got %s" % texts)
             )
     if not rec.verification.passed():
         failures.append(

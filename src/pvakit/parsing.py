@@ -95,16 +95,18 @@ class _Parser:
     """Parses operator entries.  A value is an operators.LambdaPoly, or an
     Expression while made of d-free operands only, so d-free text runs on
     Expression arithmetic alone.  With `with_d`, d is the total derivative;
-    `names` maps parameter names to constants (see the module docstring)."""
+    `names` maps parameter names to constants (see the module docstring),
+    by default each parameter of the context to itself."""
 
     def __init__(self, text: str, ctx: Context, with_d: bool = False, names=None):
         self.toks = _Tokens(text)
         self.ctx = ctx
         self.depth = 0
         self.with_d = with_d
+        if names is None:
+            names = {p: ctx.param(p) for p in ctx.params}
         self.names = names
-        params = ctx.params if names is None else names
-        if with_d and ("d" in ctx.var_names or "d" in params):
+        if with_d and ("d" in ctx.var_names or "d" in names):
             raise ParseError("the operator symbol d collides with a name", 0)
 
     # sum := term (('+'|'-') term)*
@@ -222,10 +224,7 @@ class _Parser:
                 return self.ctx.gen(name, 0)
             self.toks.pos += 4  # the derivative marker u^(k)
             return self.ctx.gen(name, t2[1])
-        if self.names is None:
-            if name in self.ctx.params:
-                return self.ctx.param(name)
-        elif name in self.names:
+        if name in self.names:
             return self.names[name]
         raise ParseError("unknown name %r" % name, tok[2])
 

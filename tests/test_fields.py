@@ -1,4 +1,5 @@
 import copy
+import decimal
 import math
 import operator
 import pickle
@@ -421,7 +422,7 @@ FLOAT_ENTRIES = {
     "fields.rational": lambda ctx, u: fields.rational(0.1),
     "Coefficient.scale": lambda ctx, u: Coefficient.parameter(0, 1).scale(0.5),
     "Coefficient + float": lambda ctx, u: Coefficient.parameter(0, 1) + 0.5,
-    "HierarchySpec parameter": lambda ctx, u: HierarchySpec("hd", {"alpha": 0.1}).normalized(),
+    "HierarchySpec parameter": lambda ctx, u: HierarchySpec("hd", {"alpha": 0.1}),
 }
 
 
@@ -443,6 +444,11 @@ def test_exact_inputs_still_accepted():
     half = Fraction(1, 2)
     assert u + Decimal("0.5") == Decimal("0.5") + u == u + half
     assert u - Decimal("0.5") == u - half and Decimal("0.5") - u == half - u
+    with decimal.localcontext() as dctx:
+        dctx.prec = 3  # negating a Decimal first would round it to 0.123
+        assert u - Decimal("0.1234") == u - Fraction(617, 5000)
+        c = Coefficient.parameter(0, 1)
+        assert c - Decimal("0.1234") == c - Fraction(617, 5000)
     assert u * Decimal(2) == Decimal(2) * u == u.scale(Decimal(2)) == u.scale(2)
     assert u / Decimal("0.5") == u.scale(2)
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -177,15 +178,29 @@ def test_record_json_deterministic():
 
 def test_spec_validation():
     with pytest.raises(PvakitError):
-        HierarchySpec("whatever").normalized()
+        HierarchySpec("whatever")
     with pytest.raises(PvakitError):
-        HierarchySpec("kdv", {"zeta": 1}).normalized()
+        HierarchySpec("kdv", {"zeta": 1})
     with pytest.raises(PvakitError):
-        HierarchySpec("cnw_hd", {"c": 1, "alpha": 1}).normalized()
+        HierarchySpec("cnw_hd", {"c": 1, "alpha": 1})
     with pytest.raises(PvakitError):
-        HierarchySpec("kdv", depth=0).normalized()
-    spec = HierarchySpec("cnw_hd", {"c": Fraction(2)}).normalized()
+        HierarchySpec("kdv", depth=0)
+    spec = HierarchySpec("cnw_hd", {"c": Fraction(2)})
     assert spec.params == {"alpha": Fraction(1), "beta": Fraction(2)}
+
+
+def test_a_spec_is_complete_on_construction():
+    """Every family parameter is present under its own name and the depth
+    is set; the caller's dict is left alone, and replace re-checks."""
+    spec = HierarchySpec("kdv")
+    assert (spec.params, spec.depth) == ({"c": None}, 3)
+    given = {"c": 2}
+    spec = HierarchySpec("cnw_hd", given)
+    assert spec.params == {"alpha": 1, "beta": 2}
+    assert given == {"c": 2}
+    assert replace(spec, depth=5) == HierarchySpec("cnw_hd", given, 5)
+    with pytest.raises(PvakitError, match="depth must be at least 1"):
+        replace(spec, depth=0)
 
 
 def test_bound_parameter_matches_symbolic_limit():
@@ -239,6 +254,18 @@ def test_golden_verify_reports_a_wrong_vector(n, part, detail):
     assert [(f.kind, f.triple, f.residual_text) for f in report.failures] == [
         ("golden", (n, part), detail)
     ]
+
+
+def test_golden_verify_reports_failures_part_by_part_then_by_step():
+    """A wrong flow at an early step is reported after a wrong F at a later
+    one: part first (F, h, flow), then ascending step."""
+    spec = HierarchySpec("kdv")
+    rec = generate(spec)
+    for n, part in ((1, "flow"), (3, "F"), (2, "F")):
+        step = rec.step(n)
+        setattr(step, part, tuple(x + x for x in getattr(step, part)))
+    report = golden_verify(spec, rec)
+    assert [f.triple for f in report.failures] == [(2, "F"), (3, "F"), (1, "flow")]
 
 
 def test_golden_verify_reports_a_failed_verification():

@@ -61,7 +61,7 @@ def test_each_value_computed_once_per_run(name, monkeypatch):
 
 def _unscoped(name):
     """The record of generate(HierarchySpec(name)), built with no memo."""
-    spec = HierarchySpec(name).normalized()
+    spec = HierarchySpec(name)
     fam = FAMILIES[name]
     read = _Binding(fam, spec.params)
     H, K = read.operator(fam.H), read.operator(fam.K)

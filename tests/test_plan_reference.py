@@ -35,7 +35,7 @@ def _outcome(solve, Y):
     "name", [name for name, fam in FAMILIES.items() if fam.kind != "dirac"]
 )
 def test_family_solves_match_reference(name):
-    spec = HierarchySpec(name).normalized()
+    spec = HierarchySpec(name)
     fam = FAMILIES[name]
     read = _Binding(fam, spec.params)
     H, K = read.operator(fam.H), read.operator(fam.K)

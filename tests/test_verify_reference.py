@@ -32,7 +32,7 @@ import reference
 
 def _family(name, params=None, depth=None):
     """A freshly generated record with the operators it was built from."""
-    spec = HierarchySpec(name, params or {}, depth).normalized()
+    spec = HierarchySpec(name, params or {}, depth)
     fam = FAMILIES[name]
     read = _Binding(fam, spec.params)
     return generate(spec), read.operator(fam.H), read.operator(fam.K)
