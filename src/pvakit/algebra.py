@@ -517,8 +517,8 @@ class Expression:
         return self * Expression(self.ctx, {mono_pow(m, -1): _norm(_F1 / c)})
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ctx.num(other)
+        if isinstance(other, (int, Fraction)) or other.__class__ is Coefficient:
+            other = self.ctx.coeff_expr(other)
         if not isinstance(other, Expression):
             return NotImplemented
         return self.ctx == other.ctx and self.terms == other.terms

@@ -150,7 +150,7 @@ def evolutionary_commutator(P: VectorExpr, Q: VectorExpr) -> VectorExpr:
 
 @dataclass
 class CheckFailure:
-    kind: str  # "skew" | "jacobi" | "symplectic" | "golden"
+    kind: str  # "skew" | "jacobi" | "symplectic" | "golden" | "verification"
     triple: Optional[tuple] = None  # 1-based indices when applicable
     residual_text: str = ""
     residual: object = None
@@ -310,9 +310,9 @@ def jacobi_operator_residual(
     HG = H.apply(G)
     lhs_inner = (
         frechet(G).apply(HF),
-        frechet(HF, adjoint=True).apply(G),
+        frechet(HF).adjoint().apply(G),
         tuple(-x for x in frechet(F).apply(HG)),
-        frechet(F, adjoint=True).apply(HG),
+        frechet(F).adjoint().apply(HG),
     )
     lhs = H.apply(
         tuple(a + b + c + d for a, b, c, d in zip(*lhs_inner))

@@ -197,8 +197,8 @@ def exactify_cmd(ctx, components):
 @click.pass_obj
 def frechet_cmd(ctx, components, adjoint):
     """First-variation operator of the vector (COMPONENTS...)."""
-    F = _parse_vector(ctx, components)
-    _echo(frechet(F, adjoint=adjoint).render())
+    op = frechet(_parse_vector(ctx, components))
+    _echo((op.adjoint() if adjoint else op).render())
 
 
 @main.command()

@@ -333,6 +333,8 @@ class HierarchySpec:
             k: (v if v is None else Fraction(rational(v))) for k, v in full.items()
         }
         self.depth = self.depth if self.depth is not None else fam.depth
+        if self.depth.__class__ is not int:
+            raise PvakitError("depth must be an integer")
         if self.depth < 1:
             raise PvakitError("depth must be at least 1")
 

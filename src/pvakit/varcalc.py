@@ -62,12 +62,11 @@ def frechet_entry(f: Expression, j: int) -> LambdaPoly:
     return LambdaPoly(f.ctx, {n: f.partial(j, n) for n in orders})
 
 
-def frechet(F: VectorExpr, adjoint: bool = False) -> MatrixDiffOp:
+def frechet(F: VectorExpr) -> MatrixDiffOp:
     """First-variation operator of F: entry (i, j) is sum_n (dF_i/du_j^(n)) d^n."""
     ctx = F[0].ctx
     rows = [[frechet_entry(f, j) for j in range(ctx.nvars)] for f in F]
-    op = MatrixDiffOp(ctx, rows)
-    return op.adjoint() if adjoint else op
+    return MatrixDiffOp(ctx, rows)
 
 
 @dataclass

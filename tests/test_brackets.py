@@ -114,6 +114,14 @@ def test_quadratic_first_order_operator_is_hamiltonian(ctx1):
     assert check_symplectic(op).passed
 
 
+def test_pencil_with_a_symbolic_parameter_is_hamiltonian(ctx1c):
+    c = ctx1c.param("c")
+    H = parse_operator("u' + 2*u*d", ctx1c)
+    pencil = H + MatrixDiffOp.derivative(ctx1c, 3).scale(c)
+    assert pencil == parse_operator("u' + 2*u*d + c*d^3", ctx1c)
+    assert check_pva(pencil).passed
+
+
 def test_check_compatible(ctx1, ctx1c):
     u = ctx1.gen(0)
     H1 = MatrixDiffOp.single(ctx1, [(0, u.total_derivative()), (1, u.scale(2))])

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pvakit import LocalFunctional, MatrixDiffOp
+from pvakit import Context, LocalFunctional, MatrixDiffOp
 from pvakit.algebra import vec_dot
+from pvakit.parsing import parse_operator
 
 from conftest import rand_operator, rand_vector
 
@@ -27,6 +28,10 @@ def test_apply_size_mismatch(ctx2):
     d = MatrixDiffOp.derivative(ctx2, 1, 2)
     with pytest.raises(ValueError):
         d.apply((ctx2.gen(0),))
+
+
+def test_derivative_is_square_in_the_context_variables(ctx2):
+    assert MatrixDiffOp.derivative(ctx2) == MatrixDiffOp.derivative(ctx2, 1, 2)
 
 
 def test_adjoint(ctx1):
@@ -122,3 +127,19 @@ def test_symbol_of_sum_is_additive(seed):
     for i in range(2):
         for j in range(2):
             assert (A + B).entry(i, j) == A.entry(i, j) + B.entry(i, j)
+
+
+def test_scale_by_a_parameter_or_a_function(ctx1c):
+    K = MatrixDiffOp.derivative(ctx1c, 3)
+    c = ctx1c.param("c")
+    want = parse_operator("c*d^3", ctx1c)
+    assert K.scale(c) == want
+    assert K.scale(c.constant_coefficient()) == want
+    assert K.scale(ctx1c.gen(0)) == parse_operator("u*d^3", ctx1c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_negation_is_scale_by_minus_one(seed):
+    H = rand_operator(random.Random(seed), Context(("u", "v")))
+    assert -H == H.scale(-1)

@@ -346,7 +346,7 @@ def test_brackets_are_symbols_of_compositions(data):
     f = data.draw(expressions(ctx, 2))
     g = data.draw(expressions(ctx, 2))
     DgH = frechet((g,)).compose(H)
-    want = DgH.compose(frechet((f,), adjoint=True))
+    want = DgH.compose(frechet((f,)).adjoint())
     assert lambda_bracket(H, f, g) == want.entry(0, 0)
     i = data.draw(st.integers(0, ctx.nvars - 1))
     assert lambda_bracket(H, ctx.gen(i), g) == DgH.entry(0, i)

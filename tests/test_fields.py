@@ -404,7 +404,9 @@ def test_coefficient_meets_expression(op, coefficient_first):
         assert op(c, e) == op(ctx.coeff_expr(c), e)
     else:
         assert op(e, c) == op(e, ctx.coeff_expr(c))
-    for method in (c.__add__, c.__mul__, c.__truediv__):
+    k = ctx.param("c")
+    assert k == c and c == k and e != c and c != e
+    for method in (c.__add__, c.__mul__, c.__truediv__, c.__eq__):
         assert method(e) is NotImplemented
 
 
@@ -419,6 +421,7 @@ FLOAT_ENTRIES = {
     "float - Expression": lambda ctx, u: 0.1 - u,
     "Expression / float": lambda ctx, u: u / 0.5,
     "MatrixDiffOp.scale": lambda ctx, u: MatrixDiffOp.derivative(ctx).scale(0.1),
+    "MatrixDiffOp.zero scale": lambda ctx, u: MatrixDiffOp.zero(ctx).scale(0.1),
     "fields.rational": lambda ctx, u: fields.rational(0.1),
     "Coefficient.scale": lambda ctx, u: Coefficient.parameter(0, 1).scale(0.5),
     "Coefficient + float": lambda ctx, u: Coefficient.parameter(0, 1) + 0.5,

@@ -183,8 +183,9 @@ def test_spec_validation():
         HierarchySpec("kdv", {"zeta": 1})
     with pytest.raises(PvakitError):
         HierarchySpec("cnw_hd", {"c": 1, "alpha": 1})
-    with pytest.raises(PvakitError):
-        HierarchySpec("kdv", depth=0)
+    for depth in (0, 2.5, "3", True):
+        with pytest.raises(PvakitError, match="depth must be"):
+            HierarchySpec("kdv", depth=depth)
     spec = HierarchySpec("cnw_hd", {"c": Fraction(2)})
     assert spec.params == {"alpha": Fraction(1), "beta": Fraction(2)}
 

@@ -59,13 +59,13 @@ def test_frechet_examples(ctx1):
     F = ((up ** -1).scale(Fraction(-1, 2)),)
     D = frechet(F)
     assert D == MatrixDiffOp.single(ctx1, [(1, (up ** -2).scale(Fraction(1, 2)))])
-    defect = D - frechet(F, adjoint=True)
+    defect = D - frechet(F).adjoint()
     inv = MatrixDiffOp(ctx1, [[up ** -1]])
     assert defect == inv.compose(MatrixDiffOp.derivative(ctx1)).compose(inv)
     # exact vectors have self-adjoint first variation
     G = variational_derivative(ctx1.gen(0) * ctx1.gen(0, 2))
     assert G == (ctx1.gen(0, 2).scale(2),)
-    assert frechet(G) == frechet(G, adjoint=True)
+    assert frechet(G) == frechet(G).adjoint()
 
 
 def test_is_closed(ctx1, ctx3):
