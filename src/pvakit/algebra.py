@@ -235,6 +235,19 @@ def mono_bump(a: Monomial, idx: int) -> Monomial:
     return a[:j] + ((up, x),) + a[j + 1:idx] + rest
 
 
+def power(x, k: int, one, mul):
+    """x^k for an integer k >= 0 by square and multiply, with one the unit
+    and mul the product of x's ring, which need not be commutative: the
+    powers of x commute."""
+    out = one
+    while k > 1:  # no square after the top bit
+        if k & 1:
+            out = mul(out, x)
+        x = mul(x, x)
+        k >>= 1
+    return mul(out, x) if k else out
+
+
 def refuse_huge_power(f: "Expression", k: int) -> None:
     """Raise MemoryError, before any multiplication, when f^k has a
     coefficient that no machine can hold: the largest or the smallest term
@@ -483,13 +496,7 @@ class Expression:
         if k.denominator == 1 and k >= 0:
             n = int(k)
             refuse_huge_power(self, n)
-            out, base = self.ctx.one(), self
-            while n > 1:  # no square after the top bit
-                if n & 1:
-                    out = out * base
-                base = base * base
-                n >>= 1
-            return out * base if n else out
+            return power(self, n, self.ctx.one(), Expression.__mul__)
         if not self.terms and k < 0:
             raise NonMonomialDivisor("division by zero")
         if not self.is_monomial():

@@ -38,31 +38,30 @@ from .parsing import parse_expression, parse_operator
 from .varcalc import exactify, frechet, integrate_total, variational_derivative
 
 
-def _config_names(data: dict, key: str, default: str) -> str:
-    """The names listed under key, comma-joined, or default when absent."""
-    if key not in data:
-        return default
-    names = data[key]
-    if not isinstance(names, list):
-        raise TypeError("%r must be a list of names, not %r" % (key, names))
-    return ",".join(names)
-
-
 def _session(vars_, params, config) -> Context:
+    names = [[s.strip() for s in t.split(",") if s.strip()] for t in (vars_, params)]
     if config:
         try:
             with open(config) as fh:
                 data = json.load(fh)
-            vars_ = _config_names(data, "variables", vars_)
-            params = _config_names(data, "parameters", params)
-        except (OSError, ValueError, TypeError, AttributeError) as exc:
+            if not isinstance(data, dict):
+                raise TypeError("expected a JSON object, not %r" % (data,))
+            for i, key in enumerate(("variables", "parameters")):
+                given = data.get(key, names[i])
+                # every name as --vars could give it: stripped, not blank, no ','
+                if not isinstance(given, list) or not all(
+                    isinstance(s, str) and s and s == s.strip() and "," not in s
+                    for s in given
+                ):
+                    raise TypeError("%r must be a list of names, not %r" % (key, given))
+                names[i] = given
+        except (OSError, ValueError, TypeError) as exc:
             raise click.UsageError("unreadable --config file: %s" % exc)
-    names = tuple(s.strip() for s in vars_.split(",") if s.strip())
-    if not names:
+    vars_, params = names
+    if not vars_:
         raise click.UsageError("the session needs at least one variable")
-    plist = tuple(s.strip() for s in params.split(",") if s.strip()) if params else ()
     try:
-        return Context(names, plist)
+        return Context(vars_, params)
     except ValueError as exc:
         raise click.UsageError(str(exc))
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Optional
 
 from .algebra import Context
@@ -64,21 +64,14 @@ class Family:
     start: int = 0
 
 
-def _odd_ff(n: int) -> int:
-    """1 * 3 * ... * (2n - 1); empty product for n = 0."""
-    out = 1
-    for k in range(1, n + 1):
-        out *= 2 * k - 1
-    return out
-
-
 def _golden_dispersionless(ctx: Context, depth: int):
     u = ctx.gen(0)
     F = {}
     h = {}
     for n in range(depth + 1):
-        F[n] = ((u ** n).scale(Fraction(_odd_ff(n), factorial(n))),)
-        h[n] = (u ** (n + 1)).scale(Fraction(_odd_ff(n), factorial(n + 1)))
+        odd = prod(range(1, 2 * n, 2))  # 1 * 3 * ... * (2n - 1)
+        F[n] = ((u ** n).scale(Fraction(odd, factorial(n))),)
+        h[n] = (u ** (n + 1)).scale(Fraction(odd, factorial(n + 1)))
     return F, h, {}
 
 

@@ -2,7 +2,9 @@
 
 An operator entry is an element of the ring of scalar differential
 operators: d is the total derivative, * composes (d*u = u*d + u') and ^k
-composes k times.  An expression is an operator entry without d.
+is the k-th power, taken by square and multiply once
+algebra.refuse_huge_power has let it pass, so (-d)^k and (0*d)^k answer
+at once for any k.  An expression is an operator entry without d.
 Generators are variable names with primes (u, u', u''') or a
 parenthesized derivative marker u^(k) for k >= 4; integer powers are bare
 (u^2) while fractional or negative exponents are parenthesized (u^(-1/2));
@@ -24,7 +26,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .algebra import Context, Expression, refuse_huge_power
+from .algebra import Context, Expression, power, refuse_huge_power
 from .errors import NonMonomialDivisor, ParseError
 from .operators import LambdaPoly, MatrixDiffOp
 
@@ -162,19 +164,9 @@ class _Parser:
             if e.denominator != 1 or e < 0:
                 raise ParseError("d powers must be nonnegative integers", pos)
             k = int(e)
-            if k and len(value) == 1:
-                ((p, c),) = value
-                if c.is_constant():  # (c*d^p)^k = c^k*d^(p*k)
-                    c = _arith(operator.pow, c, e, pos)
-                    value = LambdaPoly(self.ctx, {p * k: c})
-                    continue
             if value:  # the top coefficient of value^k is value's to the k
                 refuse_huge_power(value.coefficient(max(value.coeffs)), k)
-            # value o value^(k-1): each step differentiates only to value's order
-            out = self.ctx.one()
-            for _ in range(k):
-                out = _compose(value, out, pos)
-            value = out
+            value = power(value, k, self.ctx.one(), lambda a, b: _compose(a, b, pos))
         return value
 
     def _exponent(self) -> Fraction:

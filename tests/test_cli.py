@@ -668,14 +668,18 @@ N = "99999999999999999999"
         ),
         (["check-pva", "--op", "(-d)^" + N], 0, "pass"),
         (["--params", "c", "check-pva", "--op", "(c*d)^" + N], 0, "pass"),
+        (["check-pva", "--op", "(0*d)^" + N], 0, "pass"),
+        (["check-pva", "--op", "(d - d)^" + N], 0, "pass"),
+        (["check-pva", "--op", "(u + 0*d)^" + N], 1, "fail\n  skew: 2*u^" + N),
     ],
 )
 def test_a_twenty_digit_gap_with_constant_coefficients_answers_at_once(argv, code, out):
     """d^g o x takes Leibniz steps only while a coefficient is not
     constant, the adjoint visits only the orders its entry has, the
     triangle solver stops integrating a zero right side, and the parser
-    reads (c*d)^k with a constant c as c^k*d^k, so an operator d^(10^20)
-    costs no loop over its order."""
+    takes an entry's ^k by square and multiply, about 2 log2(k)
+    compositions, so neither an operator d^(10^20) nor the 10^20-th power
+    of an entry with no d left costs a loop over its order."""
     root = os.path.dirname(os.path.dirname(pvakit.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
@@ -746,10 +750,17 @@ def test_negative_lenard_depth_is_usage_error():
 
 
 def test_config_names_must_be_lists(tmp_path):
+    """A config is a JSON object whose lists hold names that --vars could
+    give: stripped, not blank and without ','."""
     cfg = tmp_path / "session.json"
-    for data in ({"variables": "uv"}, {"parameters": "c"}, {"variables": None}):
+    for data in (
+        {"variables": "uv"}, {"parameters": "c"}, {"variables": None},
+        {"variables": ["u,v"]}, {"variables": ["u", " "]}, [1, 2], "uv",
+    ):
         cfg.write_text(json.dumps(data))
-        _assert_usage_error(run("--config", str(cfg), "vder", "u"))
+        r = run("--config", str(cfg), "vder", "u")
+        _assert_usage_error(r)
+        assert "unreadable --config file" in r.output
 
 
 @pytest.mark.parametrize("argv, last", [

@@ -762,6 +762,37 @@ def test_parsed_products_are_compositions(a, b, k):
     assert parse_operator("-(%s)" % a, ctx) == A.scale(-1)
 
 
+@st.composite
+def small_entry_texts(draw, ctx):
+    """An entry of at most two terms q*g^e*d^p: q a rational or q + r*c, g
+    one or a generator of order at most 1, e and p at most 2.  Its 7th
+    power stays small, where that of an entry_texts entry can run to
+    millions of characters."""
+    factors = [ctx.one()] + [ctx.gen(i, n) for i in range(ctx.nvars) for n in (0, 1)]
+    terms = []
+    for _ in range(draw(st.integers(0, 2))):
+        f = draw(st.sampled_from(factors)) ** draw(st.integers(1, 2))
+        q = ctx.coeff_expr(draw(coefficients(ctx)))
+        terms.append((draw(st.integers(0, 2)), q * f))
+    return MatrixDiffOp(ctx, [[terms]]).render_entry(0, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_entry_texts(CTXS[1]), st.integers(0, 7))
+@example("u*d + v", 7)
+@example("u'*d^2 - 2*u", 6)
+@example("(c + 1)*d + u", 5)
+def test_parsed_powers_are_repeated_compositions(a, k):
+    """A parsed (A)^k, taken by square and multiply, equals A composed
+    with itself k times, for k with several bits set."""
+    ctx = CTXS[1]
+    A = parse_operator(a, ctx)
+    power = MatrixDiffOp.identity(ctx, 1)
+    for _ in range(k):
+        power = power.compose(A)
+    assert parse_operator("(%s)^%d" % (a, k), ctx) == power
+
+
 def signed_coefficients(ctx):
     """-1, 1, or a coefficient that may be a sum in c or sit over c + k."""
     return st.one_of(st.sampled_from([-1, 1]), coefficients(ctx, fractions_of_c=True))

@@ -169,7 +169,7 @@ def test_operator_grammar_rejections(ctx1):
 
 
 def test_operator_products_compose(ctx1):
-    """* composes and ^k composes k times, wherever d stands."""
+    """* composes and ^k is the k-fold composition, wherever d stands."""
     def op(text):
         return parse_operator(text, ctx1).render()
 
@@ -183,9 +183,10 @@ def test_operator_products_compose(ctx1):
     assert op("d^0") == op("(u*d)^0") == "1"
 
 
-def test_constant_coefficient_powers_take_one_step(ctx1c):
-    """(c*d^p)^k = c^k*d^(p*k) for a constant c, a number or a parameter;
-    a coefficient that is not constant is still composed k times."""
+def test_entry_powers_are_repeated_compositions(ctx1c):
+    """An entry's ^k is its k-fold composition, whatever its coefficients
+    and whether or not d is left in it; (c*d^p)^k = c^k*d^(p*k) for a
+    constant c, a number or a parameter."""
     def op(text):
         return parse_operator(text, ctx1c).render()
 
@@ -193,6 +194,9 @@ def test_constant_coefficient_powers_take_one_step(ctx1c):
     assert op("(c*d^2)^3") == op("(c*d^2)*(c*d^2)*(c*d^2)") == "c^3*d^6"
     assert op("(-d)^3") == "-d^3"
     assert op("(u*d)^2") == op("(u*d)*(u*d)") == "u'*u*d + u^2*d^2"
+    assert op("(u*d)^5") == op("(u*d)*(u*d)*(u*d)*(u*d)*(u*d)")
+    assert op("(d - d)^3") == "0"
+    assert op("(u + 0*d)^3") == "u^3"
 
 
 def test_parenthesized_coefficients(ctx1c):
