@@ -23,12 +23,13 @@ A coefficient takes one of two forms.
 ``scale`` and ``-`` change only k and share N and D.  A product over
 D = None is k1*k2 times N1*N2 and runs no gcd: by Gauss's lemma a product
 of primitive polynomials is primitive, and its leading coefficient is the
-product of the two positive leading coefficients.  A sum over D = None
-adds the two polynomials brought to one integer scale and pulls the
-integer content out with ``math.gcd``; when N1 is N2 (like terms
-q1*c + q2*c) it only adds k1 + k2.  A non-constant D is the rare path:
-the polynomial gcd and exact division run on integer polynomials
-(primitive pseudo-remainder sequence).  A power is taken of the constant
+product of the two positive leading coefficients.  A sum of like terms
+q1*c + q2*c (one N, D = None) only adds k1 + k2.  Any other sum meets
+through the ratio a/b = k2/k1 of its scales, a missing D read as 1:
+k1*N1/D1 + k2*N2/D2 = (k1/b) * (b*N1/D1 + a*N2/D2).  ``_quotient``
+normalises every sum and product that is not a fast path; over a
+non-constant D it runs the polynomial gcd and exact division (primitive
+pseudo-remainder sequence).  A power is taken of the constant
 ``ctx.coeff_expr(c)``, through ``Expression.__pow__`` and its size guard.
 
 ``num`` and ``den`` are read-only views in the normalized form that
@@ -267,7 +268,8 @@ def _pdiv_exact(a: IntPoly, b: IntPoly) -> IntPoly:
 
 def _quotient(k, S: IntPoly, T: IntPoly, nvars: int):
     """The coefficient k * S / T, for a nonzero plain rational k and integer
-    polynomials S and T != 0: the path with a non-constant denominator."""
+    polynomials S and T != 0: the one normalisation of every sum and
+    product that is not a fast path."""
     if not S:
         return 0
     cs, S = _primitive(S)
@@ -313,9 +315,7 @@ class Coefficient:
 
     @property
     def den(self) -> Poly:
-        d = self._d
-        if d is None:
-            return {_zeros(self.nvars): 1}
+        d = self._d or {_zeros(self.nvars): 1}
         lc = d[max(d)]
         return dict(d) if lc == 1 else {e: _ratio(q, lc) for e, q in d.items()}
 
@@ -336,41 +336,16 @@ class Coefficient:
         if d1 is None and d2 is None and (n1 is n2 or n1 == n2):
             k = _norm(k1 + k2)
             return _parametric(k, n1, None, nvars) if k else 0
-        # k1 = g * m1 / den and k2 = g * m2 / den with integers m1, m2
-        if k1.__class__ is int:
-            if k2.__class__ is int:
-                m1, m2, den = k1, k2, 1
-            else:
-                den = k2._denominator
-                m1, m2 = k1 * den, k2._numerator
-        elif k2.__class__ is int:
-            den = k1._denominator
-            m1, m2 = k1._numerator, k2 * den
+        # k1*N1/D1 + k2*N2/D2 = (k1/b) * (b*N1/D1 + a*N2/D2) with a/b = k2/k1
+        r = Fraction(k2, k1)
+        a, b = r._numerator, r._denominator
+        unit = {_zeros(nvars): 1}
+        d1, d2 = d1 or unit, d2 or unit
+        if d1 == d2:
+            S, T = _lincomb(b, n1, a, n2), d1
         else:
-            b1, b2 = k1._denominator, k2._denominator
-            den = b1 // gcd(b1, b2) * b2
-            m1, m2 = k1._numerator * (den // b1), k2._numerator * (den // b2)
-        g = gcd(m1, m2)
-        if g != 1:
-            m1 //= g
-            m2 //= g
-        if d1 is None and d2 is None:
-            # S != 0, else n1 = n2: both are primitive with a positive lead
-            S = _lincomb(m1, n1, m2, n2)
-            if _is_const(S):
-                (c,) = S.values()
-                return _ratio(g * c, den)
-            c, S = _primitive(S)
-            return _parametric(_ratio(g * c, den), S, None, nvars)
-        if d1 is None:
-            S, T = _lincomb(m1, _pmul(n1, d2), m2, n2), d2
-        elif d2 is None:
-            S, T = _lincomb(m1, n1, m2, _pmul(n2, d1)), d1
-        elif d1 == d2:
-            S, T = _lincomb(m1, n1, m2, n2), d1
-        else:
-            S, T = _lincomb(m1, _pmul(n1, d2), m2, _pmul(n2, d1)), _pmul(d1, d2)
-        return _quotient(_ratio(g, den), S, T, nvars)
+            S, T = _lincomb(b, _pmul(n1, d2), a, _pmul(n2, d1)), _pmul(d1, d2)
+        return _quotient(Fraction(k1, b), S, T, nvars)
 
     __radd__ = __add__
 
@@ -409,13 +384,9 @@ class Coefficient:
         return self.scale(_F1 / other)
 
     def __rtruediv__(self, q):
-        k = _norm(_F1 / self._k)
-        n, d, nvars = self._n, self._d, self.nvars
-        if d is None:
-            inverse = _parametric(k, {_zeros(nvars): 1}, n, nvars)
-        else:
-            inverse = _parametric(k, d, None if _is_const(n) else n, nvars)
-        return inverse.scale(q)
+        n, nvars = self._n, self.nvars
+        d = self._d or {_zeros(nvars): 1}
+        return _parametric(_norm(_F1 / self._k), d, None if _is_const(n) else n, nvars).scale(q)
 
     def scale(self, q):
         if q.__class__ is not int and not isinstance(q, Fraction):

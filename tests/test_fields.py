@@ -367,6 +367,73 @@ def test_products_over_denominator_one_run_no_gcd(monkeypatch):
         assert_canonical(x)
 
 
+def _pair(make):
+    """(library, reference) values of make(c, t, q) over the parameters c
+    and t; q turns a number into a coefficient."""
+    lib = make(P(0), P(1), C)
+    R = reference.Coefficient
+    return lib, make(R.parameter(0, 2), R.parameter(1, 2), lambda x: R.from_fraction(x, 2))
+
+
+_OVER = {
+    "1": lambda c, t, q, n: n,
+    "D": lambda c, t, q, n: n / (c + q(1)),
+    "E": lambda c, t, q, n: n / (t - q(2)),
+}
+
+
+def _unlike(c, t, q, dens, k1, k2):
+    """(c + t)/D1 scaled by k1 and (c*t - 1)/D2 scaled by k2, or the number
+    k2 for D2 = "q"."""
+    x = _OVER[dens[0]](c, t, q, c + t).scale(k1)
+    y = q(k2) if dens[1] == "q" else _OVER[dens[1]](c, t, q, c * t - q(1)).scale(k2)
+    return x, y
+
+
+@pytest.mark.parametrize("k1, k2", [(2, -3), (2, Fraction(3, 4)), (Fraction(5, 6), 4), (Fraction(5, 6), Fraction(-3, 4))])
+@pytest.mark.parametrize("dens", ["11", "1D", "D1", "DD", "DE", "1q", "Dq"])
+def test_unlike_sums_match_reference(k1, k2, dens):
+    """Every pair of scale types over the denominators 1 and 1, 1 and D, D
+    and 1, D and D, D and E, and with a number as the second term."""
+    for op in (operator.add, lambda x, y: y + x, operator.sub):
+        x, r = _pair(lambda c, t, q: op(*_unlike(c, t, q, dens, k1, k2)))
+        assert_same(x, r)
+        assert_canonical(x)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda c, t, q: (c + t) / (c + q(1)) - (c + t) / (c + q(1)),
+        lambda c, t, q: c.scale(Fraction(2, 3)) / (c + q(1)) + q(Fraction(2, 3)) / (c + q(1)),
+        lambda c, t, q: c / (c + q(1)) - q(1) / (c - q(1)),
+        lambda c, t, q: q(Fraction(-2, 3)) / (c + t),
+        lambda c, t, q: q(3) / (q(1) / (c + q(1))),
+        lambda c, t, q: q(Fraction(-2, 3)) / ((c + t) / (c + q(1))),
+    ],
+    ids=["cancel-to-0", "cancel-to-number", "new-denominator", "over-D-1", "over-constant-N", "over-N-and-D"],
+)
+def test_cancelling_sums_and_reciprocals_match_reference(make):
+    x, r = _pair(make)
+    assert_same(x, r)
+    assert_canonical(x)
+
+
+def test_unlike_sums_over_denominator_one_run_no_polynomial_gcd(monkeypatch):
+    terms = [
+        lambda c, t, q: c + t,
+        lambda c, t, q: (c * t - q(1)).scale(Fraction(5, 6)),
+        lambda c, t, q: c.scale(-3),
+        lambda c, t, q: q(Fraction(3, 4)),
+    ]
+    monkeypatch.setattr(fields, "_pgcd", _refuse)
+    for f in terms:
+        for g in terms:
+            x, r = _pair(lambda c, t, q: f(c, t, q) + g(c, t, q))
+            assert_same(x, r)
+            assert_canonical(x)
+
+
 def test_plain_rationals_are_python_numbers():
     """A coefficient in which no parameter occurs is stored as an int or a
     Fraction, and a Coefficient operation whose result holds no parameter
