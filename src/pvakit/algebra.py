@@ -425,7 +425,7 @@ class Expression:
     # -- arithmetic ---------------------------------------------------------
 
     def _check_ctx(self, other: "Expression"):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("expressions live in different contexts")
 
     def __add__(self, other):

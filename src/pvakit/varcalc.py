@@ -4,8 +4,10 @@ Provides the variational derivative and higher Euler operators, the first
 variation (Frechet derivative) of a vector of expressions together with
 its formal adjoint, the closedness test D_F = D_F^*, and the two exactness
 algorithms: inversion of the total derivative and reconstruction of a
-potential for a closed vector.  Local functionals (expressions modulo
-total derivatives) and their equality test live here as well.
+potential for a closed vector.  A potential certifies closedness: the
+inductive reconstruction runs before the defect D_F - D_F^* is built.
+Local functionals (expressions modulo total derivatives) and their
+equality test live here as well.
 """
 
 from __future__ import annotations
@@ -82,10 +84,12 @@ def frechet_defect(F: VectorExpr) -> MatrixDiffOp:
 
 
 def is_closed(F: VectorExpr) -> ClosednessReport:
-    """D_F = D_F^* with the defect D_F - D_F^*.  A variational derivative is
-    closed (the variational complex is a complex), so F is first certified
-    by delta of its scaling potential; the defect is built only if that fails."""
-    if _scaling_potential(F) is not None:
+    """D_F = D_F^* with the defect D_F - D_F^*.  The inductive algorithm
+    runs first: when it returns f, F = delta f exactly, and a variational
+    derivative is closed (the variational complex is a complex), so the
+    defect is zero; it is built only when the algorithm raises, or when F
+    has a length other than nvars."""
+    if _inductive_potential(F)[0] is not None:
         return ClosednessReport(True, MatrixDiffOp.zero(F[0].ctx))
     defect = frechet_defect(F)
     return ClosednessReport(defect.is_zero(), defect)
@@ -252,23 +256,40 @@ def _exactify_inductive(F: VectorExpr) -> Expression:
         cur = [fk - dk for fk, dk in zip(cur, dd)]
 
 
+def _inductive_potential(F: VectorExpr):
+    """(f, None) with delta f = F exactly, from the inductive algorithm, or
+    (None, error) with the NotClosed, LogRequired or OrderViolation that
+    stopped it; (None, None) for a length other than nvars, where the
+    algorithm would rebuild only the components it sees."""
+    if len(F) != F[0].ctx.nvars:
+        return None, None
+    try:
+        return _exactify_inductive(F), None
+    except (NotClosed, LogRequired, OrderViolation) as exc:
+        return None, exc
+
+
 def exactify(F: VectorExpr) -> Expression:
     """A potential f with delta f / delta u = F, for closed F.
 
-    The scaling potential is the answer when its delta is F, which also
-    certifies F closed.  Otherwise the defect D_F - D_F^* is built
-    (NotClosed when nonzero) and the inductive double-antiderivative
-    algorithm runs; the result always satisfies the equation exactly.
+    The scaling potential is the answer when its delta is F.  Otherwise the
+    inductive double-antiderivative algorithm runs, and its potential
+    satisfies the equation exactly.  Only when it raises is the defect
+    D_F - D_F^* built: NotClosed when nonzero, and the algorithm's own
+    error when F is closed.  A non-closed F always stops the algorithm,
+    so this order answers as the defect-first one does.
     """
     if vec_is_zero(F):
         return F[0].ctx.zero()
     f = _scaling_potential(F)
+    if f is None:
+        f, stall = _inductive_potential(F)
     if f is not None:
         return f
     defect = frechet_defect(F)
     if not defect.is_zero():
         raise NotClosed("defect operator: %s" % defect.render())
-    return _exactify_inductive(F)
+    raise stall
 
 
 @dataclass

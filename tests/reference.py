@@ -19,7 +19,9 @@ lambda_bracket.  _nls_steps writes out the coupled NLS recursion; the
 library runs the NLS Dirac pair (H, K) through lenard_extend.  is_closed
 always builds the defect operator, and exactify decides closedness by it
 before it looks for a potential; the library first certifies closedness
-by delta of the scaling potential.  entry_norm sums like powers of
+by the inductive potential, whose delta is F exactly when it runs
+through, and exactify builds the defect only when both the scaling
+potential and that algorithm fail.  entry_norm sums like powers of
 (power, coeff) items by hand; the library's entry is one LambdaPoly, the
 entry and its symbol alike, which reads as its terms in ascending power.
 The symbol routines below carry their own binomial and shift loops, and

@@ -32,7 +32,9 @@ from pvakit import (
     Expression,
     LambdaPoly,
     LocalFunctional,
+    LogRequired,
     MatrixDiffOp,
+    NotClosed,
     NotExact,
     OrderViolation,
     PvakitError,
@@ -57,7 +59,7 @@ from pvakit.brackets import (
 from pvakit.fields import Coefficient, _norm
 from pvakit.hierarchies import FAMILIES
 from pvakit.parsing import parse_expression, parse_operator
-from pvakit.varcalc import antiderivative, frechet_entry
+from pvakit.varcalc import _exactify_inductive, antiderivative, frechet_entry
 
 import reference
 
@@ -618,6 +620,20 @@ def test_certified_is_closed(F):
 @given(closedness_inputs())
 def test_certified_exactify(F):
     assert _outcome(exactify, F) == _outcome(reference.exactify, F)
+
+
+@settings(max_examples=80, deadline=None)
+@given(closedness_inputs())
+def test_inductive_potential_is_a_certificate(F):
+    """What is_closed takes as its certificate: whenever the inductive
+    algorithm returns for a vector of nvars components, delta of its
+    potential is that vector exactly."""
+    assume(len(F) == F[0].ctx.nvars)
+    try:
+        f = _exactify_inductive(F)
+    except (NotClosed, LogRequired, OrderViolation):
+        return
+    assert variational_derivative(f) == F
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,8 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 import pytest
 
+import pvakit
 from pvakit import (
     Context,
     LocalFunctional,
@@ -23,6 +32,7 @@ from pvakit.algebra import vec_is_zero
 from pvakit.operators import MatrixDiffOp
 from pvakit.varcalc import FunctionalComparison, _exactify_inductive
 
+import reference
 from conftest import rand_expr
 
 
@@ -164,6 +174,86 @@ def test_exactify_errors_and_degenerate(ctx1):
     with pytest.raises(NotClosed):
         exactify((ctx1.gen(0, 1),))
     assert exactify((ctx1.zero(),)).is_zero()
+
+
+def test_closedness_when_the_inductive_algorithm_stalls(ctx1):
+    """The inductive algorithm certifies closedness when it returns; when
+    it raises, the defect decides.  u^(-1) is closed, but its potential
+    needs log u; u' and 1/u'' are not closed, and the algorithm stops on
+    them with NotClosed and OrderViolation."""
+    F = (ctx1.parse("u^(-1)"),)
+    with pytest.raises(LogRequired):
+        _exactify_inductive(F)
+    rep = is_closed(F)
+    assert rep.closed and rep.defect == MatrixDiffOp.zero(ctx1)
+    with pytest.raises(LogRequired, match=r"^term u\^\(-1\) needs a logarithm in u$"):
+        exactify(F)
+    for text, stall, defect in (
+        ("u'", NotClosed, "2*d"),
+        ("u''^(-1)", OrderViolation,
+         "-2*u^(4)*u''^(-3) + 6*u'''^2*u''^(-4) - 4*u'''*u''^(-3)*d"),
+    ):
+        F = (ctx1.parse(text),)
+        with pytest.raises(stall):
+            _exactify_inductive(F)
+        rep = is_closed(F)
+        assert not rep.closed and rep.defect.render() == defect
+        with pytest.raises(NotClosed) as info:
+            exactify(F)
+        assert str(info.value) == "defect operator: " + defect
+
+
+def test_closedness_of_a_vector_of_the_wrong_length(ctx1, ctx2):
+    """A vector of a length other than nvars goes to the defect, which
+    refuses it as the reference does, although the inductive algorithm
+    would rebuild the components it sees."""
+    for F in ((ctx2.gen(0),), (ctx1.gen(0), ctx1.gen(0, 2))):
+        with pytest.raises(ValueError) as want:
+            reference.is_closed(F)
+        for fn in (is_closed, exactify):
+            with pytest.raises(ValueError) as got:
+                fn(F)
+            assert str(got.value) == str(want.value)
+
+
+@pytest.mark.skipif(resource is None, reason="RLIMIT_CPU of a child process needs resource")
+def test_a_twenty_digit_order_is_closed_or_not_at_once():
+    """u^(N) for N = 10^20 - 1 stops the inductive algorithm at its first
+    step, and its defect 2*d^N is one term; u^(N + 1) is rebuilt from one
+    piece, u^(M)^2 / 2 up to sign for M = (N + 1) / 2, whose delta shifts
+    one linear term.  A child with 2 s of CPU time answers all four calls."""
+    code = """if True:
+        from pvakit import Context, NotClosed, exactify, is_closed
+        ctx = Context(("u",))
+        for n in (10**20 - 1, 10**20):
+            F = (ctx.gen(0, n),)
+            rep = is_closed(F)
+            print(rep.closed, rep.defect.render())
+            try:
+                print(exactify(F).render())
+            except NotClosed as exc:
+                print(exc)
+    """
+    root = os.path.dirname(os.path.dirname(pvakit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+        resource.setrlimit(resource.RLIMIT_CPU, (2, 2))
+
+    r = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, env=env, preexec_fn=capped, timeout=20,
+    )
+    assert r.returncode == 0, r.stderr.decode()[-2000:]
+    N = "99999999999999999999"
+    assert r.stdout.decode().splitlines() == [
+        "False 2*d^" + N,
+        "defect operator: 2*d^" + N,
+        "True 0",
+        "1/2*u^(1%s)*u" % ("0" * 20),
+    ]
 
 
 def test_inductive_step_guards_both_parities(ctx2):
