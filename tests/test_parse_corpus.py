@@ -57,6 +57,10 @@ _FIXED = [
     "-(-(-u))", "(" * 60 + "u" + ")" * 60, "-" * 120 + "u", "u" + "^2" * 4,
     "u'''''''", "u^(12)", "u^(3)", "d^(4)", "alpha*u", "u_1 + u",
     "(2*d)^2", "d*(u*d)", "d*(2*d)", "(u*d)*d", "d, 0; d",
+    "2^3*u", "u*2^3", "2^(-2)*u", "c^2*u/3", "u/2/c",
+    "u/v/w", "u*u^(-1)", "u^(1/2)*u^(1/2)", "u^(1/2)^2*v", "u^0*v", "0*u^(-1)",
+    "u*d*u", "2*u*d^2*v", "u*d^2 + u*d^2", "u*d - u*d",
+    "c/c*u", "u'^2^3",
 ]
 
 _ATOMS = [
