@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pvakit import (
     Context,
     Expression,
+    LambdaPoly,
     MatrixDiffOp,
     NonMonomialDivisor,
     ParseError,
@@ -118,12 +120,16 @@ def test_parameter_names_read_through_a_mapping():
 
 
 def test_running_out_of_memory_is_not_a_parse_error(ctx1, monkeypatch):
+    """Expression arithmetic that runs out of memory, in a product of
+    sums or in the power of a number inside a product, raises MemoryError
+    itself.  A product of monomials such as u*u folds without it."""
     def exhausted(a, b):
         raise MemoryError
 
     monkeypatch.setattr(Expression, "__mul__", exhausted)
-    with pytest.raises(MemoryError):
-        ctx1.parse("u*u")
+    for text in ("(u + 1)*(u + 1)", "u*2^3"):
+        with pytest.raises(MemoryError):
+            ctx1.parse(text)
 
 
 def test_round_trip_random():
@@ -203,3 +209,105 @@ def test_parenthesized_coefficients(ctx1c):
     op = parse_operator("(u + c)*d^2", ctx1c)
     want = MatrixDiffOp.single(ctx1c, [(2, ctx1c.gen(0) + ctx1c.param("c"))])
     assert op == want
+
+
+# -- one-pass terms and sums against per-factor arithmetic -------------------
+
+_CTX = Context(("u", "v"), ("c",))
+
+
+def _as_entry(x):
+    return x if isinstance(x, LambdaPoly) else LambdaPoly.of(x)
+
+
+def _times(a, b):
+    """a*b as the grammar reads it: the product of two d-free values, else
+    the composition a o b."""
+    if isinstance(a, Expression) and isinstance(b, Expression):
+        return a * b
+    return _as_entry(b).op_apply(_as_entry(a))
+
+
+def _plus(a, b):
+    if isinstance(a, Expression) and isinstance(b, Expression):
+        return a + b
+    return _as_entry(a) + _as_entry(b)
+
+
+def _exponent_text(e) -> str:
+    return "^%d" % e if e.denominator == 1 and e >= 0 else "^(%s)" % e
+
+
+@st.composite
+def _factor(draw, with_d):
+    """(text, value, is a d-free monomial) of a number, a generator (with
+    primes or a derivative marker), the parameter c, each with up to two
+    exponents, or of d^k."""
+    ctx = _CTX
+    kind = draw(st.sampled_from(["num", "gen", "gen", "param"] + ["d"] * with_d))
+    if kind == "d":
+        k = draw(st.integers(0, 3))
+        value = LambdaPoly(ctx, {k: ctx.one()}) if k else ctx.one()
+        return ("d" if k == 1 else "d^%d" % k), value, not k
+    if kind == "num":
+        n = draw(st.integers(0, 4))
+        text, value = str(n), ctx.num(n)
+    elif kind == "param":
+        text, value = "c", ctx.param("c")
+    else:
+        i, n = draw(st.integers(0, 1)), draw(st.integers(0, 5))
+        text = "uv"[i] + "'" * n if n <= 3 else "%s^(%d)" % ("uv"[i], n)
+        value = ctx.gen(i, n)
+    for _ in range(draw(st.integers(0, 2))):
+        if kind == "gen":  # a unit monomial: any rational power
+            e = draw(st.fractions(-3, 3, max_denominator=3))
+        else:  # a number or a parameter: integer powers, none negative of 0
+            e = Fraction(draw(st.integers(-2, 3)))
+            if value.is_zero():
+                e = abs(e)
+        text += _exponent_text(e)
+        value = value ** e
+    return text, value, True
+
+
+@st.composite
+def _term(draw, with_d):
+    """A product of factors; a d-free monomial may divide while the term
+    is d-free, and a generator may be followed by its inverse power."""
+    text, value, _ = draw(_factor(with_d))
+    for _ in range(draw(st.integers(0, 3))):
+        ftext, fvalue, monomial = draw(_factor(with_d))
+        divide = (
+            monomial and not fvalue.is_zero() and isinstance(value, Expression)
+            and draw(st.booleans())
+        )
+        text += ("/" if divide else "*") + ftext
+        value = value / fvalue if divide else _times(value, fvalue)
+        if isinstance(fvalue, Expression) and fvalue.is_monomial() and draw(st.booleans()):
+            (m, _), = fvalue.terms.items()
+            inverse = Expression(_CTX, {m: 1}) ** -1  # the exponents sum to zero
+            text += "*" + inverse.render()
+            value = _times(value, inverse)
+    return text, value
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans(), st.data())
+def test_one_pass_parse_matches_per_factor_arithmetic(with_d, data):
+    """A sum of products of numbers, generators, c, their powers, quotients
+    by monomials and, for an entry, d^k anywhere reads as the value that
+    Expression and LambdaPoly arithmetic builds factor by factor; a term
+    repeated with the other sign cancels."""
+    terms = data.draw(st.lists(_term(with_d), min_size=1, max_size=4))
+    text, value = terms[0]
+    if data.draw(st.booleans()):
+        text, value = "-" + text, -value
+    for t, v in terms[1:] + data.draw(st.lists(st.sampled_from(terms), max_size=2)):
+        negate = data.draw(st.booleans())
+        text += (" - " if negate else " + ") + t
+        value = _plus(value, -v if negate else v)
+    entry = _as_entry(value)
+    assert parse_operator_entry(text, _CTX) == entry, text
+    assert parse_operator(text, _CTX) == MatrixDiffOp(_CTX, [[entry]]), text
+    if not with_d:
+        assert parse_expression(text, _CTX) == value, text
