@@ -6,10 +6,13 @@ The bracket of two expressions induced by a matrix differential operator H
     {f_lam g} = sum_{i,j,m,n} dg/du_j^(n) (lam+d)^n H_ji(lam+d)->
                  (-lam-d)^m df/du_i^(m),
 
-all derivatives resolved rightward.  The second slot enters through one
-chain rule, ``_right``: {y_lam g} from the brackets {y_lam u_j} and the
-row of D_g; the same sum of compositions over a row of H gives
-{f_lam u_j} from the adjoint symbols of f.  The generator bracket
+all derivatives resolved rightward: the symbol of D_g o H o D_f^*.  It is
+evaluated from its smallest factors, D_g o H first, so that every Leibniz
+step differentiates an entry of H or an adjoint symbol A_i of f, never the
+larger H o D_f^*.  The second slot enters through one chain rule,
+``_right``: {y_lam g} from the brackets {y_lam u_j} and the row of D_g; the
+same sum of compositions over a row of D_g o H gives {f_lam g} from the
+A_i, and over the row k of H it gives {f_lam u_k}.  The generator bracket
 {u_i lam x} is that chain rule with y = u_i, and the Jacobi residual is
 the nested-bracket identity on a generator triple.
 On top of it sit the Beltrami bracket (H = identity), brackets of local
@@ -17,7 +20,10 @@ functionals, and the checkers for Hamiltonian, compatible and symplectic
 operators; the latter two report residual witnesses per generator triple.
 Both triple residuals read T_ij(lam, mu) - T_ji(mu, lam) (``_mirrored``)
 and a third term {X_ij(lam) _(lam+mu) u_k} (``_composed``), both from the
-generator bracket of H, resp. the Beltrami bracket.
+generator bracket of H, resp. the Beltrami bracket.  The Jacobi residual
+is T(H, H) for the bilinear T(X, Y) whose outer brackets come from X and
+whose inner values from Y (``_jacobi_cross``), so a compatibility check
+evaluates only the cross terms T(H_a, H_b) + T(H_b, H_a) of a pair.
 """
 
 from __future__ import annotations
@@ -39,19 +45,20 @@ from .varcalc import (
 
 
 def lambda_bracket(H: MatrixDiffOp, f: Expression, g: Expression) -> LambdaPoly:
-    """{f_lam g} for the bracket with {u_i lam u_j} = H_ji(lam)."""
+    """{f_lam g} for the bracket with {u_i lam u_j} = H_ji(lam): the symbol
+    of D_g o H o D_f^*, read as sum_i C_i(lam+d) A_i over the row C of
+    D_g o H, composed first, and the adjoint symbols A_i of f."""
     _check_shape(H)
     A = [_adjoint_symbol(f, i) for i in range(f.ctx.nvars)]
-    row = frechet((g,)).entries[0]
-    return _right(lambda j: _right(A.__getitem__, H.entries[j]), row)
+    return _right(A.__getitem__, frechet((g,)).compose(H).entries[0])
 
 
 def _right(G, row) -> LambdaPoly:
     """sum_j E_j(lam+d) G(j) over a row of entries E_j, G(j) a symbol read
     only where E_j is nonzero.  Over the row of D_x with G(j) = {y_lam u_j}
     it is {y_lam x} = sum_{j,n} dx/du_j^(n) (lam+d)^n G(j), the chain rule
-    in the second slot; over the row j of H with G(i) = A_i it is
-    {f_lam u_j} = sum_i H_ji(lam+d) A_i."""
+    in the second slot; over the row k of H, resp. D_g o H, with
+    G(i) = A_i it is {f_lam u_k} = sum_i H_ki(lam+d) A_i, resp. {f_lam g}."""
     out = LambdaPoly(row[0].ctx, {})
     for j, entry in enumerate(row):
         if entry:
@@ -118,7 +125,9 @@ def nested_bracket_composed(
     H: MatrixDiffOp, x: LambdaPoly, g: Expression
 ) -> BiLambdaPoly:
     """{x(lam)_{lam+mu} g}: the bracket of each coefficient x_a against g,
-    read at lam + mu and times lam^a."""
+    read at lam + mu and times lam^a.  With g = u_k it is the third Jacobi
+    term, which _jacobi_cross reads off row k of H instead; tests call it
+    as the reference (acceptance criterion 11i)."""
     return _composed(x, lambda z: lambda_bracket(H, z, g))
 
 
@@ -194,13 +203,25 @@ def jacobi_triple_residual(H: MatrixDiffOp, i: int, j: int, k: int) -> BiLambdaP
       {u_i lam {u_j mu u_k}} - {u_j mu {u_i lam u_k}}
         - {{u_i lam u_j} _(lam+mu) u_k},
 
-    with {u_j mu u_k} = H_kj(mu).  The generator bracket {u_a lam x} is
-    the right slot with G(h) = {u_a lam u_h} = H_ha(lam).
-    """
+    with {u_j mu u_k} = H_kj(mu): the cross residual T(H, H)."""
+    return _jacobi_cross(H, H, i, j, k)
+
+
+def _jacobi_cross(X: MatrixDiffOp, Y: MatrixDiffOp, i: int, j: int, k: int) -> BiLambdaPoly:
+    """T(X, Y): the Jacobi residual whose outer brackets are those of X and
+    whose inner values {u_j mu u_k} = Y_kj(mu), {u_i lam u_j} = Y_ji(lam)
+    are read from Y.  Each of its three terms is linear in the bracket of
+    X and in the values of Y, so T is bilinear.  The generator bracket
+    {u_a lam x} is the right slot with G(h) = {u_a lam u_h} = X_ha(lam);
+    the third term brackets each coefficient z of Y_ji against u_k,
+    {z_nu u_k} = sum_h X_kh(nu+d) A_h(z), off the row k of X."""
     def bracket(a: int, x: Expression) -> LambdaPoly:
-        return _right(lambda h: H.entry(h, a), frechet((x,)).entries[0])
-    res = _mirrored(H, bracket, i, j, k)
-    return res - nested_bracket_composed(H, H.entry(j, i), H.ctx.gen(k))
+        return _right(lambda h: X.entry(h, a), frechet((x,)).entries[0])
+    row = X.entries[k]
+    third = _composed(
+        Y.entry(j, i), lambda z: _right(lambda h: _adjoint_symbol(z, h), row)
+    )
+    return _mirrored(Y, bracket, i, j, k) - third
 
 
 def _check_shape(H: MatrixDiffOp):
@@ -257,11 +278,25 @@ def check_pva(H: MatrixDiffOp) -> CheckReport:
 
 def check_compatible(ops: Sequence[MatrixDiffOp]) -> CheckReport:
     """Compatibility: every linear combination sum t_a H_a must pass the
-    Hamiltonian test.  The Jacobi residual R is quadratic in H, so
-    R(sum t_a H_a) = sum t_a^2 R(H_a) + sum_{a<b} t_a t_b B_ab with
-    B_ab = R(H_a + H_b) - R(H_a) - R(H_b); once each H_a passes, this
-    holds exactly when every pairwise sum H_a + H_b passes.  Failures are
-    those of the pairwise checks, in pair order, tagged with the pair."""
+    Hamiltonian test.  The Jacobi residual is R(H) = T(H, H) with T
+    bilinear (see _jacobi_cross), so
+
+      R(sum t_a H_a) = sum t_a^2 R(H_a) + sum_{a<b} t_a t_b B_ab,
+      B_ab = T(H_a, H_b) + T(H_b, H_a) = R(H_a + H_b) - R(H_a) - R(H_b).
+
+    Each H_a must pass the Hamiltonian test first (IndividualFailure
+    otherwise).  Then R(H_a) = 0 for every a, so the combination passes
+    for all t exactly when every B_ab vanishes, and B_ab equals
+    R(H_a + H_b) exactly: the pair check runs the skew test of H_a + H_b
+    and evaluates B_ab alone, never R(H_a) and R(H_b) again, so its
+    failures, residual texts and triples are those of
+    check_pva(H_a + H_b).  B_ab obeys the mirror identity of
+    _check_triples as R(H_a + H_b) does; its proof there also holds for
+    each T(X, Y) with Y skew, as it uses only the skewness of the inner
+    values and the sesquilinearity of the outer bracket, which every X
+    has.  Failures are reported in pair order, tagged with the pair."""
+    if not ops:
+        raise ValueError("a compatibility check needs at least one operator")
     if len({op.ctx for op in ops}) != 1:
         raise ValueError("operators must share one context")
     bad = [idx for idx, H in enumerate(ops) if not check_pva(H).passed]
@@ -269,7 +304,12 @@ def check_compatible(ops: Sequence[MatrixDiffOp]) -> CheckReport:
         raise IndividualFailure(bad)
     failures = []
     for a, b in combinations(range(len(ops)), 2):
-        for f in check_pva(ops[a] + ops[b]).failures:
+        Ha, Hb = ops[a], ops[b]
+
+        def cross(H, i, j, k):
+            return _jacobi_cross(Ha, Hb, i, j, k) + _jacobi_cross(Hb, Ha, i, j, k)
+
+        for f in _check_triples(Ha + Hb, "jacobi", cross).failures:
             f.pair = (a + 1, b + 1)
             failures.append(f)
     return CheckReport(not failures, failures)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -20,6 +20,7 @@ from pvakit import (
     functional_bracket,
     hamiltonian_vector_field,
     jacobi_operator_residual,
+    jacobi_triple_residual,
     lambda_bracket,
     skew_image,
     two_form_from_potential,
@@ -197,10 +198,69 @@ def test_pairwise_compatibility_matches_mixed_reference():
 
 
 def test_check_compatible_needs_one_shared_context(ctx1, ctx1c):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a compatibility check needs at least one operator$"):
         check_compatible([])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^operators must share one context$"):
         check_compatible([MatrixDiffOp.derivative(ctx1), MatrixDiffOp.derivative(ctx1c)])
+
+
+def _hydro(rng, ctx):
+    """g d + 1/2 g' for a random g(u): Hamiltonian for every g."""
+    g = rand_expr(rng, ctx, nterms=2, nfactors=2, max_order=0, fancy_exps=True)
+    return MatrixDiffOp.single(ctx, [(0, g.total_derivative().scale(Fraction(1, 2))), (1, g)])
+
+
+def _hamiltonian_pairs():
+    """Pairs of operators that each pass check_pva: all pairs of
+    COMPAT_POOL, and in one variable random hydrodynamic operators against
+    each other, against d^3 and against the kdv operator."""
+    ctx2 = Context(("u", "v"), ("c",))
+    pool = [parse_operator(t, ctx2) for t in COMPAT_POOL]
+    pairs = list(combinations(pool, 2))
+    ctx1 = Context(("u",), ("c",))
+    rng = random.Random(41)
+    kdv, d = kdv_pair(ctx1)
+    for _ in range(6):
+        pairs += [(_hydro(rng, ctx1), other)
+                  for other in (_hydro(rng, ctx1), d.compose(d).compose(d), kdv)]
+    return pairs
+
+
+def test_cross_terms_are_the_residual_of_the_sum():
+    """Once H_a and H_b pass on their own, the cross residual
+    B_ab = T(H_a, H_b) + T(H_b, H_a) equals R(H_a + H_b) on every triple,
+    i > j included, on pairs that pass and on pairs that fail."""
+    failing = 0
+    for Ha, Hb in _hamiltonian_pairs():
+        assert check_pva(Ha).passed and check_pva(Hb).passed
+        H = Ha + Hb
+        n = H.ctx.nvars
+        zero = True
+        for i, j, k in product(range(n), repeat=3):
+            B = brackets._jacobi_cross(Ha, Hb, i, j, k) + brackets._jacobi_cross(Hb, Ha, i, j, k)
+            assert B == jacobi_triple_residual(H, i, j, k)
+            zero = zero and B.is_zero()
+        assert check_compatible([Ha, Hb]).passed == zero
+        failing += not zero
+    assert failing >= 10
+
+
+def test_pairs_evaluate_only_their_cross_terms(monkeypatch):
+    """check_compatible evaluates R only on each operator by itself: the
+    residual of a pair's sum is never built."""
+    ctx = Context(("u", "v"), ("c",))
+    ops = [parse_operator(t, ctx) for t in COMPAT_POOL[:3]]
+    calls = []
+    original = brackets.jacobi_triple_residual
+
+    def counted(H, i, j, k):
+        calls.append(H)
+        return original(H, i, j, k)
+
+    monkeypatch.setattr(brackets, "jacobi_triple_residual", counted)
+    check_compatible(ops)
+    assert len(calls) == 3 * 6
+    assert all(any(H is op for op in ops) for H in calls)
 
 
 def test_check_symplectic(ctx1c):

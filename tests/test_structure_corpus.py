@@ -118,7 +118,7 @@ def _kdv(rng) -> str:
 _WAVE = (("u' + 2*u*d", "v*d"), ("v' + v*d", "0"))
 
 
-def _matrix(rows, r="1") -> str:
+def _matrix(rows, r) -> str:
     return "; ".join(
         ", ".join(e if e == "0" else "%s*(%s)" % (r, e) for e in row) for row in rows
     )
@@ -136,11 +136,10 @@ def _cnw_hd_pair(rng):
 
 
 def _skew(rng, names, params) -> str:
-    """A skew-adjoint operator: a d^k + (-1)^k d^k a on the diagonal, a d^k
-    above it and (-1)^(k+1) d^k a below, a = one random term.  k = 1 or 3
-    on the diagonal and k <= 1 off it; k = 3 takes an a free of
-    derivatives and only below three variables, as the residuals are
-    otherwise large."""
+    """A skew-adjoint operator: a d^k + d^k a on the diagonal (k = 1 or 3),
+    a d^k above it and (-1)^(k+1) d^k a below (k <= 1), a = one random
+    term.  k = 3 takes an a free of derivatives and only below three
+    variables, as the residuals are otherwise large."""
     n = len(names)
     top = 1 if n == 3 else 3
     rows = [["0"] * n for _ in range(n)]
