@@ -32,6 +32,7 @@ its values are computed afresh and nothing the verifier checks is trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, product
 from typing import Optional
 
 from .algebra import Expression, VectorExpr, memo_scope, memoised, vec_dot
@@ -324,16 +325,16 @@ def verify_sequence(
     set of nonzero pairs (m, n) is kept:
 
     * orthogonality: no operator has a nonzero pairing;
-    * involution of the densities under op: for a symplectic chain the
-      bracket {int h_m, int h_n} is the pairing (m, n) itself, so it holds
-      when op has no nonzero pairing; for the other kinds it is
-      int dh_n . op dh_m, the pairing (n, m) wherever both densities have
-      the step's gradient as variational derivative, so such a pair fails
-      exactly when (n, m) is in the set.  A pair with any other density is
-      evaluated from the dh that the gradient check computes, with op
-      applied once per density.  The pairs are walked in the order (m, n)
-      up to the first failure; for a skew op only m < n, since
-      int dh_n . op dh_m = -int dh_m . op dh_n and the diagonal vanishes.
+    * involution of the densities under op: one walk over the pairs (m, n)
+      in order (for a skew op only m < n, since the diagonal vanishes and
+      int dh_n . op dh_m = -int dh_m . op dh_n) up to the first failure.
+      A pair fails when (n, m) is in the set for a symplectic chain, whose
+      bracket {int h_m, int h_n} is a pairing, or when both densities have
+      the step's gradient as variational derivative, since the bracket
+      int dh_n . op dh_m is then the pairing (n, m).  Any other pair is
+      evaluated from the dh of the gradient check, with op applied at most
+      once per density, or vanishes if a step has no density.  So no pair
+      is walked when the set is empty and every density is exact.
 
     Besides the images op F^n, the state is the nonzero pairings, so it is
     linear in the depth plus their number.
@@ -394,37 +395,34 @@ def verify_sequence(
     certified = (
         ver.chain and all(skew) and (kind != "dirac" or _witnessed(H, K, steps))
     )
-    nonzero = [set() for _ in ops]
-    for S, opF, is_skew in zip(nonzero, images, skew):
-        for m in range(0 if certified else len(Fs)):
-            for n in range(m + 1 if is_skew else 0, len(Fs)):
-                if not LocalFunctional(vec_dot(Fs[m], opF[n])).is_zero():
-                    S.update({(m, n), (n, m)} if is_skew else {(m, n)})
-    ver.orthogonality = not any(nonzero)
     gradients = KF if kind == "symplectic" else Fs
     deltas = [None if s.h is None else variational_derivative(s.h.rep) for s in steps]
     exact = [d is not None and d == tuple(g) for d, g in zip(deltas, gradients)]
     ver.closed = [ok or is_closed(g).closed for g, ok in zip(gradients, exact)]
     ver.gradients = all(ok or s.h is None for s, ok in zip(steps, exact))
-    if kind == "symplectic":
-        involution = [not S for S in nonzero]
-    else:
-        hs = [n for n, d in enumerate(deltas) if d is not None]
-        inexact = [n for n in hs if not exact[n]]
-        involution = []
-        for op, S, opF, is_skew in zip(ops, nonzero, images, skew):
-            op_dh = {m: opF[m] if exact[m] else _image(op, deltas[m]) for m in hs}
-            # a pair of exact densities is walked only when its pairing fails
-            pairs = [(m, n) for n, m in S if exact[m] and exact[n]]
-            pairs += [(m, n) for m in hs for n in (inexact if exact[m] else hs)]
-            involution.append(
-                all(
-                    not (exact[m] and exact[n])
-                    and LocalFunctional(vec_dot(deltas[n], op_dh[m])).is_zero()
-                    for m, n in sorted(pairs)
-                    if not is_skew or m < n
-                )
-            )
+    nonzero, involution = [], []
+    for op, opF, is_skew in zip(ops, images, skew):
+        S, op_dh = set(), {}
+
+        def walk(full):
+            idx = range(len(Fs) if full else 0)
+            return combinations(idx, 2) if is_skew else product(idx, repeat=2)
+
+        def vanishes(m, n):
+            if kind == "symplectic" or exact[m] and exact[n]:
+                return (n, m) not in S
+            if deltas[m] is None or deltas[n] is None:
+                return True
+            if m not in op_dh:
+                op_dh[m] = opF[m] if exact[m] else _image(op, deltas[m])
+            return LocalFunctional(vec_dot(deltas[n], op_dh[m])).is_zero()
+
+        for m, n in walk(not certified):
+            if not LocalFunctional(vec_dot(Fs[m], opF[n])).is_zero():
+                S.update({(m, n), (n, m)} if is_skew else {(m, n)})
+        nonzero.append(S)
+        involution.append(all(vanishes(m, n) for m, n in walk(S or not ver.gradients)))
+    ver.orthogonality = not any(nonzero)
     ver.involution_h, ver.involution_k = involution[0], involution[-1]
     return record
 

@@ -7,6 +7,7 @@ verifiers, which evaluate orthogonality and every bracket on their own,
 on sound and on corrupted records of all three chain kinds; the densities
 the chains carry are the ones the defect-first reference attaches."""
 
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -17,6 +18,7 @@ from pvakit import (
     Expression,
     LocalFunctional,
     LogRequired,
+    MatrixDiffOp,
     lenard,
     lenard_extend,
     parse_operator,
@@ -152,11 +154,13 @@ def _triangle(N):
     return N * (N - 1) // 2
 
 
-@pytest.mark.parametrize("name", ["kdv", "pkdv", "nls"])
+@pytest.mark.parametrize("name", list(FAMILIES))
 def test_each_pairing_evaluated_once(name, monkeypatch):
     """A sound chain is certified by the Lenard lemma, so no pairing is
-    evaluated: for kdv and pkdv since H and K are skew, for NLS since J is
-    skew, L_{H,K} is isotropic and every step carries its witness P_n."""
+    evaluated: for the bi-Hamiltonian and bi-symplectic families since H
+    and K are skew, for NLS since J is skew, L_{H,K} is isotropic and every
+    step carries its witness P_n.  Every density is exact, so no bracket
+    is evaluated either."""
     rec, H, K = _family(name)
     assert _pairing_tests(rec, H, K, monkeypatch) == 0
 
@@ -215,6 +219,21 @@ def test_broken_chain_evaluates_each_skew_triangle(monkeypatch):
     assert _pairing_tests(bad, H, K, monkeypatch) == 2 * _triangle(N) + 2 * (N - 1)
 
 
+@pytest.mark.parametrize("depth", [None, 5])
+def test_symplectic_involution_reads_the_pairings(depth, monkeypatch):
+    """On the pkdv record broken by _perturb_F both skew triangles are
+    evaluated, and the involution of a symplectic chain is read off their
+    nonzero pairings: no density bracket is evaluated."""
+    rec, H, K = _family("pkdv", depth=depth)
+    steps = list(rec.steps)
+    _perturb_F(steps)
+    bad = HierarchyRecord(rec.name, rec.kind, rec.params, steps)
+    assert _flags(bad, H, K, verify_sequence) == _flags(
+        bad, H, K, reference.verify_sequence
+    )
+    assert _pairing_tests(bad, H, K, monkeypatch) == 2 * _triangle(len(steps))
+
+
 def test_failing_exact_pairs_are_read_not_evaluated(monkeypatch):
     """On the kdv record broken by _foreign_step every density is exact, so
     involution reads the nonzero pairings of the two skew triangles and
@@ -252,12 +271,8 @@ def test_involution_fallback_reuses_variational_derivatives(monkeypatch):
     dh of the gradient check: one variational derivative per density and
     none per bracket (those of the zero tests themselves are taken in
     varcalc and not counted); each operator is applied once to the one
-    inexact dh."""
-    rec, H, K = _family("kdv")
-    steps = list(rec.steps)
-    _perturb_F(steps)
-    bad = HierarchyRecord(rec.name, rec.kind, rec.params, steps)
-    want = _flags(bad, H, K, reference.verify_sequence)
+    inexact dh, at the default depth, where dh_2 has one partner n > 2,
+    and at depth 7, where it has five."""
     calls = []
     applied = []
     vder = varcalc.variational_derivative
@@ -266,18 +281,27 @@ def test_involution_fallback_reuses_variational_derivatives(monkeypatch):
         calls.append(f)
         return vder(f)
 
-    class Applied(type(H)):
+    class Applied(MatrixDiffOp):
         def apply(self, vec):
             applied.append(vec)
             return super().apply(vec)
 
-    for mod in (lenard, brackets):
-        monkeypatch.setattr(mod, "variational_derivative", counted)
-    H2, K2 = (Applied(op.ctx, op.entries) for op in (H, K))
-    assert _flags(bad, H2, K2, verify_sequence) == want
-    assert len(calls) == len(steps)
-    # op F^n for every step, then op dh_2 once, for each operator
-    assert len(applied) == 2 * (len(steps) + 1)
+    for depth in (None, 7):
+        rec, H, K = _family("kdv", depth=depth)
+        steps = list(rec.steps)
+        _perturb_F(steps)
+        bad = HierarchyRecord(rec.name, rec.kind, rec.params, steps)
+        want = _flags(bad, H, K, reference.verify_sequence)
+        for mod in (lenard, brackets):
+            monkeypatch.setattr(mod, "variational_derivative", counted)
+        H2, K2 = (Applied(op.ctx, op.entries) for op in (H, K))
+        calls.clear()
+        applied.clear()
+        assert _flags(bad, H2, K2, verify_sequence) == want
+        assert len(calls) == len(steps)
+        # op F^n for every step, then op dh_2 once, for each operator
+        assert len(applied) == 2 * (len(steps) + 1)
+        monkeypatch.undo()
 
 
 def _lenard_record(h_text, seed, depth, kind="hamiltonian"):
@@ -294,6 +318,24 @@ def test_non_skew_operator_keeps_full_matrix(monkeypatch):
     N = len(rec.steps)
     assert not (H.adjoint() + H).is_zero()
     assert _pairing_tests(rec, H, K, monkeypatch) == N * N + _triangle(N)
+
+
+def test_sound_deep_chain_walks_no_pair(monkeypatch):
+    """With no nonzero pairing and every density exact no pair can fail, so
+    a certified chain walks no pair of either operator, and verifying a
+    deep chain takes no loop over its N^2 pairs."""
+    rec, H, K = _lenard_record("d^3", "u", 200)
+    walked = []
+
+    def combinations(steps, r):
+        walked.append(len(steps))
+        return itertools.combinations(steps, r)
+
+    monkeypatch.setattr(lenard, "combinations", combinations)
+    ver = _flags(rec, H, K, verify_sequence)
+    assert ver["chain"] and ver["gradients"] and all(ver["closed"])
+    assert ver["orthogonality"] and ver["involution_H"] and ver["involution_K"]
+    assert walked == [0, 0, 0, 0]
 
 
 # the reference takes 0.7 s for hd at depth 3, against 0.1 s at depth 2
